@@ -7,9 +7,10 @@
 //
 //   - -bench <file>: `go test -bench` output, one ns/op metric per
 //     benchmark (lower is better);
-//   - fixed-seed simulated-network runs of Neo-HM and PBFT, yielding
-//     throughput (higher is better) and p99 latency (lower is better).
-//     Skipped with -skip-sim.
+//   - fixed-seed closed-loop runs of Neo-HM, Neo-PK and PBFT on the
+//     simulated network, and of Neo-HM over loopback UDP sockets,
+//     yielding throughput (higher is better) and p99 latency (lower is
+//     better). Skipped with -skip-sim.
 //
 // Usage:
 //
@@ -67,7 +68,7 @@ func main() {
 	outPath := flag.String("out", "BENCH_current.json", "write this run's numbers here (CI artifact)")
 	tol := flag.Float64("tolerance", 0.6, "allowed fractional regression before the gate fails")
 	update := flag.Bool("update", false, "rewrite -baseline from this run instead of comparing")
-	skipSim := flag.Bool("skip-sim", false, "skip the fixed-seed simulated-network runs")
+	skipSim := flag.Bool("skip-sim", false, "skip the fixed-seed end-to-end runs (simnet and loopback UDP)")
 	seed := flag.Int64("seed", 1, "simulated-network seed for the sim metrics")
 	flag.Parse()
 
@@ -85,7 +86,7 @@ func main() {
 		}
 	}
 	if !*skipSim {
-		for k, v := range simMetrics(*seed) {
+		for k, v := range e2eMetrics(*seed) {
 			cur[k] = v
 		}
 	}
@@ -161,19 +162,28 @@ func parseBenchFile(path string) (map[string]Metric, error) {
 	return out, sc.Err()
 }
 
-// simMetrics runs short fixed-seed closed-loop loads on the simulated
-// network and reports throughput and p99 latency for two NeoBFT variants
-// and one classical baseline. Neo-PK runs with SignRate 0 (sign every
-// packet): fully deterministic and maximum signature-verification
-// pressure, so the gate tracks the secp256k1 hot path end to end.
-func simMetrics(seed int64) map[string]Metric {
+// e2eMetrics runs short fixed-seed closed-loop loads and reports
+// throughput and p99 latency: on the simulated network for two NeoBFT
+// variants and one classical baseline, and over loopback UDP sockets for
+// Neo-HM (the udpnet + runtime packet path end to end). Neo-PK runs with
+// SignRate 0 (sign every packet): fully deterministic and maximum
+// signature-verification pressure, so the gate tracks the secp256k1 hot
+// path end to end.
+func e2eMetrics(seed int64) map[string]Metric {
 	out := map[string]Metric{}
-	for _, p := range []bench.Protocol{bench.NeoHM, bench.NeoPK, bench.PBFT} {
-		slug := strings.ToLower(strings.ReplaceAll(string(p), "-", ""))
-		fmt.Printf("sim run %s (seed %d)...\n", p, seed)
+	for _, r := range []struct {
+		fabric, transport string
+		p                 bench.Protocol
+	}{
+		{"sim", "", bench.NeoHM}, {"sim", "", bench.NeoPK}, {"sim", "", bench.PBFT},
+		{"udp", "udp", bench.NeoHM},
+	} {
+		slug := r.fabric + "/" + strings.ToLower(strings.ReplaceAll(string(r.p), "-", ""))
+		fmt.Printf("%s run %s (seed %d)...\n", r.fabric, r.p, seed)
 		sys := bench.Build(bench.Options{
-			Protocol: p,
-			Net:      simnet.Options{Seed: seed},
+			Protocol:  r.p,
+			Transport: r.transport,
+			Net:       simnet.Options{Seed: seed},
 		})
 		res := bench.Run(sys, bench.Load{
 			Clients:  8,
@@ -182,8 +192,8 @@ func simMetrics(seed int64) map[string]Metric {
 		})
 		sys.Close()
 		s := bench.Summarize(res.Latencies)
-		out["sim/"+slug+"/tput"] = Metric{Value: res.Throughput, Better: "higher", Unit: "ops/s"}
-		out["sim/"+slug+"/p99"] = Metric{
+		out[slug+"/tput"] = Metric{Value: res.Throughput, Better: "higher", Unit: "ops/s"}
+		out[slug+"/p99"] = Metric{
 			Value:  float64(s.P99) / float64(time.Microsecond),
 			Better: "lower", Unit: "us",
 		}

@@ -102,9 +102,11 @@ func TestKillRecoverRestoresFromDisk(t *testing.T) {
 		}
 		t.Fatalf("timed out waiting for %s (committed=%d, want >=%d)", what, sys.Committed(), target)
 	}
-	// Run far enough that checkpoints stabilize and the persister has
-	// had many chances to journal one.
+	// Run far enough that checkpoints stabilize, then long enough (the
+	// load is faster than PersistEvery) that the persister has had many
+	// chances to journal one.
 	waitCommitted(96, "initial load")
+	time.Sleep(50 * time.Millisecond)
 
 	if err := sys.Kill(3); err != nil {
 		t.Fatal(err)

@@ -585,6 +585,10 @@ func (c *countingConn) Send(to transport.NodeID, pkt []byte) {
 	c.inner().Send(to, pkt)
 }
 
+// Cork and Flush forward transport.Corker to the current inner conn.
+func (c *countingConn) Cork()  { transport.CorkerOf(c.inner()).Cork() }
+func (c *countingConn) Flush() { transport.CorkerOf(c.inner()).Flush() }
+
 func members(n int) []transport.NodeID {
 	out := make([]transport.NodeID, n)
 	for i := range out {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"neobft/internal/runtime"
 )
 
 // udpProtocols is one representative per protocol family — the systems
@@ -33,10 +35,39 @@ func TestUDPLoopbackAllProtocols(t *testing.T) {
 					t.Fatalf("op %d: %v", i, err)
 				}
 			}
-			if got := sys.Committed(); got < ops {
-				t.Fatalf("committed %d < %d invoked", got, ops)
-			}
+			waitCommitted(t, sys, ops)
 		})
+	}
+}
+
+// waitCommitted polls until replica 0 has executed want operations. A
+// client's quorum can complete on the other replicas' replies, so replica
+// 0 may still have the last operation in flight when Invoke returns.
+func waitCommitted(t *testing.T, sys *System, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for sys.Committed() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica 0 committed %d, want >= %d", sys.Committed(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestVerifyPlacement pins where each system's replicas verify packets
+// under the default VerifyWorkers: Neo-PK's signatures keep the pooled,
+// batched stage; MAC-authenticated systems verify on the delivery
+// goroutine.
+func TestVerifyPlacement(t *testing.T) {
+	for p, pooled := range map[Protocol]bool{NeoPK: true, NeoHM: false, PBFT: false} {
+		sys := Build(Options{Protocol: p})
+		type hasRuntime interface{ Runtime() *runtime.Runtime }
+		for i, r := range sys.Replicas {
+			if got := r.(hasRuntime).Runtime().Workers() > 0; got != pooled {
+				t.Errorf("%s replica %d: pooled verification = %v, want %v", p, i, got, pooled)
+			}
+		}
+		sys.Close()
 	}
 }
 
@@ -71,9 +102,7 @@ func TestUDPLoopbackKillRestart(t *testing.T) {
 	}
 	before := sys.Committed()
 	invoke(10, "degraded")
-	if got := sys.Committed(); got < before+10 {
-		t.Fatalf("committed %d after crash, want >= %d (f=1 progress)", got, before+10)
-	}
+	waitCommitted(t, sys, before+10) // f=1 progress
 
 	if err := sys.Restart(victim, false); err != nil {
 		t.Fatalf("restart replica %d: %v", victim, err)

@@ -498,6 +498,11 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 	return r.verifyOther(pkt)
 }
 
+// ExpensiveVerify implements runtime.ExpensiveVerifier: aom-pk packets
+// carry secp256k1 signatures, worth a worker pool and batching; an
+// aom-hm packet is one HalfSipHash check, cheaper than the handoff.
+func (r *Replica) ExpensiveVerify() bool { return r.cfg.Variant == wire.AuthPK }
+
 // VerifyPacketBatch implements runtime.BatchVerifier: libAOM packets in
 // the batch share one PreVerifyBatch call, which pulls every decodable
 // aom-pk sequencer signature into a single batched secp256k1

@@ -7,22 +7,24 @@
 //     invariant: ApplyEvent (and every timer callback and Inject'd
 //     function) runs on exactly one goroutine.
 //
-//  2. A parallel verification stage: a worker pool that classifies
-//     inbound packets and verifies client MACs, replica HMAC vectors,
-//     aom authenticators, USIG certificates and public-key signatures
-//     off the hot path. Workers may finish out of order; the loop
-//     retires tasks strictly in arrival order, so per-sender FIFO
-//     delivery (guaranteed by simnet/udpnet's single delivery
-//     goroutine) is preserved end to end.
+//  2. A verification stage ahead of the loop: client MACs, replica HMAC
+//     vectors, aom authenticators, USIG certificates and public-key
+//     signatures. A MAC check runs right on the transport's delivery
+//     goroutine; a handler whose verification is expensive
+//     (ExpensiveVerifier) gets a worker pool. Workers may finish out of
+//     order; the loop retires tasks strictly in arrival order, so
+//     per-sender FIFO delivery (guaranteed by simnet/udpnet's single
+//     delivery goroutine) is preserved end to end.
 //
 //  3. Unified timers (Arm / ArmEvery / Cancel) whose callbacks fire on
 //     the loop goroutine, replacing scattered time.Ticker and
 //     time.AfterFunc usage in the protocol packages.
 //
-// Protocols implement Handler: VerifyPacket runs on worker goroutines
-// and must only touch state that is immutable or internally
-// synchronized (key material, signature tables, the packet itself);
-// ApplyEvent runs on the loop and owns all mutable protocol state.
+// Protocols implement Handler: VerifyPacket runs off the loop (on the
+// delivery goroutine or a worker) and must only touch state that is
+// immutable or internally synchronized (key material, signature tables,
+// the packet itself); ApplyEvent runs on the loop and owns all mutable
+// protocol state.
 package runtime
 
 import (
@@ -43,8 +45,8 @@ type Event any
 // Handler is the verify/apply pair a protocol registers with the runtime.
 type Handler interface {
 	// VerifyPacket classifies and authenticates one inbound packet. It is
-	// called from worker goroutines (or inline from the delivery
-	// goroutine when Workers < 0) and must not touch loop-owned state.
+	// called from the delivery goroutine or, when verification is pooled,
+	// from worker goroutines, and must not touch loop-owned state.
 	// Returning nil drops the packet.
 	VerifyPacket(from transport.NodeID, pkt []byte) Event
 	// ApplyEvent executes the state transition for a verified event. It
@@ -68,20 +70,34 @@ type BatchVerifier interface {
 	VerifyPacketBatch(froms []transport.NodeID, pkts [][]byte) []Event
 }
 
+// ExpensiveVerifier is an optional Handler extension consulted when
+// Config.Workers is 0. A handoff to a worker and back costs more than a
+// MAC check, so VerifyPacket then runs on the delivery goroutine unless
+// the handler reports true: its packets carry public-key signatures.
+type ExpensiveVerifier interface {
+	Handler
+	ExpensiveVerify() bool
+}
+
 // maxVerifyBatch bounds how many packets one worker pulls per drain. Big
 // enough to amortize a batched signature verification, small enough to
 // keep head-of-line retirement latency bounded under load.
 const maxVerifyBatch = 32
+
+// maxRun bounds how many queued events the loop retires back to back
+// (with the conn corked) before it looks at its timers again.
+const maxRun = 32
 
 // Config configures a Runtime.
 type Config struct {
 	// Conn is the node's transport endpoint. The runtime installs its
 	// handler on it at Start.
 	Conn transport.Conn
-	// Workers sets the verification pool size: 0 picks a default based
-	// on GOMAXPROCS; a negative value disables the pool and verifies
-	// inline on the delivery goroutine (the pre-refactor behavior, kept
-	// for benchmarking and single-core runs).
+	// Workers sets the verification pool size. 0 decides from the
+	// handler: inline on the delivery goroutine, unless the handler is an
+	// ExpensiveVerifier reporting true, which gets a pool sized from
+	// GOMAXPROCS. A positive value forces a pool of that size and a
+	// negative value forces inline verification.
 	Workers int
 	// Queue bounds the number of in-flight packets (default 4096). When
 	// full, the delivery goroutine blocks, pushing back on the transport.
@@ -107,9 +123,10 @@ type task struct {
 	// enq is the arrival timestamp (UnixNano); the loop derives the
 	// retirement lag (queueing + verification) from it.
 	enq int64
-	// done is closed once ev is populated. Pre-resolved tasks (inline
-	// verification, injected calls) reuse a shared closed channel.
-	done chan struct{}
+	// ready is set once ev is populated — by a worker as its last touch
+	// of the task, or at creation for inline-verified packets and
+	// injected calls.
+	ready atomic.Bool
 	// call, when set, is a loop-injected function instead of a packet.
 	call func()
 	// tctx is the trace context peeled from the packet's wire envelope
@@ -121,18 +138,19 @@ type task struct {
 	kind byte
 }
 
-// closedChan is a pre-closed channel shared by tasks that need no wait.
-var closedChan = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
+// taskPool recycles tasks: the loop returns each one after retiring it.
+var taskPool = sync.Pool{New: func() any { return new(task) }}
 
 // Runtime is a replica's event loop plus verification pool plus timers.
 type Runtime struct {
 	cfg     Config
 	workers int
+	pooled  bool // verification runs on the worker pool; resolved at Start
 	handler Handler
+	// corker is the conn's send-coalescing capability (a no-op without
+	// one): the loop corks across a run of events and flushes before it
+	// blocks.
+	corker transport.Corker
 
 	// ordered carries tasks in arrival order to the loop; verifyq feeds
 	// the same tasks to the worker pool. Both are bounded by cfg.Queue.
@@ -141,6 +159,10 @@ type Runtime struct {
 	// whenever verifyq is non-empty — the two queues cannot deadlock.
 	ordered chan *task
 	verifyq chan *task
+
+	// wake (capacity 1) is how a worker that has readied a task rouses
+	// a loop parked on an unverified head.
+	wake chan struct{}
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -165,7 +187,7 @@ func New(cfg Config) *Runtime {
 		cfg.Queue = 4096
 	}
 	w := cfg.Workers
-	if w == 0 {
+	if w <= 0 {
 		w = stdruntime.GOMAXPROCS(0) - 1
 		if w > 4 {
 			w = 4
@@ -179,8 +201,10 @@ func New(cfg Config) *Runtime {
 		workers: w,
 		ordered: make(chan *task, cfg.Queue),
 		verifyq: make(chan *task, cfg.Queue),
+		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
+	rt.corker = transport.CorkerOf(cfg.Conn)
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -209,9 +233,10 @@ func (rt *Runtime) Tracer() *tracing.Tracer {
 	return rt.cfg.Tracer
 }
 
-// Workers reports the resolved verification pool size (0 means inline).
+// Workers reports the verification pool size in use (0 means inline).
+// With Config.Workers 0 the handler decides, so it is 0 until Start.
 func (rt *Runtime) Workers() int {
-	if rt.cfg.Workers < 0 {
+	if !rt.pooled {
 		return 0
 	}
 	return rt.workers
@@ -227,7 +252,9 @@ func (rt *Runtime) Start(h Handler) {
 		panic("runtime: Start called twice")
 	}
 	rt.handler = h
-	if rt.cfg.Workers >= 0 {
+	ev, _ := h.(ExpensiveVerifier)
+	rt.pooled = rt.cfg.Workers > 0 || rt.cfg.Workers == 0 && ev != nil && ev.ExpensiveVerify()
+	if rt.pooled {
 		for i := 0; i < rt.workers; i++ {
 			go rt.worker()
 		}
@@ -244,63 +271,48 @@ func (rt *Runtime) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 }
 
-// onPacket is the transport handler: it enqueues the packet in arrival
-// order and hands it to the verification pool (or verifies inline).
+// onPacket is the transport handler: it verifies the packet in place or
+// hands it to the verification pool, and enqueues it in arrival order.
 func (rt *Runtime) onPacket(from transport.NodeID, pkt []byte) {
+	now := time.Now()
+	t := taskPool.Get().(*task)
+	*t = task{from: from, pkt: pkt, enq: now.UnixNano()}
 	// TakeInbound consumes the envelope context WrapConn peeled for this
 	// delivery (zero for untraced packets and when tracing is off; the
 	// call is nil-safe and lock-free).
-	tctx := rt.cfg.Tracer.TakeInbound()
-	if rt.cfg.Workers < 0 {
-		start := time.Now()
-		if tctx.Trace != 0 {
-			rt.cfg.Tracer.ObserveTransit(time.Duration(start.UnixNano() - tctx.TS))
-		}
-		ev := rt.handler.VerifyPacket(from, pkt)
-		d := time.Since(start)
-		rt.verifyNS.Add(d.Nanoseconds())
-		rt.verifyHist.ObserveDuration(d)
-		t := &task{from: from, ev: ev, enq: start.UnixNano(), done: closedChan}
-		if tctx.Trace != 0 {
-			t.tctx = tctx
-			if len(pkt) > 0 {
-				t.kind = pkt[0]
-			}
-			t.vid = rt.cfg.Tracer.SpanID()
-			rt.cfg.Tracer.Span(t.vid, tctx.Trace, tctx.Parent, tracing.PhaseVerify, start, d, 0, uint64(t.kind))
-		}
-		if ev == nil {
-			return
-		}
-		select {
-		case rt.ordered <- t:
-		case <-rt.stop:
-		}
-		return
-	}
-	t := &task{from: from, pkt: pkt, enq: time.Now().UnixNano(), done: make(chan struct{})}
-	if tctx.Trace != 0 {
+	if tctx := rt.cfg.Tracer.TakeInbound(); tctx.Trace != 0 {
 		t.tctx = tctx
 		if len(pkt) > 0 {
 			t.kind = pkt[0]
 		}
 		rt.cfg.Tracer.ObserveTransit(time.Duration(t.enq - tctx.TS))
 	}
+	if !rt.pooled {
+		rt.verifyOne(t, now)
+		if t.ev == nil {
+			taskPool.Put(t)
+			return
+		}
+	}
 	select {
 	case rt.ordered <- t:
 	case <-rt.stop:
 		return
 	}
-	select {
-	case rt.verifyq <- t:
-	case <-rt.stop:
+	if rt.pooled {
+		select {
+		case rt.verifyq <- t:
+		case <-rt.stop:
+		}
 	}
 }
 
 // Inject schedules fn to run on the loop goroutine, ordered after every
 // packet already accepted. It is safe from any goroutine.
 func (rt *Runtime) Inject(fn func()) {
-	t := &task{done: closedChan, call: fn}
+	t := taskPool.Get().(*task)
+	*t = task{call: fn}
+	t.ready.Store(true)
 	select {
 	case rt.ordered <- t:
 	case <-rt.stop:
@@ -328,15 +340,11 @@ func (rt *Runtime) worker() {
 		case <-rt.stop:
 			return
 		case t := <-rt.verifyq:
-			if bh == nil {
-				rt.verifyOne(t)
-				continue
-			}
-			// Opportunistic drain: take whatever else is already queued,
-			// up to the batch cap, without blocking.
+			// Opportunistic drain for a batching handler: take whatever else
+			// is already queued, up to the batch cap, without blocking.
 			batch = append(batch[:0], t)
 		drain:
-			for len(batch) < maxVerifyBatch {
+			for bh != nil && len(batch) < maxVerifyBatch {
 				select {
 				case t2 := <-rt.verifyq:
 					batch = append(batch, t2)
@@ -345,7 +353,8 @@ func (rt *Runtime) worker() {
 				}
 			}
 			if len(batch) == 1 {
-				rt.verifyOne(t)
+				rt.verifyOne(t, time.Now())
+				rt.wakeLoop()
 				continue
 			}
 			froms = froms[:0]
@@ -371,15 +380,15 @@ func (rt *Runtime) worker() {
 					bt.vid = rt.cfg.Tracer.SpanID()
 					rt.cfg.Tracer.Span(bt.vid, bt.tctx.Trace, bt.tctx.Parent, tracing.PhaseVerify, start, per, 0, uint64(bt.kind))
 				}
-				close(bt.done)
+				bt.ready.Store(true)
+				rt.wakeLoop()
 			}
 		}
 	}
 }
 
-// verifyOne runs the single-packet verify path for one queued task.
-func (rt *Runtime) verifyOne(t *task) {
-	start := time.Now()
+// verifyOne runs the single-packet verify path for one task; start is now.
+func (rt *Runtime) verifyOne(t *task, start time.Time) {
 	t.ev = rt.handler.VerifyPacket(t.from, t.pkt)
 	d := time.Since(start)
 	rt.verifyNS.Add(d.Nanoseconds())
@@ -388,7 +397,18 @@ func (rt *Runtime) verifyOne(t *task) {
 		t.vid = rt.cfg.Tracer.SpanID()
 		rt.cfg.Tracer.Span(t.vid, t.tctx.Trace, t.tctx.Parent, tracing.PhaseVerify, start, d, 0, uint64(t.kind))
 	}
-	close(t.done)
+	t.ready.Store(true)
+}
+
+// wakeLoop follows every ready.Store by a worker. A token left in wake
+// by an earlier call is as good as a new one, so a loop that parks after
+// seeing the flag unset always finds one; a stale token costs it one
+// extra look at the flag.
+func (rt *Runtime) wakeLoop() {
+	select {
+	case rt.wake <- struct{}{}:
+	default:
+	}
 }
 
 func (rt *Runtime) loop() {
@@ -402,47 +422,82 @@ func (rt *Runtime) loop() {
 		case <-rt.timers.wake:
 			// A timer was armed or canceled; recompute the deadline.
 		case <-tm.C:
+			rt.corker.Cork()
 			rt.runDueTimers()
+			rt.corker.Flush()
 		case t := <-rt.ordered:
-			select {
-			case <-t.done:
-			case <-rt.stop:
+			if !rt.retireRun(t) {
 				return
 			}
-			start := time.Now()
-			if t.enq != 0 {
-				if lag := start.UnixNano() - t.enq; lag > 0 {
-					rt.retireHist.Observe(uint64(lag))
-					if t.tctx.Trace != 0 {
-						// Queue span: the packet's wait from arrival to
-						// retirement, parented under its verify span.
-						rt.cfg.Tracer.Span(rt.cfg.Tracer.SpanID(), t.tctx.Trace, t.vid,
-							tracing.PhaseQueue, time.Unix(0, t.enq), time.Duration(lag), 0, uint64(t.kind))
-					}
-				}
-			}
-			switch {
-			case t.call != nil:
-				t.call()
-			case t.ev != nil && t.tctx.Trace != 0:
-				// Sends issued by ApplyEvent inherit the traced packet's
-				// context via the wrapped conn; the apply span is the
-				// parent the next hop's verify span will point back to.
-				aid := rt.cfg.Tracer.SpanID()
-				rt.cfg.Tracer.SetActive(t.tctx.Trace, aid)
-				rt.handler.ApplyEvent(t.from, t.ev)
-				rt.cfg.Tracer.ClearActive()
-				rt.cfg.Tracer.Span(aid, t.tctx.Trace, t.vid, tracing.PhaseApply, start, time.Since(start), 0, uint64(t.kind))
-				rt.events.Inc()
-			case t.ev != nil:
-				rt.handler.ApplyEvent(t.from, t.ev)
-				rt.events.Inc()
-			}
-			d := time.Since(start)
-			rt.applyNS.Add(d.Nanoseconds())
-			rt.applyHist.ObserveDuration(d)
 		}
 	}
+}
+
+// retireRun retires t and the events already queued behind it, up to
+// maxRun, with the conn corked so the run's sends share system calls.
+// It flushes before it parks on an unverified head and when the run
+// ends, so no packet waits on a later event. False means stop.
+func (rt *Runtime) retireRun(t *task) bool {
+	rt.corker.Cork()
+	defer rt.corker.Flush()
+	for n := 1; ; n++ {
+		for !t.ready.Load() {
+			rt.corker.Flush()
+			select {
+			case <-rt.wake:
+			case <-rt.stop:
+				return false
+			}
+			rt.corker.Cork()
+		}
+		rt.retire(t)
+		if n == maxRun {
+			return true
+		}
+		select {
+		case t = <-rt.ordered:
+		default:
+			return true
+		}
+	}
+}
+
+// retire applies one ready task on the loop goroutine and recycles it.
+func (rt *Runtime) retire(t *task) {
+	start := time.Now()
+	if t.enq != 0 {
+		if lag := start.UnixNano() - t.enq; lag > 0 {
+			rt.retireHist.Observe(uint64(lag))
+			if t.tctx.Trace != 0 {
+				// Queue span: the packet's wait from arrival to
+				// retirement, parented under its verify span.
+				rt.cfg.Tracer.Span(rt.cfg.Tracer.SpanID(), t.tctx.Trace, t.vid,
+					tracing.PhaseQueue, time.Unix(0, t.enq), time.Duration(lag), 0, uint64(t.kind))
+			}
+		}
+	}
+	switch {
+	case t.call != nil:
+		t.call()
+	case t.ev != nil && t.tctx.Trace != 0:
+		// Sends issued by ApplyEvent inherit the traced packet's
+		// context via the wrapped conn; the apply span is the
+		// parent the next hop's verify span will point back to.
+		aid := rt.cfg.Tracer.SpanID()
+		rt.cfg.Tracer.SetActive(t.tctx.Trace, aid)
+		rt.handler.ApplyEvent(t.from, t.ev)
+		rt.cfg.Tracer.ClearActive()
+		rt.cfg.Tracer.Span(aid, t.tctx.Trace, t.vid, tracing.PhaseApply, start, time.Since(start), 0, uint64(t.kind))
+		rt.events.Inc()
+	case t.ev != nil:
+		rt.handler.ApplyEvent(t.from, t.ev)
+		rt.events.Inc()
+	}
+	d := time.Since(start)
+	rt.applyNS.Add(d.Nanoseconds())
+	rt.applyHist.ObserveDuration(d)
+	t.pkt, t.ev, t.call = nil, nil, nil
+	taskPool.Put(t)
 }
 
 func (rt *Runtime) runDueTimers() {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"crypto/sha256"
+	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -323,10 +324,150 @@ func TestConcurrentLoad(t *testing.T) {
 	}
 }
 
+// expensiveHandler reports public-key-grade verification cost.
+type expensiveHandler struct{ loopChecker }
+
+func (*expensiveHandler) ExpensiveVerify() bool { return true }
+
+// TestWorkersDefault pins the Workers == 0 rule: cheap verification runs
+// inline on the delivery goroutine, an ExpensiveVerifier gets the pool,
+// and an explicit count overrides the handler either way.
 func TestWorkersDefault(t *testing.T) {
-	rt := New(Config{})
-	if rt.Workers() < 1 {
-		t.Fatalf("default Workers() = %d, want >= 1", rt.Workers())
+	for _, tc := range []struct {
+		name    string
+		workers int
+		h       Handler
+		pooled  bool
+	}{
+		{"cheap/default", 0, &loopChecker{}, false},
+		{"expensive/default", 0, &expensiveHandler{}, true},
+		{"cheap/forced-pool", 2, &loopChecker{}, true},
+		{"expensive/forced-inline", -1, &expensiveHandler{}, false},
+	} {
+		rt := New(Config{Workers: tc.workers})
+		rt.Start(tc.h)
+		if got := rt.Workers() > 0; got != tc.pooled {
+			t.Errorf("%s: Workers() = %d, want pooled = %v", tc.name, rt.Workers(), tc.pooled)
+		}
+		rt.Close()
+	}
+}
+
+// corkConn is a fakeConn that records how the loop brackets its sends.
+type corkConn struct {
+	fakeConn
+	mu  sync.Mutex
+	log []string
+}
+
+func (c *corkConn) record(s string) {
+	c.mu.Lock()
+	c.log = append(c.log, s)
+	c.mu.Unlock()
+}
+func (c *corkConn) Cork()                                { c.record("cork") }
+func (c *corkConn) Flush()                               { c.record("flush") }
+func (c *corkConn) Send(to transport.NodeID, pkt []byte) { c.record("send") }
+
+// replyHandler sends one packet per applied event, as a replica replies.
+type replyHandler struct {
+	conn    transport.Conn
+	applied atomic.Int64
+}
+
+func (h *replyHandler) VerifyPacket(from transport.NodeID, pkt []byte) Event { return pkt }
+func (h *replyHandler) ApplyEvent(from transport.NodeID, ev Event) {
+	h.conn.Send(from, ev.([]byte))
+	h.applied.Add(1)
+}
+
+// TestLoopCorksRunsOfEvents checks the loop's use of transport.Corker:
+// every send of a run of events (and of a timer callback) happens corked,
+// and a flush follows before the loop goes back to waiting.
+func TestLoopCorksRunsOfEvents(t *testing.T) {
+	for _, workers := range []int{-1, 2} {
+		conn := &corkConn{}
+		rt := New(Config{Conn: conn, Workers: workers})
+		h := &replyHandler{conn: conn}
+		rt.Start(h)
+		for i := 0; i < 100; i++ {
+			conn.Deliver(7, packet(uint64(i)))
+		}
+		fired := make(chan struct{})
+		rt.Arm(time.Millisecond, func() {
+			conn.Send(7, nil)
+			close(fired)
+		})
+		<-fired
+		rt.Flush()
+		// Flush returns from inside the loop's current run; give the run
+		// its closing flush before reading the log.
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+			conn.mu.Lock()
+			n := len(conn.log)
+			settled := n > 0 && conn.log[n-1] == "flush"
+			conn.mu.Unlock()
+			if settled {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		rt.Close()
+		conn.mu.Lock()
+		sends, corked := 0, false
+		for _, op := range conn.log {
+			switch op {
+			case "cork":
+				corked = true
+			case "flush":
+				corked = false
+			case "send":
+				sends++
+				if !corked {
+					t.Fatalf("workers=%d: send outside a cork", workers)
+				}
+			}
+		}
+		conn.mu.Unlock()
+		if sends != 101 || corked {
+			t.Fatalf("workers=%d: %d sends (want 101), left corked = %v", workers, sends, corked)
+		}
+	}
+}
+
+// countHandler verifies and applies without allocating.
+type countHandler struct{ applied atomic.Int64 }
+
+func (h *countHandler) VerifyPacket(transport.NodeID, []byte) Event { return h }
+func (h *countHandler) ApplyEvent(transport.NodeID, Event)          { h.applied.Add(1) }
+
+// TestPacketPathAllocs guards the runtime's own allocation budget from
+// delivery to apply: none inline, and none on the pooled path either now
+// that tasks are recycled and carry a ready flag instead of a channel.
+func TestPacketPathAllocs(t *testing.T) {
+	for _, workers := range []int{-1, 2} {
+		conn := &fakeConn{id: 1}
+		rt := New(Config{Conn: conn, Workers: workers})
+		h := &countHandler{}
+		rt.Start(h)
+		pkt := packet(1)
+		for i := 0; i < 64; i++ { // warm the task pool
+			conn.Deliver(2, pkt)
+		}
+		for h.applied.Load() < 64 {
+			time.Sleep(time.Millisecond)
+		}
+		sent := int64(64)
+		if n := testing.AllocsPerRun(1000, func() {
+			conn.Deliver(2, pkt)
+			sent++
+			for h.applied.Load() < sent {
+				stdruntime.Gosched()
+			}
+		}); n != 0 {
+			t.Errorf("workers=%d: %.1f allocs per packet from delivery to apply, want 0", workers, n)
+		}
+		rt.Close()
 	}
 }
 

@@ -107,7 +107,10 @@ type Options struct {
 // service handing that ID to senders).
 type Switch struct {
 	conn transport.Conn
-	opts Options
+	// corker turns each stamp's multicast into one system call on a conn
+	// that can coalesce sends.
+	corker transport.Corker
+	opts   Options
 
 	// signer is the aom-pk signing subsystem (pksigner.go); nil for the
 	// HMAC variant. Its mutable state is guarded by mu.
@@ -149,6 +152,7 @@ func New(conn transport.Conn, opts Options) *Switch {
 		groups:   make(map[uint32]*groupState),
 		dropSeqs: make(map[uint64]bool),
 	}
+	s.corker = transport.CorkerOf(conn)
 	if opts.Variant == wire.AuthPK {
 		s.signer = newPKSigner(opts.PKSeed, opts.SignRate, opts.SignBurst, opts.SignMaxChain)
 	}
@@ -307,6 +311,8 @@ func (s *Switch) handle(from transport.NodeID, pktBytes []byte) {
 		return
 	}
 
+	s.corker.Cork()
+	defer s.corker.Flush()
 	switch s.opts.Variant {
 	case wire.AuthHMAC:
 		s.emitHMAC(g, &stamp, payload)

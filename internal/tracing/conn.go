@@ -39,6 +39,10 @@ func (c *conn) Send(to transport.NodeID, pkt []byte) {
 	c.inner.Send(to, pkt)
 }
 
+// Cork and Flush forward transport.Corker to the inner conn.
+func (c *conn) Cork()  { transport.CorkerOf(c.inner).Cork() }
+func (c *conn) Flush() { transport.CorkerOf(c.inner).Flush() }
+
 func (c *conn) SetHandler(h transport.Handler) {
 	c.inner.SetHandler(func(from transport.NodeID, pkt []byte) {
 		// Stash unconditionally: a non-enveloped packet stores a zero

@@ -40,6 +40,35 @@ type Conn interface {
 	Close() error
 }
 
+// Corker is an optional Conn capability for callers about to issue a run
+// of sends (a multicast fan-out, a burst of replies): between Cork and
+// Flush the conn may hold packets and transmit them together, which on
+// real sockets turns several system calls into one. Flush transmits
+// everything held and ends the cork; a caller must Flush before it
+// blocks, so no packet ever waits on a later event. Holding is bounded —
+// a conn transmits on its own once its burst is full — and never
+// reorders a sender's packets. Only udpnet implements it (simnet hands
+// packets over without a system call to save); callers go through
+// CorkerOf, which makes the calls no-ops elsewhere.
+type Corker interface {
+	Cork()
+	Flush()
+}
+
+// CorkerOf returns c's Corker, or one that does nothing when c (possibly
+// nil) lacks the capability.
+func CorkerOf(c Conn) Corker {
+	if k, ok := c.(Corker); ok {
+		return k
+	}
+	return noCork{}
+}
+
+type noCork struct{}
+
+func (noCork) Cork()  {}
+func (noCork) Flush() {}
+
 // Fabric is a network nodes can join. The bench system assembler and the
 // node lifecycle (crash–restart) run entirely against this interface, so
 // a system builds identically over the simulated network and over real

@@ -5,25 +5,29 @@
 // loaded from a peers file (cmd/neokv), while single-process harnesses
 // let the fabric bind loopback port 0 and publish the bound addresses.
 //
-// The send path never blocks the caller: Send frames the packet into a
-// pooled buffer and hands it to a bounded per-conn queue drained by a
-// writer goroutine. A full queue, an unknown destination, an oversize
-// payload or a socket error drops the packet — counted per kind in the
-// metrics registry, with a flight-recorder trace on the first occurrence
-// of each kind — exactly the lossy-network behaviour the protocols
-// already tolerate. The receive path separates the socket read loop from
-// handler execution with a second bounded queue, so a slow handler
-// overflows the (counted) user-space queue instead of silently filling
-// the kernel socket buffer; receive staging buffers are pooled rather
-// than allocated per packet.
+// Both directions run to completion on the goroutine that has the packet.
+// Send frames the packet into a pooled buffer and issues a non-blocking
+// send itself; a corked conn (transport.Corker) holds up to a burst of
+// frames and sends them in one sendmmsg. A full socket buffer, an unknown
+// destination, an oversize payload or a socket error drops the packet —
+// counted per kind in the metrics registry, with a flight-recorder trace
+// on the first occurrence of each kind — exactly the lossy-network
+// behaviour the protocols already tolerate. One reader goroutine per conn
+// pulls up to a burst of datagrams per recvmmsg and invokes the handler
+// for each, in arrival order; a slow handler backs up into the kernel
+// socket buffer, whose overflow the kernel counts and the conn reports.
+// Where recvmmsg/sendmmsg are unavailable the same loops run with a
+// burst of one (sockio_other.go).
 package udpnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"neobft/internal/metrics"
 	"neobft/internal/transport"
@@ -79,16 +83,10 @@ func (b *AddressBook) Set(id transport.NodeID, addr *net.UDPAddr) {
 
 // Config tunes one connection. The zero value is production-safe.
 type Config struct {
-	// SendQueue bounds the outbound queue between Send and the writer
-	// goroutine (default 1024). Send never blocks: overflow drops the
-	// packet and counts it.
-	SendQueue int
-	// RecvQueue bounds packets staged between the socket read loop and
-	// handler dispatch (default 1024). Overflow drops and counts.
-	RecvQueue int
 	// RcvBuf and SndBuf size the socket's SO_RCVBUF / SO_SNDBUF in bytes
-	// (0 keeps the OS default). Heavy-traffic deployments want these in
-	// the megabytes so bursts ride out scheduling hiccups.
+	// (0 keeps the OS default). The receive buffer is the only queue
+	// between the network and the handler, so heavy-traffic deployments
+	// want it in the megabytes to ride out bursts and scheduling hiccups.
 	RcvBuf, SndBuf int
 	// MaxPacket caps the payload size Send accepts and guards the
 	// receive path (default MaxPayload). Larger payloads are dropped
@@ -100,12 +98,6 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.SendQueue <= 0 {
-		cfg.SendQueue = 1024
-	}
-	if cfg.RecvQueue <= 0 {
-		cfg.RecvQueue = 1024
-	}
 	if cfg.MaxPacket <= 0 || cfg.MaxPacket > MaxPayload {
 		cfg.MaxPacket = MaxPayload
 	}
@@ -121,9 +113,9 @@ type dropKind uint8
 const (
 	dropTxUnknown  dropKind = iota // destination not in the address book
 	dropTxOversize                 // payload exceeds MaxPacket
-	dropTxOverflow                 // send queue full
-	dropTxSockErr                  // sendto(2) failed
-	dropRxOverflow                 // receive queue full
+	dropTxOverflow                 // socket send buffer full (EAGAIN)
+	dropTxSockErr                  // the send failed otherwise
+	dropRxOverflow                 // kernel receive buffer full (SO_RXQ_OVFL)
 	dropRxShort                    // datagram shorter than the frame header
 	nDropKinds
 )
@@ -138,26 +130,16 @@ var dropCounterNames = [nDropKinds]string{
 }
 
 // Flight-recorder kinds: one trace per conn on the first drop of each
-// kind, so a silent misconfiguration (wrong peer ID, undersized queue)
+// kind, so a silent misconfiguration (wrong peer ID, undersized buffer)
 // leaves a visible mark without flooding the ring on sustained loss.
 var (
 	traceTxDrop = metrics.RegisterTraceKind("udp_tx_drop")
 	traceRxDrop = metrics.RegisterTraceKind("udp_rx_drop")
 )
 
-// Stats is a snapshot of one conn's packet counters.
-type Stats struct {
-	TxPackets, RxPackets uint64
-	TxBytes, RxBytes     uint64
-	// Drops indexes by kind: unknown-dest, oversize, send-queue
-	// overflow, socket error, recv-queue overflow, short datagram.
-	TxDropUnknown, TxDropOversize, TxDropOverflow, TxDropSockErr uint64
-	RxDropOverflow, RxDropShort                                  uint64
-}
-
 // Buffer pools for send/receive staging. Two size classes: most protocol
 // messages fit the small class; snapshots and aom packets with large
-// payloads use full-datagram buffers.
+// payloads use full-datagram buffers, as does every receive slot.
 const smallBufSize = 2048
 
 var smallPool = sync.Pool{New: func() any { b := make([]byte, smallBufSize); return &b }}
@@ -178,28 +160,31 @@ func putBuf(b *[]byte) {
 	}
 }
 
-type txItem struct {
-	addr *net.UDPAddr
-	buf  *[]byte
+// txBatch is the framed packets awaiting one send call: a single packet
+// normally, up to a burst while the conn is corked.
+type txBatch struct {
 	n    int
+	bufs [burst]*[]byte
+	lens [burst]int
+	dsts [burst]*net.UDPAddr
 }
 
-type rxItem struct {
-	buf *[]byte
-	n   int
-}
-
-// Conn is a UDP-socket attachment implementing transport.Conn.
+// Conn is a UDP-socket attachment implementing transport.Conn and
+// transport.Corker.
 type Conn struct {
 	id   transport.NodeID
 	sock *net.UDPConn
+	io   *sockIO
 	book *AddressBook
 	cfg  Config
 
 	handler atomic.Pointer[transport.Handler]
-	sendq   chan txItem
-	rxq     chan rxItem
-	stop    chan struct{}
+
+	// txMu guards corked and tx, and is held across the send call (which
+	// the socket's own write lock would serialize anyway).
+	txMu   sync.Mutex
+	corked bool
+	tx     txBatch
 
 	closeOnce sync.Once
 	closed    atomic.Bool
@@ -208,19 +193,19 @@ type Conn struct {
 
 	txPkts, rxPkts   *metrics.Counter
 	txBytes, rxBytes *metrics.Counter
+	txCalls, rxCalls *metrics.Counter
 	drops            [nDropKinds]*metrics.Counter
 	traced           [nDropKinds]atomic.Bool
 	rec              *metrics.Recorder
-
-	// testStall, when non-nil, parks the writer goroutine until the
-	// channel is closed — lets tests jam the send queue deterministically.
-	testStall chan struct{}
 }
 
-var _ transport.Conn = (*Conn)(nil)
+var (
+	_ transport.Conn   = (*Conn)(nil)
+	_ transport.Corker = (*Conn)(nil)
+)
 
 // Listen binds the node's own address from the book and starts the
-// receive, dispatch and writer goroutines.
+// reader goroutine.
 func Listen(id transport.NodeID, book *AddressBook) (*Conn, error) {
 	return ListenConfig(id, book, Config{})
 }
@@ -247,26 +232,23 @@ func listenAddr(id transport.NodeID, book *AddressBook, bind *net.UDPAddr, cfg C
 	if cfg.SndBuf > 0 {
 		_ = sock.SetWriteBuffer(cfg.SndBuf)
 	}
-	c := &Conn{
-		id:    id,
-		sock:  sock,
-		book:  book,
-		cfg:   cfg,
-		sendq: make(chan txItem, cfg.SendQueue),
-		rxq:   make(chan rxItem, cfg.RecvQueue),
-		stop:  make(chan struct{}),
+	io, err := newSockIO(sock)
+	if err != nil {
+		sock.Close()
+		return nil, fmt.Errorf("udpnet: listen %v: %w", bind, err)
 	}
+	c := &Conn{id: id, sock: sock, io: io, book: book, cfg: cfg}
 	reg := cfg.Metrics
 	c.txPkts = reg.Counter("udp_tx_packets_total")
 	c.rxPkts = reg.Counter("udp_rx_packets_total")
 	c.txBytes = reg.Counter("udp_tx_bytes_total")
 	c.rxBytes = reg.Counter("udp_rx_bytes_total")
+	c.txCalls = reg.Counter("udp_tx_syscalls_total")
+	c.rxCalls = reg.Counter("udp_rx_syscalls_total")
 	for k := range c.drops {
 		c.drops[k] = reg.Counter(dropCounterNames[k])
 	}
 	c.rec = reg.Recorder()
-	go c.writeLoop()
-	go c.dispatchLoop()
 	go c.readLoop()
 	return c, nil
 }
@@ -275,34 +257,85 @@ func listenAddr(id transport.NodeID, book *AddressBook, bind *net.UDPAddr, cfg C
 func (c *Conn) ID() transport.NodeID { return c.id }
 
 // Send implements transport.Conn. It never blocks: the packet is framed
-// into a pooled buffer and queued for the writer goroutine; if the queue
-// is full, the destination unknown, or the payload oversize, the packet
-// is dropped and counted. UDP is best-effort and the protocols tolerate
-// loss, so no error surfaces to the caller.
+// into a pooled buffer and sent with a non-blocking call on the caller's
+// goroutine (or held for the pending Flush while corked); if the socket
+// buffer is full, the destination unknown, or the payload oversize, the
+// packet is dropped and counted. UDP is best-effort and the protocols
+// tolerate loss, so no error surfaces to the caller.
 func (c *Conn) Send(to transport.NodeID, packet []byte) {
 	if c.closed.Load() {
 		return
 	}
 	if len(packet) > c.cfg.MaxPacket {
-		c.dropTx(dropTxOversize, to, uint64(len(packet)))
+		c.drop(dropTxOversize, 1, to, uint64(len(packet)))
 		return
 	}
 	addr := c.book.Lookup(to)
 	if addr == nil {
-		c.dropTx(dropTxUnknown, to, 0)
+		c.drop(dropTxUnknown, 1, to, 0)
 		return
 	}
 	n := headerLen + len(packet)
 	bp := getBuf(n)
-	buf := (*bp)[:n]
-	binary.LittleEndian.PutUint32(buf, uint32(c.id))
-	copy(buf[headerLen:], packet)
-	select {
-	case c.sendq <- txItem{addr: addr, buf: bp, n: n}:
-	default:
-		putBuf(bp)
-		c.dropTx(dropTxOverflow, to, uint64(len(c.sendq)))
+	binary.LittleEndian.PutUint32(*bp, uint32(c.id))
+	copy((*bp)[headerLen:], packet)
+	c.txMu.Lock()
+	b := &c.tx
+	b.bufs[b.n], b.lens[b.n], b.dsts[b.n] = bp, n, addr
+	b.n++
+	if !c.corked || b.n == burst {
+		c.flushLocked()
 	}
+	c.txMu.Unlock()
+}
+
+// Cork implements transport.Corker: until Flush, Sends (from any
+// goroutine) are held and leave in one send call per full burst.
+func (c *Conn) Cork() {
+	c.txMu.Lock()
+	c.corked = true
+	c.txMu.Unlock()
+}
+
+// Flush implements transport.Corker.
+func (c *Conn) Flush() {
+	c.txMu.Lock()
+	c.corked = false
+	c.flushLocked()
+	c.txMu.Unlock()
+}
+
+// flushLocked sends the held frames, in order, and returns their buffers
+// to the pool. A frame the socket refuses is dropped and counted; the
+// ones behind it are still tried.
+func (c *Conn) flushLocked() {
+	b := &c.tx
+	var sentBytes uint64
+	for i := 0; i < b.n; {
+		sent, err := c.io.send(b, i)
+		c.txCalls.Inc()
+		switch {
+		case err == nil:
+			c.txPkts.Add(uint64(sent))
+			for end := i + sent; i < end; i++ {
+				sentBytes += uint64(b.lens[i])
+			}
+		case errors.Is(err, net.ErrClosed):
+			i = b.n // racing Close: the rest goes the way of a Send after it
+		case errors.Is(err, syscall.EAGAIN), errors.Is(err, syscall.ENOBUFS):
+			c.drop(dropTxOverflow, 1, transport.NilNode, uint64(b.lens[i]))
+			i++
+		default:
+			c.drop(dropTxSockErr, 1, transport.NilNode, 0)
+			i++
+		}
+	}
+	c.txBytes.Add(sentBytes)
+	for i := 0; i < b.n; i++ {
+		putBuf(b.bufs[i])
+		b.bufs[i] = nil
+	}
+	b.n = 0
 }
 
 // SetHandler implements transport.Conn.
@@ -314,7 +347,6 @@ func (c *Conn) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		c.closed.Store(true)
-		close(c.stop)
 		err = c.sock.Close()
 		if c.onClose != nil {
 			c.onClose()
@@ -328,113 +360,60 @@ func (c *Conn) LocalAddr() *net.UDPAddr {
 	return c.sock.LocalAddr().(*net.UDPAddr)
 }
 
-// Stats snapshots the conn's packet counters. Counters live in the
-// metrics registry, so conns sharing one registry (e.g. across restart
-// incarnations of the same node) accumulate into the same series.
-func (c *Conn) Stats() Stats {
-	return Stats{
-		TxPackets:      c.txPkts.Load(),
-		RxPackets:      c.rxPkts.Load(),
-		TxBytes:        c.txBytes.Load(),
-		RxBytes:        c.rxBytes.Load(),
-		TxDropUnknown:  c.drops[dropTxUnknown].Load(),
-		TxDropOversize: c.drops[dropTxOversize].Load(),
-		TxDropOverflow: c.drops[dropTxOverflow].Load(),
-		TxDropSockErr:  c.drops[dropTxSockErr].Load(),
-		RxDropOverflow: c.drops[dropRxOverflow].Load(),
-		RxDropShort:    c.drops[dropRxShort].Load(),
-	}
-}
-
-func (c *Conn) dropTx(kind dropKind, to transport.NodeID, detail uint64) {
-	c.drops[kind].Inc()
+// drop counts n dropped packets of one kind and leaves a flight-recorder
+// trace on the kind's first occurrence. peer is the destination of a
+// send-side drop; receive-side drops record the conn's own ID.
+func (c *Conn) drop(kind dropKind, n uint64, peer transport.NodeID, detail uint64) {
+	c.drops[kind].Add(n)
 	if c.traced[kind].CompareAndSwap(false, true) {
-		c.rec.Record(traceTxDrop, uint64(uint32(to)), uint64(kind)<<32|detail&0xffffffff)
-	}
-}
-
-func (c *Conn) dropRx(kind dropKind, detail uint64) {
-	c.drops[kind].Inc()
-	if c.traced[kind].CompareAndSwap(false, true) {
-		c.rec.Record(traceRxDrop, uint64(uint32(c.id)), uint64(kind)<<32|detail&0xffffffff)
-	}
-}
-
-// writeLoop drains the send queue onto the socket, returning staging
-// buffers to the pool after each sendto.
-func (c *Conn) writeLoop() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		case it := <-c.sendq:
-			if c.testStall != nil {
-				select {
-				case <-c.testStall:
-				case <-c.stop:
-					putBuf(it.buf)
-					return
-				}
-			}
-			_, err := c.sock.WriteToUDP((*it.buf)[:it.n], it.addr)
-			if err != nil {
-				c.dropTx(dropTxSockErr, transport.NilNode, 0)
-			} else {
-				c.txPkts.Inc()
-				c.txBytes.Add(uint64(it.n))
-			}
-			putBuf(it.buf)
+		tk := traceTxDrop
+		if kind >= dropRxOverflow {
+			tk = traceRxDrop
 		}
+		c.rec.Record(tk, uint64(uint32(peer)), uint64(kind)<<32|detail&0xffffffff)
 	}
 }
 
-// readLoop pulls datagrams off the socket into pooled staging buffers
-// and hands them to the dispatcher, so the socket is drained even while
-// a handler is busy — backpressure lands on the counted rxq, not the
-// invisible kernel buffer.
+// readLoop is the conn's single delivery goroutine — the transport.Conn
+// contract. Each receive call fills up to a burst of staging slots, and
+// the handler runs for each datagram in arrival order before the next
+// call, so a busy handler leaves datagrams in the kernel socket buffer;
+// what overflows there the kernel counts, and the count rides in on the
+// next datagram received.
 func (c *Conn) readLoop() {
+	c.io.initRx()
+	defer c.io.releaseRx()
+	var kernelDrops uint32
 	for {
-		bp := largePool.Get().(*[]byte)
-		n, _, err := c.sock.ReadFromUDP(*bp)
+		n, err := c.io.recv()
 		if err != nil {
-			largePool.Put(bp)
 			return // socket closed
 		}
-		if n < headerLen {
-			largePool.Put(bp)
-			c.dropRx(dropRxShort, uint64(n))
-			continue
+		c.rxCalls.Inc()
+		for i := 0; i < n; i++ {
+			c.deliver(c.io.datagram(i))
 		}
-		select {
-		case c.rxq <- rxItem{buf: bp, n: n}:
-		default:
-			largePool.Put(bp)
-			c.dropRx(dropRxOverflow, uint64(len(c.rxq)))
+		if d := c.io.rxDropped(); d != kernelDrops {
+			c.drop(dropRxOverflow, uint64(d-kernelDrops), c.id, uint64(d))
+			kernelDrops = d
 		}
 	}
 }
 
-// dispatchLoop invokes the handler sequentially — the transport.Conn
-// single-delivery-goroutine contract. The payload is copied out of the
-// pooled staging buffer because packet ownership passes to the handler.
-func (c *Conn) dispatchLoop() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		case it := <-c.rxq:
-			from := transport.NodeID(binary.LittleEndian.Uint32(*it.buf))
-			payload := make([]byte, it.n-headerLen)
-			copy(payload, (*it.buf)[headerLen:it.n])
-			largePool.Put(it.buf)
-			if c.closed.Load() {
-				return
-			}
-			if h := c.handler.Load(); h != nil {
-				c.rxPkts.Inc()
-				c.rxBytes.Add(uint64(len(payload)))
-				(*h)(from, payload)
-			}
-		}
+// deliver hands one datagram to the handler. The payload is copied out
+// of the staging slot because packet ownership passes to the handler.
+func (c *Conn) deliver(dgram []byte) {
+	if len(dgram) < headerLen {
+		c.drop(dropRxShort, 1, c.id, uint64(len(dgram)))
+		return
 	}
+	h := c.handler.Load()
+	if h == nil || c.closed.Load() {
+		return
+	}
+	payload := make([]byte, len(dgram)-headerLen)
+	copy(payload, dgram[headerLen:])
+	c.rxPkts.Inc()
+	c.rxBytes.Add(uint64(len(payload)))
+	(*h)(transport.NodeID(binary.LittleEndian.Uint32(dgram)), payload)
 }
