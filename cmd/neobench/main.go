@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -159,7 +160,9 @@ func main() {
 }
 
 // runChaos executes one scenario (or the whole library) and returns the
-// process exit code: nonzero iff any run violated safety.
+// process exit code: nonzero iff any run violated safety, or the one
+// scenario named is refused because the protocol lacks the capability it
+// exercises. Under "all", refusals are listed in the summary instead.
 func runChaos(scenario, protocol string, seed int64, short bool, outDir string) int {
 	if scenario == "list" {
 		fmt.Println("chaos scenarios:", strings.Join(chaos.Scenarios(), " "), "all")
@@ -178,6 +181,7 @@ func runChaos(scenario, protocol string, seed int64, short bool, outDir string) 
 		scenarios = chaos.Scenarios()
 	}
 	failed := 0
+	var refused []string
 	for _, s := range scenarios {
 		ok, err := bench.RunChaos(os.Stdout, bench.ChaosConfig{
 			Protocol: p,
@@ -186,6 +190,10 @@ func runChaos(scenario, protocol string, seed int64, short bool, outDir string) 
 			Short:    short,
 			OutDir:   outDir,
 		})
+		if errors.Is(err, bench.ErrRefused) && scenario == "all" {
+			refused = append(refused, s)
+			continue
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos %s: %v\n", s, err)
 			return 1
@@ -194,10 +202,15 @@ func runChaos(scenario, protocol string, seed int64, short bool, outDir string) 
 			failed++
 		}
 	}
+	ran := len(scenarios) - len(refused)
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "chaos gauntlet: %d/%d scenario(s) UNSAFE\n", failed, len(scenarios))
+		fmt.Fprintf(os.Stderr, "chaos gauntlet: %d/%d scenario(s) UNSAFE\n", failed, ran)
 		return 1
 	}
-	fmt.Printf("chaos gauntlet: %d scenario(s) safe\n", len(scenarios))
+	if len(refused) > 0 {
+		fmt.Printf("chaos gauntlet: %d safe, %d refused (%s)\n", ran, len(refused), strings.Join(refused, ", "))
+		return 0
+	}
+	fmt.Printf("chaos gauntlet: %d scenario(s) safe\n", ran)
 	return 0
 }

@@ -31,44 +31,29 @@ package main
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"neobft/internal/configsvc"
-	"neobft/internal/crypto/auth"
 	"neobft/internal/crypto/secp256k1"
 	"neobft/internal/kvstore"
 	"neobft/internal/metrics"
-	"neobft/internal/neobft"
+	"neobft/internal/protocol"
 	"neobft/internal/replication"
-	"neobft/internal/runtime"
 	"neobft/internal/sequencer"
-	"neobft/internal/store"
 	"neobft/internal/tracing"
 	"neobft/internal/transport"
 	"neobft/internal/transport/udpnet"
 	"neobft/internal/wire"
 	"neobft/internal/ycsb"
-)
-
-const groupID = 1
-
-// Master secrets shared by every process of a cluster. A deployment
-// beyond localhost demos would distribute real secrets out of band.
-var (
-	aomMaster     = []byte("aom-master")
-	replicaMaster = []byte("replica-master")
-	clientMaster  = []byte("client-master")
 )
 
 type options struct {
@@ -203,103 +188,61 @@ func connConfig(reg *metrics.Registry) udpnet.Config {
 // process runs: the sequencer switch is known only by identity, and all
 // key material derives from the shared master secret.
 func remoteSvc(peers *Peers) *configsvc.Service {
-	svc := configsvc.New(wire.AuthHMAC, aomMaster)
+	svc := configsvc.New(wire.AuthHMAC, []byte(protocol.AOMMaster))
 	svc.RegisterRemoteSwitch(peers.Seq, secp256k1.PublicKey{})
-	if _, err := svc.CreateGroup(groupID, peers.Members); err != nil {
+	if _, err := svc.CreateGroup(protocol.Group, peers.Members); err != nil {
 		log.Fatal(err)
 	}
 	return svc
 }
 
-// buildReplica assembles one replica on an established connection. The
-// conn is wrapped for trace propagation; tr may be nil; restore, when
-// non-nil, is a Persist() blob read back from the replica's data dir.
-func buildReplica(o options, conn transport.Conn, idx int, members []transport.NodeID,
-	svc *configsvc.Service, app replication.App, restore []byte, reg *metrics.Registry, tr *tracing.Tracer) *neobft.Replica {
-	wc := tracing.WrapConn(conn, tr)
-	return neobft.New(neobft.Config{
-		Self: idx, N: len(members), F: (len(members) - 1) / 3,
-		Members:      members,
-		Group:        groupID,
-		Conn:         wc,
-		Auth:         auth.NewHMACAuth(replicaMaster, idx, len(members)),
-		ClientAuth:   auth.NewReplicaSide(clientMaster, idx),
-		App:          app,
-		Variant:      wire.AuthHMAC,
-		SyncInterval: o.checkpointInterval,
-		Svc:          svc,
-		Restore:      restore,
-		Runtime:      runtime.New(runtime.Config{Conn: wc, Workers: o.verifyWorkers, Metrics: reg, Tracer: tr}),
-		Metrics:      reg,
-	})
-}
-
-// openStore opens replica idx's on-disk store under -data-dir,
-// recovering whatever a previous incarnation left there, and logs the
-// outcome. Returns nil when -data-dir is unset (in-memory mode).
-func (o *options) openStore(idx int, reg *metrics.Registry, tr *tracing.Tracer) *store.Store {
-	if o.dataDir == "" {
-		return nil
-	}
-	dir := filepath.Join(o.dataDir, fmt.Sprintf("replica-%d", idx))
-	st, err := store.Open(dir, store.Options{
-		FsyncLinger: o.fsyncLinger,
-		Metrics:     reg,
-		Tracer:      tr,
-	})
+// cluster describes the Neo-HM system this process hosts nodes of, as the
+// shared spec table assembles it (the master secrets every process of a
+// cluster derives its keys from are compiled into internal/protocol; a
+// deployment beyond localhost demos would distribute real ones out of
+// band).
+func (o *options) cluster(members []transport.NodeID, svc *configsvc.Service) *protocol.Cluster {
+	spec, err := protocol.Lookup("Neo-HM")
 	if err != nil {
-		log.Fatalf("open data dir for replica %d: %v", idx, err)
+		log.Fatal(err)
 	}
-	rec := st.Recovered()
-	if rec.Checkpoint != nil {
-		log.Printf("replica %d recovered from %s: checkpoint slot %d, %d WAL records, torn-tail=%v",
-			idx, dir, rec.Slot, rec.Records, rec.Torn)
-	} else {
-		log.Printf("replica %d starting fresh in %s", idx, dir)
-	}
-	return st
+	cl := spec.Cluster(len(members), protocol.Params{
+		CheckpointInterval: o.checkpointInterval,
+		VerifyWorkers:      o.verifyWorkers,
+	})
+	cl.Members, cl.Svc = members, svc
+	return cl
 }
 
-// persistReplica runs the background checkpoint persister for one
-// durable replica: every -persist-every it captures the replica's
-// stable checkpoint into the WAL under group commit, skipping captures
-// that have not advanced. The returned stop function takes one final
-// capture (the graceful-shutdown persist) and closes the store.
-func persistReplica(r *neobft.Replica, st *store.Store, every time.Duration) (stop func()) {
-	stopc := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var last [32]byte
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		capture := func() {
-			blob := r.Persist()
-			if blob == nil {
-				return
-			}
-			h := sha256.Sum256(blob)
-			if h == last {
-				return
-			}
-			last = h
-			st.AppendCheckpoint(r.Executed(), blob)
-		}
-		for {
-			select {
-			case <-stopc:
-				capture()
-				return
-			case <-tick.C:
-				capture()
-			}
-		}
-	}()
-	return func() {
-		close(stopc)
-		<-done
-		st.Close()
+// bootReplica boots replica idx on fab through the shared replica host,
+// which with -data-dir recovers whatever a previous incarnation left on
+// disk and keeps the stable checkpoint persisted; the outcome is logged.
+// Stop the returned host on shutdown for the graceful final persist.
+func (o *options) bootReplica(cl *protocol.Cluster, idx int, fab transport.Fabric,
+	kv *kvstore.Store, reg *metrics.Registry, tr *tracing.Tracer) *protocol.Host {
+	h := protocol.NewHost(protocol.HostConfig{
+		Cluster:      cl,
+		Index:        idx,
+		Fabric:       fab,
+		Metrics:      reg,
+		Tracer:       tr,
+		App:          func() replication.App { return kv },
+		DataDir:      o.dataDir,
+		FsyncLinger:  o.fsyncLinger,
+		PersistEvery: o.persistEvery,
+	})
+	if err := h.Boot(false); err != nil {
+		log.Fatal(err)
 	}
+	if st := h.Store(); st != nil {
+		if rec := st.Recovered(); rec.Checkpoint != nil {
+			log.Printf("replica %d recovered from %s: checkpoint slot %d, %d WAL records, torn-tail=%v",
+				idx, h.Dir(), rec.Slot, rec.Records, rec.Torn)
+		} else {
+			log.Printf("replica %d starting fresh in %s", idx, h.Dir())
+		}
+	}
+	return h
 }
 
 func serveMetrics(o options, exporter *metrics.Exporter) func() {
@@ -366,47 +309,29 @@ func runAll(o options, exporter *metrics.Exporter) {
 	}
 
 	// Sequencer switch.
-	svc := configsvc.New(wire.AuthHMAC, aomMaster)
+	svc := configsvc.New(wire.AuthHMAC, []byte(protocol.AOMMaster))
 	seqConn := join(seqID)
 	seqTr := o.tracer("sequencer", seqReg, exporter)
 	sw := sequencer.New(tracing.WrapConn(seqConn, seqTr),
 		sequencer.Options{Variant: wire.AuthHMAC, Metrics: seqReg, Tracer: seqTr})
 	svc.RegisterSwitch(configsvc.SwitchHandle{ID: seqID, SW: sw})
-	if _, err := svc.CreateGroup(groupID, memberIDs); err != nil {
+	if _, err := svc.CreateGroup(protocol.Group, memberIDs); err != nil {
 		log.Fatal(err)
 	}
 
 	// Replicas.
+	cluster := o.cluster(memberIDs, svc)
 	stores := make([]*kvstore.Store, nReplicas)
 	for i := 0; i < nReplicas; i++ {
 		stores[i] = kvstore.NewStore()
 		rtr := o.tracer(fmt.Sprintf("replica-%d", i), replicaRegs[i], exporter)
-		var app replication.App = stores[i]
-		var restore []byte
-		st := o.openStore(i, replicaRegs[i], rtr)
-		if st != nil {
-			app = store.Durable(stores[i], st)
-			restore = st.Recovered().Checkpoint
-		}
-		r := buildReplica(o, join(memberIDs[i]), i, memberIDs, svc, app, restore, replicaRegs[i], rtr)
-		defer r.Close()
-		if st != nil {
-			defer persistReplica(r, st, o.persistEvery)()
-		}
+		h := o.bootReplica(cluster, i, fab, stores[i], replicaRegs[i], rtr)
+		defer h.Stop()
 	}
 
 	// Client.
 	clTr := o.tracer("client", nil, exporter)
-	cl, err := neobft.NewClient(neobft.ClientOptions{
-		Conn:     tracing.WrapConn(join(clientID), clTr),
-		Master:   clientMaster,
-		N:        nReplicas,
-		F:        (nReplicas - 1) / 3,
-		Replicas: memberIDs,
-		Group:    groupID,
-		Svc:      svc,
-		Tune:     replication.Tuning{Window: o.window},
-	})
+	cl, err := cluster.NewClient(tracing.WrapConn(join(clientID), clTr), replication.Tuning{Window: o.window})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -436,18 +361,18 @@ func runSequencer(o options, exporter *metrics.Exporter, peers *Peers, book *udp
 		log.Fatal(err)
 	}
 	defer conn.Close()
-	svc := configsvc.New(wire.AuthHMAC, aomMaster)
+	svc := configsvc.New(wire.AuthHMAC, []byte(protocol.AOMMaster))
 	tr := o.tracer("sequencer", reg, exporter)
 	sw := sequencer.New(tracing.WrapConn(conn, tr),
 		sequencer.Options{Variant: wire.AuthHMAC, Metrics: reg, Tracer: tr})
 	svc.RegisterSwitch(configsvc.SwitchHandle{ID: peers.Seq, SW: sw})
-	if _, err := svc.CreateGroup(groupID, peers.Members); err != nil {
+	if _, err := svc.CreateGroup(protocol.Group, peers.Members); err != nil {
 		log.Fatal(err)
 	}
 	defer o.dumpSpans()
 	defer serveMetrics(o, exporter)()
 	log.Printf("sequencer %d up on %s (group %d, %d members)",
-		peers.Seq, conn.LocalAddr(), groupID, len(peers.Members))
+		peers.Seq, conn.LocalAddr(), protocol.Group, len(peers.Members))
 	awaitSignal()
 }
 
@@ -459,29 +384,14 @@ func runReplica(o options, exporter *metrics.Exporter, peers *Peers, book *udpne
 	reg := metrics.NewRegistry()
 	metrics.RegisterHeapGauges(reg)
 	exporter.Add(fmt.Sprintf(`replica="%d"`, idx), reg)
-	conn, err := udpnet.ListenConfig(id, book, connConfig(reg))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.Close()
+	fab := udpnet.NewFabric(book, udpnet.FabricConfig{Config: connConfig(reg)})
 	tr := o.tracer(fmt.Sprintf("replica-%d", idx), reg, exporter)
-	kv := kvstore.NewStore()
-	var app replication.App = kv
-	var restore []byte
-	st := o.openStore(idx, reg, tr)
-	if st != nil {
-		app = store.Durable(kv, st)
-		restore = st.Recovered().Checkpoint
-	}
-	r := buildReplica(o, conn, idx, peers.Members, remoteSvc(peers), app, restore, reg, tr)
-	defer r.Close()
-	if st != nil {
-		defer persistReplica(r, st, o.persistEvery)()
-	}
+	h := o.bootReplica(o.cluster(peers.Members, remoteSvc(peers)), idx, fab, kvstore.NewStore(), reg, tr)
+	defer h.Stop()
 	defer o.dumpSpans()
 	defer serveMetrics(o, exporter)()
 	log.Printf("replica %d (index %d of %d, f=%d) up on %s",
-		id, idx, len(peers.Members), peers.F(), conn.LocalAddr())
+		id, idx, len(peers.Members), peers.F(), book.Lookup(id))
 	awaitSignal()
 }
 
@@ -499,16 +409,8 @@ func runClient(o options, exporter *metrics.Exporter, peers *Peers, book *udpnet
 	}
 	defer conn.Close()
 	tr := o.tracer("client", reg, exporter)
-	cl, err := neobft.NewClient(neobft.ClientOptions{
-		Conn:     tracing.WrapConn(conn, tr),
-		Master:   clientMaster,
-		N:        len(peers.Members),
-		F:        peers.F(),
-		Replicas: peers.Members,
-		Group:    groupID,
-		Svc:      remoteSvc(peers),
-		Tune:     replication.Tuning{Window: o.window},
-	})
+	cl, err := o.cluster(peers.Members, remoteSvc(peers)).
+		NewClient(tracing.WrapConn(conn, tr), replication.Tuning{Window: o.window})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -524,7 +426,7 @@ func runClient(o options, exporter *metrics.Exporter, peers *Peers, book *udpnet
 }
 
 // starter is the pipelined client shape runBench needs for open-loop
-// mode; *neobft.Client implements it.
+// mode; every protocol.Client implements it.
 type starter interface {
 	Start(op []byte, deadline time.Duration) replication.Call
 }
@@ -684,11 +586,4 @@ func printResult(cmd string, res []byte, lat time.Duration) {
 	default:
 		fmt.Printf("ok (%v)\n", lat)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

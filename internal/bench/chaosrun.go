@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"neobft/internal/chaos"
+	"neobft/internal/protocol"
 	"neobft/internal/simnet"
 )
 
@@ -33,10 +35,34 @@ type ChaosConfig struct {
 	DataDir string
 }
 
+// ErrRefused is returned (wrapped) by RunChaos for a scenario that
+// exercises a capability the protocol does not have.
+var ErrRefused = errors.New("chaos scenario refused")
+
+// missingCapability names what a scenario needs that spec lacks, or "".
+// Without the check the fault lands on a system in which nothing reacts
+// to it — a leader partition no view change answers (EXPERIMENTS.md
+// deviation 4), a sequencer crash with no sequencer — and the run would
+// print SAFE for a property it never exercised.
+func missingCapability(spec *protocol.Spec, scenario string) string {
+	switch {
+	case scenario == "view-change" && !spec.ViewChange:
+		return "view change"
+	case scenario == "seq-failover" && !spec.Sequencer():
+		return "sequencer"
+	}
+	return ""
+}
+
 // RunChaos executes one chaos scenario and reports whether the run was
-// safe. The error return covers setup problems (unknown scenario); a
-// safety violation is ok=false with a full report written to w.
+// safe. The error return covers setup problems (unknown scenario or
+// protocol) and refusals (ErrRefused); a safety violation is ok=false
+// with a full report written to w.
 func RunChaos(w io.Writer, c ChaosConfig) (ok bool, err error) {
+	spec, err := protocol.Lookup(string(c.Protocol))
+	if err != nil {
+		return false, err
+	}
 	horizon := 3 * time.Second
 	if c.Short {
 		horizon = 1500 * time.Millisecond
@@ -44,10 +70,14 @@ func RunChaos(w io.Writer, c ChaosConfig) (ok bool, err error) {
 	sched, err := chaos.Scenario(c.Scenario, chaos.ScenarioConfig{
 		Seed:     c.Seed,
 		Horizon:  horizon,
-		Replicas: FleetSize(c.Protocol, 0),
+		Replicas: spec.FleetSize(0),
 	})
 	if err != nil {
 		return false, err
+	}
+	if missing := missingCapability(spec, c.Scenario); missing != "" {
+		fmt.Fprintf(w, "=== chaos %s / %s ===\n  REFUSED: %s has no %s\n", c.Scenario, c.Protocol, c.Protocol, missing)
+		return false, fmt.Errorf("%w: %s has no %s", ErrRefused, c.Protocol, missing)
 	}
 	fmt.Fprintf(w, "=== chaos %s / %s ===\n%s", c.Scenario, c.Protocol, sched)
 
@@ -164,18 +194,9 @@ func protocolSlug(p Protocol) string {
 // zyzzyva, hotstuff, or any canonical Protocol name) to the protocol it
 // names.
 func ChaosProtocol(name string) (Protocol, error) {
-	switch strings.ToLower(name) {
-	case "neobft", "neo", "neohm", "neo-hm":
-		return NeoHM, nil
-	case "neopk", "neo-pk":
-		return NeoPK, nil
-	case "neobn", "neo-bn":
-		return NeoBN, nil
+	spec, err := protocol.Lookup(name)
+	if err != nil {
+		return "", err
 	}
-	for _, p := range AllProtocols {
-		if strings.EqualFold(string(p), name) {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("unknown protocol %q", name)
+	return Protocol(spec.Name), nil
 }

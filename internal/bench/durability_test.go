@@ -119,7 +119,7 @@ func TestKillRecoverRestoresFromDisk(t *testing.T) {
 	if err := sys.Restart(3, false); err != nil {
 		t.Fatal(err)
 	}
-	rec := sys.stores[3].Recovered()
+	rec := sys.hosts[3].Store().Recovered()
 	if rec.Checkpoint == nil {
 		t.Fatal("warm restart after kill recovered no checkpoint from disk")
 	}

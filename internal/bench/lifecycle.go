@@ -1,342 +1,85 @@
 package bench
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"neobft/internal/chaos"
-	"neobft/internal/metrics"
-	"neobft/internal/runtime"
-	"neobft/internal/store"
-	"neobft/internal/tracing"
-	"neobft/internal/transport"
+	"neobft/internal/protocol"
 )
 
-// lifecycle implements crash–restart node management for a built system.
-// The protocol-specific pieces — persisting a checkpoint, stopping a
-// replica, booting a replacement — are closures the build functions fill
-// in; everything else (network membership, conn swapping, runtime
-// replacement, busy-time accounting across incarnations) is shared.
-type lifecycle struct {
-	mu  sync.Mutex
-	fab transport.Fabric
-	mem []transport.NodeID
-	// conns are the swappable counting conns; rconns the conns replicas
-	// and runtimes actually use (the counting conn, wrapped for tracing
-	// when the system is traced — the wrapper survives restarts because
-	// the counting conn underneath it is what swaps).
-	conns    []*countingConn
-	rconns   []transport.Conn
-	trs      []*tracing.Tracer
-	rts      []*runtime.Runtime
-	regs     []*metrics.Registry
-	workers  int
-	alive    []bool
-	blobs    [][]byte
-	busyBase []time.Duration
-
-	// Durable mode (Options.DataDir): stores holds each replica's
-	// on-disk store (the slice is shared with System.stores, so swaps
-	// here are visible to the durable AppFactory wrapper at boot
-	// time), and restart blobs come from disk recovery instead of
-	// lc.blobs. ckptHash dedups the background persister's captures.
-	stores      []*store.Store
-	dataDir     string
-	fsyncLinger time.Duration
-	ckptHash    [][32]byte
-	persistStop chan struct{}
-	persistDone chan struct{}
-
-	// persist returns replica i's restart blob (nil if it has no stable
-	// checkpoint yet — the restart is then effectively cold).
-	persist func(i int) []byte
-	// stop closes replica i (and with it, its runtime).
-	stop func(i int)
-	// boot constructs a replacement replica i over lc.conns[i]/lc.rts[i],
-	// restoring from blob (nil ⇒ cold start). Called with lc.mu held.
-	boot func(i int, restore []byte)
-	// executed reports ops executed at replica i. Called with lc.mu held.
-	executed func(i int) uint64
-	// progress reports replica i's absolute log progress for catch-up
-	// measurement — unlike executed it must not reset across
-	// incarnations (a restored replica resumes at its checkpoint slot).
-	// Nil means executed already has that property. Called with lc.mu
-	// held.
-	progress func(i int) uint64
+// host returns replica i's node, or an error for an index out of range.
+func (sys *System) host(i int) (*protocol.Host, error) {
+	if i < 0 || i >= len(sys.hosts) {
+		return nil, fmt.Errorf("bench: no replica %d", i)
+	}
+	return sys.hosts[i], nil
 }
 
-// installLifecycle wires a lifecycle into the system, overriding the
-// accessors that must stay correct across replica replacement. Build
-// functions call it last, after the base accessors are set.
-func installLifecycle(sys *System, fab transport.Fabric, o Options,
-	mem []transport.NodeID, conns []*countingConn, rconns []transport.Conn,
-	trs []*tracing.Tracer, rts []*runtime.Runtime,
-	regs []*metrics.Registry) *lifecycle {
-	n := len(mem)
-	lc := &lifecycle{
-		fab: fab, mem: mem, conns: conns, rconns: rconns, trs: trs, rts: rts, regs: regs,
-		workers:  o.VerifyWorkers,
-		alive:    make([]bool, n),
-		blobs:    make([][]byte, n),
-		busyBase: make([]time.Duration, n),
-	}
-	for i := range lc.alive {
-		lc.alive[i] = true
-	}
-	sys.NumReplicas = n
-	sys.lc = lc
-	sys.Crash = lc.Crash
-	sys.Kill = lc.Kill
-	sys.Restart = lc.Restart
-	sys.Alive = lc.Alive
-	sys.SkewClock = lc.SkewClock
-	sys.ExecutedAt = lc.Progress
-	sys.ReplicaID = func(i int) transport.NodeID { return mem[i] }
-	sys.PerReplicaBusy = lc.busy
-	sys.Committed = func() uint64 { return lc.Executed(0) }
-	return lc
-}
-
-// Crash persists replica i's stable checkpoint, stops it, and detaches
-// it from the network.
-func (lc *lifecycle) Crash(i int) error { return lc.halt(i, true) }
-
-// Kill stops replica i without the graceful final persist — the
-// in-process stand-in for SIGKILL. In durable mode the disk keeps
-// whatever the background persister last wrote; in memory mode the
-// old blob (from a previous crash, possibly stale) is discarded, so a
-// warm restart behaves like a cold one.
-func (lc *lifecycle) Kill(i int) error { return lc.halt(i, false) }
-
-func (lc *lifecycle) halt(i int, graceful bool) error {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i < 0 || i >= len(lc.alive) {
-		return fmt.Errorf("bench: no replica %d", i)
-	}
-	if !lc.alive[i] {
-		return fmt.Errorf("bench: replica %d already down", i)
-	}
-	if graceful {
-		blob := lc.persist(i)
-		if lc.stores != nil {
-			if blob != nil {
-				lc.stores[i].AppendCheckpoint(lc.progressOf(i), blob)
-			}
-		} else {
-			lc.blobs[i] = blob
-		}
-	} else if lc.stores == nil {
-		lc.blobs[i] = nil
-	}
-	lc.stop(i)
-	if lc.stores != nil {
-		// Process death: the store's file handles go away. Close is
-		// the simulation's stand-in — the WAL bytes were written
-		// (write(2) survives SIGKILL); only the final graceful
-		// capture above is what a kill loses.
-		lc.stores[i].Close()
-	}
-	lc.busyBase[i] += lc.rts[i].Busy()
-	lc.conns[i].Close()
-	lc.alive[i] = false
-	return nil
-}
-
-// Restart rejoins the network under the same node ID and boots a
-// replacement replica: warm from its persisted checkpoint — read back
-// from the replica's data dir in durable mode, from the in-memory
-// crash blob otherwise — or cold (state wiped, recovery from peers).
-func (lc *lifecycle) Restart(i int, cold bool) error {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i < 0 || i >= len(lc.alive) {
-		return fmt.Errorf("bench: no replica %d", i)
-	}
-	if lc.alive[i] {
-		return fmt.Errorf("bench: replica %d already running", i)
-	}
-	var restore []byte
-	if lc.stores != nil {
-		dir := replicaDir(lc.dataDir, i)
-		if cold {
-			if err := os.RemoveAll(dir); err != nil {
-				return fmt.Errorf("bench: wipe replica %d data dir: %w", i, err)
-			}
-		}
-		st, err := store.Open(dir, store.Options{
-			FsyncLinger: lc.fsyncLinger,
-			Metrics:     lc.regs[i],
-			Tracer:      lc.trs[i],
-		})
+// installLifecycle points the system's crash–restart surface and the
+// accessors that must stay correct across replica replacement at the
+// replica hosts.
+func (sys *System) installLifecycle() {
+	sys.Crash = func(i int) error {
+		h, err := sys.host(i)
 		if err != nil {
-			return fmt.Errorf("bench: reopen store for replica %d: %w", i, err)
+			return err
 		}
-		lc.stores[i] = st
-		lc.ckptHash[i] = [32]byte{}
-		restore = st.Recovered().Checkpoint
-	} else {
-		restore = lc.blobs[i]
-		if cold {
-			restore = nil
+		return h.Stop()
+	}
+	sys.Kill = func(i int) error {
+		h, err := sys.host(i)
+		if err != nil {
+			return err
 		}
+		return h.Kill()
 	}
-	conn, err := lc.fab.Join(lc.mem[i])
-	if err != nil {
-		return fmt.Errorf("bench: rejoin replica %d: %w", i, err)
-	}
-	lc.conns[i].swap(conn)
-	// Same registry and tracer across incarnations: counters keep
-	// accumulating and the runtime's Func gauges are re-pointed at the
-	// new instance.
-	lc.rts[i] = newRuntime(lc.rconns[i], lc.workers, lc.regs[i], lc.trs[i])
-	lc.boot(i, restore)
-	lc.alive[i] = true
-	return nil
-}
-
-// progressOf is Progress without the aliveness gate, for callers that
-// already hold lc.mu mid-transition.
-func (lc *lifecycle) progressOf(i int) uint64 {
-	if lc.progress != nil {
-		return lc.progress(i)
-	}
-	return lc.executed(i)
-}
-
-// armStores switches the lifecycle into durable mode and starts the
-// background persister. Called by Build after the protocol builder
-// has installed the persist/stop/boot closures.
-func (lc *lifecycle) armStores(stores []*store.Store, o Options) {
-	every := o.PersistEvery
-	if every <= 0 {
-		every = 50 * time.Millisecond
-	}
-	lc.mu.Lock()
-	lc.stores = stores
-	lc.dataDir = o.DataDir
-	lc.fsyncLinger = o.FsyncLinger
-	lc.ckptHash = make([][32]byte, len(stores))
-	lc.persistStop = make(chan struct{})
-	lc.persistDone = make(chan struct{})
-	for i, st := range stores {
-		st.SetTracer(lc.trs[i])
-	}
-	lc.mu.Unlock()
-	go lc.persistLoop(every)
-}
-
-// persistLoop periodically captures each live replica's Persist()
-// blob into its store as a checkpoint record. The capture runs under
-// lc.mu (it reads protocol state the same way Crash does); the
-// group-commit append happens outside it so a slow fsync never blocks
-// lifecycle transitions. Identical consecutive blobs are deduped, so
-// the WAL only grows when the stable watermark advances.
-func (lc *lifecycle) persistLoop(every time.Duration) {
-	defer close(lc.persistDone)
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-lc.persistStop:
-			return
-		case <-tick.C:
+	sys.Restart = func(i int, cold bool) error {
+		h, err := sys.host(i)
+		if err != nil {
+			return err
 		}
-		for i := range lc.alive {
-			lc.mu.Lock()
-			if !lc.alive[i] {
-				lc.mu.Unlock()
-				continue
-			}
-			blob := lc.persist(i)
-			if blob == nil {
-				lc.mu.Unlock()
-				continue
-			}
-			h := sha256.Sum256(blob)
-			if h == lc.ckptHash[i] {
-				lc.mu.Unlock()
-				continue
-			}
-			lc.ckptHash[i] = h
-			slot := lc.progressOf(i)
-			st := lc.stores[i]
-			lc.mu.Unlock()
-			// The store may race a concurrent kill and be closed —
-			// exactly what a real process losing a write race sees.
-			st.AppendCheckpoint(slot, blob)
+		if err := h.Boot(cold); err != nil {
+			return err
+		}
+		sys.Replicas[i] = h.Replica()
+		return nil
+	}
+	sys.Alive = func(i int) bool {
+		h, err := sys.host(i)
+		return err == nil && h.Alive()
+	}
+	sys.SkewClock = func(i int, factor float64) {
+		if h, err := sys.host(i); err == nil {
+			h.SkewClock(factor)
 		}
 	}
-}
-
-// stopPersister halts the background persister (no-op in memory mode).
-func (lc *lifecycle) stopPersister() {
-	lc.mu.Lock()
-	stop := lc.persistStop
-	lc.mu.Unlock()
-	if stop == nil {
-		return
+	sys.ExecutedAt = func(i int) uint64 {
+		h, err := sys.host(i)
+		if err != nil {
+			return 0
+		}
+		return h.Progress()
 	}
-	select {
-	case <-stop:
-	default:
-		close(stop)
+	sys.Committed = sys.hosts[0].Executed
+	// The busy time of the busiest replica is what bounds throughput when
+	// every replica has its own machine (the paper's deployment), so
+	// ops ÷ max-busy-time projects the bottleneck throughput from a
+	// co-located run.
+	sys.PerReplicaBusy = func() []time.Duration {
+		out := make([]time.Duration, len(sys.hosts))
+		for i, h := range sys.hosts {
+			out[i] = h.Busy()
+		}
+		return out
 	}
-	<-lc.persistDone
-}
-
-// Alive reports whether replica i is running.
-func (lc *lifecycle) Alive(i int) bool {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return i >= 0 && i < len(lc.alive) && lc.alive[i]
-}
-
-// SkewClock multiplies replica i's timer durations by factor.
-func (lc *lifecycle) SkewClock(i int, factor float64) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i >= 0 && i < len(lc.rts) && lc.alive[i] {
-		lc.rts[i].SetTimerScale(factor)
+	sys.AuthOps = func() uint64 {
+		var sum uint64
+		for _, h := range sys.hosts {
+			sum += h.AuthOps()
+		}
+		return sum
 	}
-}
-
-// Executed reports ops executed at replica i (0 while it is down).
-func (lc *lifecycle) Executed(i int) uint64 {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i < 0 || i >= len(lc.alive) || !lc.alive[i] {
-		return 0
-	}
-	return lc.executed(i)
-}
-
-// Progress reports replica i's restart-stable log progress (0 while it
-// is down).
-func (lc *lifecycle) Progress(i int) uint64 {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if i < 0 || i >= len(lc.alive) || !lc.alive[i] {
-		return 0
-	}
-	if lc.progress != nil {
-		return lc.progress(i)
-	}
-	return lc.executed(i)
-}
-
-// busy reports per-replica handler busy time summed across incarnations.
-func (lc *lifecycle) busy() []time.Duration {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	out := make([]time.Duration, len(lc.rts))
-	for i, rt := range lc.rts {
-		out[i] = lc.busyBase[i] + rt.Busy()
-	}
-	return out
 }
 
 // fleet adapts the system to the chaos executor's fault surface.

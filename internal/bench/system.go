@@ -2,31 +2,20 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"neobft/internal/chaos"
 	"neobft/internal/configsvc"
-	"neobft/internal/crypto/auth"
-	"neobft/internal/hotstuff"
 	"neobft/internal/metrics"
-	"neobft/internal/minbft"
-	"neobft/internal/neobft"
-	"neobft/internal/pbft"
+	"neobft/internal/protocol"
 	"neobft/internal/replication"
-	"neobft/internal/runtime"
 	"neobft/internal/sequencer"
 	"neobft/internal/simnet"
-	"neobft/internal/store"
 	"neobft/internal/tracing"
 	"neobft/internal/transport"
 	"neobft/internal/transport/udpnet"
-	"neobft/internal/unreplicated"
-	"neobft/internal/usig"
-	"neobft/internal/wire"
-	"neobft/internal/zyzzyva"
 )
 
 // Protocol names a system under test.
@@ -93,20 +82,10 @@ type Options struct {
 	DropRate float64
 	// ClientTimeout is the client retransmission interval (default 1s).
 	ClientTimeout time.Duration
-	// USIGDelay models the SGX enclave-transition cost per USIG call
-	// (MinBFT; default 10µs, the order of an ECALL/OCALL round trip).
-	USIGDelay time.Duration
-	// VerifyWorkers sets each replica runtime's verification worker
-	// count: 0 picks the runtime default, negative runs verification
-	// inline on the delivery goroutine.
-	VerifyWorkers int
 	// Transport selects the fabric the system assembles over: "" or
 	// "simnet" for the simulated network (configured by Net), "udp" for
-	// real loopback UDP sockets. Ignored when Fabric is set.
+	// real loopback UDP sockets.
 	Transport string
-	// Fabric, when set, is used directly instead of building one from
-	// Transport — e.g. a udpnet.Fabric over a multi-machine address book.
-	Fabric transport.Fabric
 	// Chaos arms the fault-injection harness: Run executes the schedule
 	// during the measured window, wraps every replica's app in a
 	// chaos.RecordingApp, and safety-checks the execution histories
@@ -144,8 +123,7 @@ type System struct {
 	// (transport.Partitioner, transport.Seeded, ...) are type-asserted by
 	// callers that need simnet-only features.
 	Net transport.Fabric
-	// Transport names the fabric kind actually built ("simnet", "udp",
-	// or "custom" for a caller-supplied fabric).
+	// Transport names the fabric kind actually built ("simnet" or "udp").
 	Transport string
 	Svc       *configsvc.Service
 	Switches  []configsvc.SwitchHandle
@@ -225,13 +203,8 @@ type System struct {
 	Durable     bool
 	FsyncLinger time.Duration
 
-	// stores holds the per-replica durable stores when Options.DataDir
-	// was set (entries are swapped by restarts); preRegs are the
-	// replica registries, created before the protocol builders run so
-	// the stores can register their metrics into them.
-	stores  []*store.Store
-	preRegs []*metrics.Registry
-	lc      *lifecycle
+	// hosts are the replica nodes, in replica order.
+	hosts []*protocol.Host
 
 	// clientReg is the registry shared by every client: client tracers
 	// (phase_e2e_ns / phase_reply_ns are observed client-side) and the
@@ -294,25 +267,11 @@ func (si starterInvoker) Start(op []byte, deadline time.Duration) replication.Ca
 // traceInvoker decorates a protocol client with the trace-root wrapper
 // (sampling decision + request span) when tracing is on, preserving the
 // client's pipelined Start.
-func traceInvoker(in Invoker, tr *tracing.Tracer) Invoker {
+func traceInvoker(c protocol.Client, tr *tracing.Tracer) Invoker {
 	if tr == nil {
-		return in
+		return c
 	}
-	traced := tracing.WrapInvoker(in, tr)
-	if s, ok := in.(Starter); ok {
-		return starterInvoker{Invoker: traced, s: s}
-	}
-	return traced
-}
-
-// clientTuning bundles the windowing/backoff/metrics knobs every
-// protocol client receives.
-func clientTuning(sys *System, o Options) replication.Tuning {
-	return replication.Tuning{
-		Window:  o.ClientWindow,
-		Timeout: o.ClientTimeout,
-		Metrics: sys.clientReg,
-	}
+	return starterInvoker{Invoker: tracing.WrapInvoker(c, tr), s: c}
 }
 
 const (
@@ -320,32 +279,23 @@ const (
 	clientBase = transport.NodeID(10000)
 )
 
+// mustSpec resolves a protocol name against the spec table; an unknown
+// name is a programming error in the caller.
+func mustSpec(p Protocol) *protocol.Spec {
+	spec, err := protocol.Lookup(string(p))
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	return spec
+}
+
 // FleetSize reports how many replicas Build will create for the given
 // protocol and configured N (0 = default). Chaos schedules are generated
 // against this count so fault targets stay in range.
-func FleetSize(p Protocol, n int) int {
-	if n == 0 {
-		n = 4
-	}
-	f := (n - 1) / 3
-	if f < 1 && p != Unreplicated {
-		f = 1
-	}
-	switch p {
-	case Unreplicated:
-		return 1
-	case MinBFT:
-		return 2*f + 1
-	default:
-		return n
-	}
-}
+func FleetSize(p Protocol, n int) int { return mustSpec(p).FleetSize(n) }
 
 // Build constructs and starts a system under test.
 func Build(o Options) *System {
-	if o.N == 0 {
-		o.N = 4
-	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 8
 	}
@@ -361,13 +311,15 @@ func Build(o Options) *System {
 	if o.AppFactory == nil {
 		o.AppFactory = func(int) replication.App { return replication.EchoApp{} }
 	}
-	if o.USIGDelay == 0 {
-		o.USIGDelay = 10 * time.Microsecond
-	}
-	f := (o.N - 1) / 3
-	if f < 1 && o.Protocol != Unreplicated {
-		f = 1
-	}
+	spec := mustSpec(o.Protocol)
+	cl := spec.Cluster(o.N, protocol.Params{
+		BatchSize:          o.BatchSize,
+		BatchBytes:         o.BatchBytes,
+		BatchLinger:        o.BatchLinger,
+		BatchAdaptive:      o.BatchAdaptive,
+		CheckpointInterval: o.CheckpointInterval,
+		ConfirmFlushEvery:  o.ConfirmFlushEvery,
+	})
 	sys := &System{
 		Name:          string(o.Protocol),
 		BatchMax:      o.BatchSize,
@@ -375,21 +327,100 @@ func Build(o Options) *System {
 		BatchLinger:   o.BatchLinger,
 		BatchAdaptive: o.BatchAdaptive,
 		ClientWindow:  o.ClientWindow,
+		NumReplicas:   cl.N,
+		Chaos:         o.Chaos,
+		Durable:       o.DataDir != "",
+		clientReg:     metrics.NewRegistry(),
 	}
-	sys.clientReg = metrics.NewRegistry()
-	var fab transport.Fabric
-	switch {
-	case o.Fabric != nil:
-		fab = o.Fabric
-		sys.Transport = o.Transport
-		if sys.Transport == "" {
-			sys.Transport = "custom"
+	if sys.Durable {
+		sys.FsyncLinger = o.FsyncLinger
+	}
+	if o.Chaos != nil {
+		sys.RecApps = make([]*chaos.RecordingApp, cl.N)
+	}
+	fab := sys.newFabric(o)
+	// One registry per replica, ahead of the switch registries. The
+	// process-wide Go heap gauges live on the first only: Merge sums Func
+	// samples, so registering them per replica would multiply the
+	// (shared) heap by n.
+	for range cl.Members {
+		sys.Metrics = append(sys.Metrics, metrics.NewRegistry())
+	}
+	metrics.RegisterHeapGauges(sys.Metrics[0])
+	if spec.Sequencer() {
+		sys.buildSequencers(o, cl)
+	}
+
+	conns := make([]*countingConn, cl.N)
+	sys.hosts = make([]*protocol.Host, cl.N)
+	sys.Replicas = make([]interface{}, cl.N)
+	for i := range sys.hosts {
+		conns[i] = &countingConn{}
+		sys.hosts[i] = protocol.NewHost(protocol.HostConfig{
+			Cluster: cl,
+			Index:   i,
+			Fabric:  countedFabric{fab, conns[i]},
+			Metrics: sys.Metrics[i],
+			Tracer:  sys.newTracer(o, fmt.Sprintf("replica-%d", i), sys.Metrics[i]),
+			App: func() replication.App {
+				app := o.AppFactory(i)
+				if o.Chaos != nil {
+					// Record execution histories for the post-run safety
+					// check. The wrapper snapshots/restores the history
+					// alongside the inner app, so state transfer carries it
+					// to recovering replicas.
+					sys.RecApps[i] = chaos.NewRecordingApp(app)
+					app = sys.RecApps[i]
+				}
+				return app
+			},
+			DataDir:      o.DataDir,
+			FsyncLinger:  o.FsyncLinger,
+			PersistEvery: o.PersistEvery,
+		})
+		if err := sys.hosts[i].Boot(false); err != nil {
+			panic("bench: " + err.Error())
 		}
-	case o.Transport == "udp":
+		sys.Replicas[i] = sys.hosts[i].Replica()
+	}
+	sys.installLifecycle()
+	sys.PerReplicaMsgs = msgCounter(conns)
+	sys.PerReplicaPkts = pktCounter(conns)
+	sys.ReplicaID = func(i int) transport.NodeID { return cl.Members[i] }
+	sys.NewClient = func(id int) Invoker {
+		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
+		c, err := cl.NewClient(
+			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
+			replication.Tuning{Window: o.ClientWindow, Timeout: o.ClientTimeout, Metrics: sys.clientReg})
+		if err != nil {
+			panic(err)
+		}
+		return traceInvoker(c, ctr)
+	}
+	sys.Close = func() {
+		for _, h := range sys.hosts {
+			_ = h.Kill() // replicas already down stay down
+		}
+		fab.Close()
+	}
+	// Appended after the replica and switch registries: the udp fabric's
+	// MetricsFor maps node ID i+1 to Metrics[i], so the client registry
+	// must not shift those indices.
+	sys.Metrics = append(sys.Metrics, sys.clientReg)
+	if o.TraceRate > 0 {
+		sys.chaosTr = sys.newTracer(o, "chaos", nil)
+	}
+	return sys
+}
+
+// newFabric builds the fabric Options.Transport names.
+func (sys *System) newFabric(o Options) transport.Fabric {
+	switch o.Transport {
+	case "udp":
 		// Real loopback UDP sockets, bound on demand. Per-node conn
 		// counters land in the node's shared metrics registry (replica i
 		// has node ID i+1; switches and clients get private registries).
-		fab = udpnet.NewLoopback(udpnet.FabricConfig{
+		sys.Net = udpnet.NewLoopback(udpnet.FabricConfig{
 			Config: udpnet.Config{RcvBuf: 1 << 20, SndBuf: 1 << 20},
 			MetricsFor: func(id transport.NodeID) *metrics.Registry {
 				if i := int(id) - 1; i >= 0 && i < len(sys.Metrics) {
@@ -399,7 +430,7 @@ func Build(o Options) *System {
 			},
 		})
 		sys.Transport = "udp"
-	case o.Transport == "" || o.Transport == "simnet":
+	case "", "simnet":
 		netOpts := o.Net
 		if netOpts.Latency > 0 && netOpts.LatencyOverride == nil {
 			// The sequencer switch sits on the client→replica path: traffic
@@ -427,107 +458,52 @@ func Build(o Options) *System {
 				return from >= switchBase // only aom multicast drops
 			}
 		}
-		fab = simnet.Fabric{Network: simnet.New(netOpts)}
+		sys.Net = simnet.Fabric{Network: simnet.New(netOpts)}
 		sys.Transport = "simnet"
 	default:
 		panic(fmt.Sprintf("bench: unknown transport %q", o.Transport))
 	}
-	sys.Net = fab
-	// Replica registries are created before the protocol builders run
-	// (newRegistries hands these out) so the durable stores can
-	// register their metrics into the same per-replica registries.
-	nrep := FleetSize(o.Protocol, o.N)
-	sys.preRegs = make([]*metrics.Registry, nrep)
-	for i := range sys.preRegs {
-		sys.preRegs[i] = metrics.NewRegistry()
-	}
-	metrics.RegisterHeapGauges(sys.preRegs[0])
-	sys.Metrics = append(sys.Metrics, sys.preRegs...)
-	if o.DataDir != "" {
-		sys.Durable = true
-		sys.FsyncLinger = o.FsyncLinger
-		sys.stores = make([]*store.Store, nrep)
-		for i := range sys.stores {
-			st, err := store.Open(replicaDir(o.DataDir, i), store.Options{
-				FsyncLinger: o.FsyncLinger,
-				Metrics:     sys.preRegs[i],
-			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: open store for replica %d: %v", i, err))
-			}
-			sys.stores[i] = st
-		}
-		// Journal every executed op (write-behind) through the
-		// replica's current store. The factory reads sys.stores at
-		// boot time, so a restarted replica journals into the store
-		// its restart reopened.
-		inner := o.AppFactory
-		o.AppFactory = func(i int) replication.App {
-			return store.Durable(inner(i), sys.stores[i])
-		}
-	}
-	if o.Chaos != nil {
-		// Wrap every replica's app so execution histories are recorded
-		// for the post-run safety check. The wrapper snapshots/restores
-		// the history alongside the inner app, so state transfer carries
-		// it to recovering replicas.
-		sys.Chaos = o.Chaos
-		inner := o.AppFactory
-		o.AppFactory = func(i int) replication.App {
-			ra := chaos.NewRecordingApp(inner(i))
-			for len(sys.RecApps) <= i {
-				sys.RecApps = append(sys.RecApps, nil)
-			}
-			sys.RecApps[i] = ra
-			return ra
-		}
-	}
-
-	switch o.Protocol {
-	case NeoHM, NeoPK, NeoBN:
-		buildNeo(sys, o, fab, f)
-	case PBFT:
-		buildPBFT(sys, o, fab, f)
-	case Zyzzyva, ZyzzyvaF:
-		buildZyzzyva(sys, o, fab, f)
-	case HotStuff:
-		buildHotStuff(sys, o, fab, f)
-	case MinBFT:
-		buildMinBFT(sys, o, fab, f)
-	case Unreplicated:
-		buildUnreplicated(sys, o, fab)
-	default:
-		panic(fmt.Sprintf("bench: unknown protocol %q", o.Protocol))
-	}
-	// Appended after the replica and switch registries: the udp fabric's
-	// MetricsFor maps node ID i+1 to Metrics[i], so the client registry
-	// must not shift those indices.
-	sys.Metrics = append(sys.Metrics, sys.clientReg)
-	if o.TraceRate > 0 {
-		sys.chaosTr = sys.newTracer(o, "chaos", nil)
-	}
-	if sys.stores != nil && sys.lc != nil {
-		// All protocol closures are set now: arm the disk-backed
-		// lifecycle (kill-and-recover restarts + background persister)
-		// and make Close flush and release the stores.
-		sys.lc.armStores(sys.stores, o)
-		inner := sys.Close
-		sys.Close = func() {
-			sys.lc.stopPersister()
-			inner()
-			for _, st := range sys.stores {
-				if st != nil {
-					st.Close()
-				}
-			}
-		}
-	}
-	return sys
+	return sys.Net
 }
 
-// replicaDir is replica i's store directory under a system data dir.
-func replicaDir(dataDir string, i int) string {
-	return filepath.Join(dataDir, fmt.Sprintf("replica-%d", i))
+// buildSequencers starts the two sequencer switches of a NeoBFT system
+// and the configuration service that fails over between them, and
+// creates the replica group.
+func (sys *System) buildSequencers(o Options, cl *protocol.Cluster) {
+	svc := configsvc.New(cl.Spec.Variant, []byte(protocol.AOMMaster))
+	sys.Svc, cl.Svc = svc, svc
+	for i := 0; i < 2; i++ {
+		id := switchBase + transport.NodeID(i)
+		swReg := metrics.NewRegistry()
+		swTr := sys.newTracer(o, fmt.Sprintf("sequencer-%d", i), swReg)
+		sw := sequencer.New(tracing.WrapConn(join(sys.Net, id), swTr), sequencer.Options{
+			Variant:  cl.Spec.Variant,
+			PKSeed:   []byte{byte(i + 1)},
+			SignRate: o.SignRate,
+			Metrics:  swReg,
+			Tracer:   swTr,
+		})
+		sys.Metrics = append(sys.Metrics, swReg)
+		h := configsvc.SwitchHandle{ID: id, SW: sw}
+		sys.Switches = append(sys.Switches, h)
+		svc.RegisterSwitch(h)
+	}
+	if _, err := svc.CreateGroup(protocol.Group, cl.Members); err != nil {
+		panic(err)
+	}
+	sys.CrashSequencer = func() bool {
+		v, err := svc.View(protocol.Group)
+		if err != nil {
+			return false
+		}
+		for _, h := range sys.Switches {
+			if h.ID == v.Sequencer {
+				h.SW.SetFault(sequencer.FaultCrash)
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // join attaches a node to the fabric, panicking on failure — system
@@ -542,11 +518,11 @@ func join(fab transport.Fabric, id transport.NodeID) transport.Conn {
 }
 
 // countingConn wraps a transport.Conn, counting inbound and outbound
-// packets. Handler busy time is measured by the replica runtimes (see
-// busyCounter), which time verification and apply work directly.
+// packets. Handler busy time is measured by the replica runtimes, which
+// time verification and apply work directly.
 //
 // The inner conn is swappable: a crash–restart cycle closes the old
-// simnet node and joins a fresh one, but keeps the countingConn (and its
+// fabric node and joins a fresh one, but keeps the countingConn (and its
 // counters) so per-replica packet accounting spans restarts.
 type countingConn struct {
 	mu    sync.RWMutex
@@ -561,7 +537,7 @@ func (c *countingConn) inner() transport.Conn {
 	return c.conn
 }
 
-// swap replaces the inner conn (the handler is re-installed by the new
+// swap replaces the inner conn (the handler is installed by the booting
 // replica's runtime right after).
 func (c *countingConn) swap(conn transport.Conn) {
 	c.mu.Lock()
@@ -589,16 +565,21 @@ func (c *countingConn) Send(to transport.NodeID, pkt []byte) {
 func (c *countingConn) Cork()  { transport.CorkerOf(c.inner()).Cork() }
 func (c *countingConn) Flush() { transport.CorkerOf(c.inner()).Flush() }
 
-func members(n int) []transport.NodeID {
-	out := make([]transport.NodeID, n)
-	for i := range out {
-		out[i] = transport.NodeID(i + 1)
-	}
-	return out
+// countedFabric joins one replica through its countingConn: every boot
+// swaps the freshly joined conn underneath and hands the host the same
+// counting wrapper.
+type countedFabric struct {
+	transport.Fabric
+	cc *countingConn
 }
 
-func joinCounting(fab transport.Fabric, id transport.NodeID) *countingConn {
-	return &countingConn{conn: join(fab, id)}
+func (f countedFabric) Join(id transport.NodeID) (transport.Conn, error) {
+	conn, err := f.Fabric.Join(id)
+	if err != nil {
+		return nil, err
+	}
+	f.cc.swap(conn)
+	return f.cc, nil
 }
 
 func msgCounter(conns []*countingConn) func() []uint64 {
@@ -618,563 +599,5 @@ func pktCounter(conns []*countingConn) func() []uint64 {
 			out[i] = c.count.Load() + c.sent.Load()
 		}
 		return out
-	}
-}
-
-// newRuntime builds one replica runtime over a counted (and, when
-// tracing, envelope-wrapped) conn, honoring the benchmark's worker
-// override and registering the runtime stages into the replica's shared
-// metrics registry.
-func newRuntime(conn transport.Conn, workers int, reg *metrics.Registry, tr *tracing.Tracer) *runtime.Runtime {
-	return runtime.New(runtime.Config{Conn: conn, Workers: workers, Metrics: reg, Tracer: tr})
-}
-
-// newRegistries hands each builder the per-replica registries Build
-// pre-created (and already appended to sys.Metrics). The process-wide
-// Go heap gauges live on the first registry only: Merge sums Func
-// samples, so registering them per replica would multiply the
-// (shared) heap by n.
-func newRegistries(sys *System, n int) []*metrics.Registry {
-	if n != len(sys.preRegs) {
-		panic(fmt.Sprintf("bench: builder wants %d registries, FleetSize said %d", n, len(sys.preRegs)))
-	}
-	return sys.preRegs
-}
-
-// busyCounter reports per-replica busy time (verification + apply) from
-// the runtimes. The busy time of the busiest replica is what bounds
-// throughput when every replica has its own machine (the paper's
-// deployment), so ops ÷ max-busy-time projects the bottleneck
-// throughput from a co-located run.
-func busyCounter(rts []*runtime.Runtime) func() []time.Duration {
-	return func() []time.Duration {
-		out := make([]time.Duration, len(rts))
-		for i, rt := range rts {
-			out[i] = rt.Busy()
-		}
-		return out
-	}
-}
-
-func authCounter(auths []*auth.HMACAuth, clientSides []*auth.ReplicaSide) func() uint64 {
-	return func() uint64 {
-		var sum uint64
-		for _, a := range auths {
-			sum += a.Stats().TagOps.Load() + a.Stats().VerifyOps.Load()
-		}
-		for _, c := range clientSides {
-			sum += c.Stats().TagOps.Load() + c.Stats().VerifyOps.Load()
-		}
-		return sum
-	}
-}
-
-const (
-	replicaMaster = "replica-master"
-	clientMaster  = "client-master"
-)
-
-func buildNeo(sys *System, o Options, fab transport.Fabric, f int) {
-	variant := wire.AuthHMAC
-	if o.Protocol == NeoPK {
-		variant = wire.AuthPK
-	}
-	byz := o.Protocol == NeoBN
-	svc := configsvc.New(variant, []byte("aom-master"))
-	sys.Svc = svc
-	var swRegs []*metrics.Registry
-	for i := 0; i < 2; i++ {
-		id := switchBase + transport.NodeID(i)
-		swReg := metrics.NewRegistry()
-		swTr := sys.newTracer(o, fmt.Sprintf("sequencer-%d", i), swReg)
-		sw := sequencer.New(tracing.WrapConn(join(fab, id), swTr), sequencer.Options{
-			Variant:  variant,
-			PKSeed:   []byte{byte(i + 1)},
-			SignRate: o.SignRate,
-			Metrics:  swReg,
-			Tracer:   swTr,
-		})
-		swRegs = append(swRegs, swReg)
-		h := configsvc.SwitchHandle{ID: id, SW: sw}
-		sys.Switches = append(sys.Switches, h)
-		svc.RegisterSwitch(h)
-	}
-	mem := members(o.N)
-	if _, err := svc.CreateGroup(1, mem); err != nil {
-		panic(err)
-	}
-	conns := make([]*countingConn, o.N)
-	rconns := make([]transport.Conn, o.N)
-	trs := make([]*tracing.Tracer, o.N)
-	rts := make([]*runtime.Runtime, o.N)
-	auths := make([]*auth.HMACAuth, o.N)
-	csides := make([]*auth.ReplicaSide, o.N)
-	replicas := make([]*neobft.Replica, o.N)
-	regs := newRegistries(sys, o.N)
-	sys.Metrics = append(sys.Metrics, swRegs...)
-	for i := 0; i < o.N; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, o.N)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		replicas[i] = neobft.New(neobft.Config{
-			Self: i, N: o.N, F: f,
-			Members:           mem,
-			Group:             1,
-			Conn:              rconns[i],
-			Auth:              auths[i],
-			ClientAuth:        csides[i],
-			App:               o.AppFactory(i),
-			Variant:           variant,
-			Byzantine:         byz,
-			SyncInterval:      o.CheckpointInterval,
-			ConfirmFlushEvery: o.ConfirmFlushEvery,
-			ConfirmBatch:      16,
-			Svc:               svc,
-			Runtime:           rts[i],
-			Metrics:           regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(auths, csides)
-	sys.Committed = func() uint64 { return replicas[0].Committed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		cl, err := neobft.NewClient(neobft.ClientOptions{
-			Conn:     tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			Master:   []byte(clientMaster),
-			N:        o.N,
-			F:        f,
-			Replicas: mem,
-			Group:    1,
-			Svc:      svc,
-			Tune:     clientTuning(sys, o),
-		})
-		if err != nil {
-			panic(err)
-		}
-		return traceInvoker(cl, ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	sys.CrashSequencer = func() bool {
-		v, err := svc.View(1)
-		if err != nil {
-			return false
-		}
-		for _, h := range sys.Switches {
-			if h.ID == v.Sequencer {
-				h.SW.SetFault(sequencer.FaultCrash)
-				return true
-			}
-		}
-		return false
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Committed() }
-	// The op counter resets on restart; the speculative-execution slot is
-	// restored from the checkpoint, so catch-up is measured against it.
-	lc.progress = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		replicas[i] = neobft.New(neobft.Config{
-			Self: i, N: o.N, F: f,
-			Members:           mem,
-			Group:             1,
-			Conn:              rconns[i],
-			Auth:              auths[i],
-			ClientAuth:        csides[i],
-			App:               o.AppFactory(i),
-			Variant:           variant,
-			Byzantine:         byz,
-			SyncInterval:      o.CheckpointInterval,
-			ConfirmFlushEvery: o.ConfirmFlushEvery,
-			ConfirmBatch:      16,
-			Svc:               svc,
-			Runtime:           lc.rts[i],
-			Metrics:           regs[i],
-			Restore:           restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildPBFT(sys *System, o Options, fab transport.Fabric, f int) {
-	mem := members(o.N)
-	conns := make([]*countingConn, o.N)
-	rconns := make([]transport.Conn, o.N)
-	trs := make([]*tracing.Tracer, o.N)
-	rts := make([]*runtime.Runtime, o.N)
-	auths := make([]*auth.HMACAuth, o.N)
-	csides := make([]*auth.ReplicaSide, o.N)
-	replicas := make([]*pbft.Replica, o.N)
-	regs := newRegistries(sys, o.N)
-	for i := 0; i < o.N; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, o.N)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		replicas[i] = pbft.New(pbft.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            rts[i],
-			Metrics:            regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(auths, csides)
-	sys.Committed = func() uint64 { return replicas[0].Executed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(pbft.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			[]byte(clientMaster), o.N, f, mem, clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		replicas[i] = pbft.New(pbft.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            lc.rts[i],
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildZyzzyva(sys *System, o Options, fab transport.Fabric, f int) {
-	mem := members(o.N)
-	conns := make([]*countingConn, o.N)
-	rconns := make([]transport.Conn, o.N)
-	trs := make([]*tracing.Tracer, o.N)
-	rts := make([]*runtime.Runtime, o.N)
-	auths := make([]*auth.HMACAuth, o.N)
-	csides := make([]*auth.ReplicaSide, o.N)
-	replicas := make([]*zyzzyva.Replica, o.N)
-	regs := newRegistries(sys, o.N)
-	for i := 0; i < o.N; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, o.N)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		replicas[i] = zyzzyva.New(zyzzyva.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Silent:             o.Protocol == ZyzzyvaF && i == o.N-1,
-			Runtime:            rts[i],
-			Metrics:            regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	// On a shared single core the 4th speculative response can lag; a
-	// larger speculative timeout keeps fault-free Zyzzyva on its fast
-	// path while still penalizing Zyzzyva-F heavily per operation.
-	specTimeout := 20 * time.Millisecond
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(auths, csides)
-	sys.Committed = func() uint64 { return replicas[0].Executed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(zyzzyva.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			[]byte(clientMaster), o.N, f, mem, specTimeout, clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		replicas[i] = zyzzyva.New(zyzzyva.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Silent:             o.Protocol == ZyzzyvaF && i == o.N-1,
-			Runtime:            lc.rts[i],
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildHotStuff(sys *System, o Options, fab transport.Fabric, f int) {
-	mem := members(o.N)
-	conns := make([]*countingConn, o.N)
-	rconns := make([]transport.Conn, o.N)
-	trs := make([]*tracing.Tracer, o.N)
-	rts := make([]*runtime.Runtime, o.N)
-	auths := make([]*auth.HMACAuth, o.N)
-	csides := make([]*auth.ReplicaSide, o.N)
-	replicas := make([]*hotstuff.Replica, o.N)
-	regs := newRegistries(sys, o.N)
-	for i := 0; i < o.N; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, o.N)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		replicas[i] = hotstuff.New(hotstuff.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            rts[i],
-			Metrics:            regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(auths, csides)
-	sys.Committed = func() uint64 { return replicas[0].Executed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(hotstuff.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			[]byte(clientMaster), o.N, f, mem, clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		replicas[i] = hotstuff.New(hotstuff.Config{
-			Self: i, N: o.N, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            lc.rts[i],
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildMinBFT(sys *System, o Options, fab transport.Fabric, f int) {
-	n := 2*f + 1 // trusted components reduce the replication factor
-	mem := members(n)
-	conns := make([]*countingConn, n)
-	rconns := make([]transport.Conn, n)
-	trs := make([]*tracing.Tracer, n)
-	rts := make([]*runtime.Runtime, n)
-	auths := make([]*auth.HMACAuth, n)
-	csides := make([]*auth.ReplicaSide, n)
-	usigs := make([]*usig.USIG, n)
-	replicas := make([]*minbft.Replica, n)
-	regs := newRegistries(sys, n)
-	for i := 0; i < n; i++ {
-		conns[i] = joinCounting(fab, mem[i])
-		trs[i] = sys.newTracer(o, fmt.Sprintf("replica-%d", i), regs[i])
-		rconns[i] = tracing.WrapConn(conns[i], trs[i])
-		rts[i] = newRuntime(rconns[i], o.VerifyWorkers, regs[i], trs[i])
-		auths[i] = auth.NewHMACAuth([]byte(replicaMaster), i, n)
-		csides[i] = auth.NewReplicaSide([]byte(clientMaster), i)
-		usigs[i] = usig.New(uint32(i), []byte("sgx-master")).WithEnclaveDelay(o.USIGDelay)
-		replicas[i] = minbft.New(minbft.Config{
-			Self: i, N: n, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			USIG:               usigs[i],
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            rts[i],
-			Metrics:            regs[i],
-		})
-		sys.Replicas = append(sys.Replicas, replicas[i])
-	}
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	baseAuth := authCounter(auths, csides)
-	sys.AuthOps = func() uint64 {
-		// UIs are MinBFT's authenticators: count trusted-component ops too.
-		sum := baseAuth()
-		for _, u := range usigs {
-			sum += u.Ops()
-		}
-		return sum
-	}
-	sys.Committed = func() uint64 { return replicas[0].Executed() }
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(minbft.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			[]byte(clientMaster), n, f, mem, clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		for _, r := range replicas {
-			r.Close()
-		}
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return replicas[i].Persist() }
-	lc.stop = func(i int) { replicas[i].Close() }
-	lc.executed = func(i int) uint64 { return replicas[i].Executed() }
-	lc.boot = func(i int, restore []byte) {
-		// The USIG instance survives the restart: it models a trusted
-		// counter in an enclave, whose monotonic state outlives crashes
-		// of the untrusted replica process around it.
-		replicas[i] = minbft.New(minbft.Config{
-			Self: i, N: n, F: f,
-			Members:            mem,
-			Conn:               rconns[i],
-			Auth:               auths[i],
-			ClientAuth:         csides[i],
-			App:                o.AppFactory(i),
-			USIG:               usigs[i],
-			BatchSize:          o.BatchSize,
-			BatchBytes:         o.BatchBytes,
-			BatchLinger:        o.BatchLinger,
-			BatchAdaptive:      o.BatchAdaptive,
-			CheckpointInterval: o.CheckpointInterval,
-			Runtime:            lc.rts[i],
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = replicas[i]
-	}
-}
-
-func buildUnreplicated(sys *System, o Options, fab transport.Fabric) {
-	mem := members(1)
-	conns := []*countingConn{joinCounting(fab, mem[0])}
-	regs := newRegistries(sys, 1)
-	trs := []*tracing.Tracer{sys.newTracer(o, "replica-0", regs[0])}
-	rconns := []transport.Conn{tracing.WrapConn(conns[0], trs[0])}
-	rts := []*runtime.Runtime{newRuntime(rconns[0], o.VerifyWorkers, regs[0], trs[0])}
-	cside := auth.NewReplicaSide([]byte(clientMaster), 0)
-	servers := []*unreplicated.Server{unreplicated.New(unreplicated.Config{
-		Conn: rconns[0], App: o.AppFactory(0), ClientAuth: cside, Runtime: rts[0],
-		CheckpointInterval: o.CheckpointInterval,
-		Metrics:            regs[0],
-	})}
-	sys.Replicas = append(sys.Replicas, servers[0])
-	sys.PerReplicaMsgs = msgCounter(conns)
-	sys.PerReplicaBusy = busyCounter(rts)
-	sys.PerReplicaPkts = pktCounter(conns)
-	sys.AuthOps = authCounter(nil, []*auth.ReplicaSide{cside})
-	sys.Committed = servers[0].Ops
-	sys.NewClient = func(id int) Invoker {
-		ctr := sys.newTracer(o, fmt.Sprintf("client-%d", id), sys.clientReg)
-		return traceInvoker(unreplicated.NewClient(
-			tracing.WrapConn(join(fab, clientBase+transport.NodeID(id)), ctr),
-			1, []byte(clientMaster), clientTuning(sys, o)), ctr)
-	}
-	sys.Close = func() {
-		servers[0].Close()
-		fab.Close()
-	}
-	lc := installLifecycle(sys, fab, o, mem, conns, rconns, trs, rts, regs)
-	lc.persist = func(i int) []byte { return servers[i].Persist() }
-	lc.stop = func(i int) { servers[i].Close() }
-	lc.executed = func(i int) uint64 { return servers[i].Ops() }
-	lc.boot = func(i int, restore []byte) {
-		servers[i] = unreplicated.New(unreplicated.Config{
-			Conn: rconns[i], App: o.AppFactory(i), ClientAuth: cside, Runtime: lc.rts[i],
-			CheckpointInterval: o.CheckpointInterval,
-			Metrics:            regs[i],
-			Restore:            restore,
-		})
-		sys.Replicas[i] = servers[i]
 	}
 }

@@ -276,20 +276,6 @@ func (s *Store) recover() error {
 // Recovered reports what Open found on disk.
 func (s *Store) Recovered() Recovered { return s.recovered }
 
-// SetTracer installs (or replaces) the tracer persist spans go to —
-// for callers whose tracer is created after the store is opened.
-func (s *Store) SetTracer(tr *tracing.Tracer) {
-	s.mu.Lock()
-	s.tracer = tr
-	s.mu.Unlock()
-}
-
-func (s *Store) tr() *tracing.Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tracer
-}
-
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
@@ -328,7 +314,7 @@ func (s *Store) AppendCheckpoint(slot uint64, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	if tr := s.tr(); tr != nil {
+	if tr := s.tracer; tr != nil {
 		tr.Always(tracing.PhasePersist, start, time.Since(start), slot, uint64(RecordCheckpoint),
 			fmt.Sprintf("checkpoint slot=%d bytes=%d", slot, len(blob)))
 	}
@@ -523,7 +509,7 @@ func (s *Store) promote(index, slot uint64, blob []byte) error {
 	if err := writeSnapshot(s.dir, index, slot, blob); err != nil {
 		return err
 	}
-	if tr := s.tr(); tr != nil {
+	if tr := s.tracer; tr != nil {
 		tr.Always(tracing.PhasePersist, start, time.Since(start), slot, uint64(RecordCheckpoint),
 			fmt.Sprintf("snapshot promoted slot=%d bytes=%d", slot, len(blob)))
 	}

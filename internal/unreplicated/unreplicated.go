@@ -148,8 +148,8 @@ func (s *Server) Close() { s.rt.Close() }
 // Runtime returns the server's runtime (for stats and draining).
 func (s *Server) Runtime() *runtime.Runtime { return s.rt }
 
-// Ops returns the number of executed operations.
-func (s *Server) Ops() uint64 {
+// Executed returns the number of executed operations.
+func (s *Server) Executed() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ops

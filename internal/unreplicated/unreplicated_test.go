@@ -30,8 +30,8 @@ func TestEchoRoundTrip(t *testing.T) {
 			t.Fatalf("echo %d = %v", i, res)
 		}
 	}
-	if srv.Ops() != 5 {
-		t.Fatalf("ops = %d", srv.Ops())
+	if srv.Executed() != 5 {
+		t.Fatalf("ops = %d", srv.Executed())
 	}
 }
 
@@ -51,8 +51,8 @@ func TestDuplicateSuppressed(t *testing.T) {
 		conn.Send(1, req.Marshal())
 	}
 	time.Sleep(20 * time.Millisecond)
-	if srv.Ops() != 1 {
-		t.Fatalf("duplicates executed: ops = %d", srv.Ops())
+	if srv.Executed() != 1 {
+		t.Fatalf("duplicates executed: ops = %d", srv.Executed())
 	}
 }
 
@@ -64,7 +64,7 @@ func TestForgedRequestRejected(t *testing.T) {
 	req := &replication.Request{Client: 200, ReqID: 1, Op: []byte("x"), Auth: make([]byte, 8)}
 	evil.Send(1, req.Marshal())
 	time.Sleep(10 * time.Millisecond)
-	if srv.Ops() != 0 {
+	if srv.Executed() != 0 {
 		t.Fatal("forged request executed")
 	}
 }
