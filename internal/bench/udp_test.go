@@ -40,6 +40,37 @@ func TestUDPLoopbackAllProtocols(t *testing.T) {
 	}
 }
 
+// TestUDPLoopbackUnderConcurrentLoad keeps eight closed-loop clients on
+// every protocol family over real sockets. Only under concurrent load do
+// cork windows hold several messages, and udpnet then packs them per
+// destination — which changes the order in which one sender's datagrams
+// reach *different* nodes. A protocol that leaned on that order stalls
+// here for good (HotStuff did, within ~200 views: a proposal that overtook
+// its parent's was dropped). So the test asserts progress in the second
+// half of the window, not a rate or the absence of client retransmissions
+// — on a loaded runner one lost datagram is several lost messages.
+func TestUDPLoopbackUnderConcurrentLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket integration test")
+	}
+	for _, p := range udpProtocols {
+		p := p
+		t.Run(string(p), func(t *testing.T) {
+			sys := Build(Options{Protocol: p, Transport: "udp", ClientTimeout: 300 * time.Millisecond})
+			defer sys.Close()
+			mid := make(chan uint64, 1)
+			go func() {
+				time.Sleep(300 * time.Millisecond)
+				mid <- sys.Committed()
+			}()
+			res := Run(sys, Load{Clients: 8, Warmup: 50 * time.Millisecond, Duration: 550 * time.Millisecond, OpTimeout: 2 * time.Second})
+			if half, end := <-mid, sys.Committed(); half == 0 || end <= half {
+				t.Fatalf("stalled: %d operations committed by 300 ms, %d by 600 ms (%d client timeouts)", half, end, res.Errors)
+			}
+		})
+	}
+}
+
 // waitCommitted polls until replica 0 has executed want operations. A
 // client's quorum can complete on the other replicas' replies, so replica
 // 0 may still have the last operation in flight when Invoke returns.

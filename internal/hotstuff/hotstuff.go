@@ -111,6 +111,10 @@ type Replica struct {
 	proposed  map[uint64]bool                // views this replica proposed in
 	lastExec  uint64                         // height executed through
 	committed map[[32]byte]bool
+	// orphans holds proposals that arrived before their parent's, keyed by
+	// the missing parent: consecutive views have different leaders, and
+	// nothing orders two senders' datagrams.
+	orphans map[[32]byte][]*block
 	// batcher queues client requests (with their trace refs, closed into
 	// ordering spans at proposal time) and cuts block batches per the
 	// shared hybrid policy, including through the committed-elsewhere
@@ -153,6 +157,7 @@ func New(cfg Config) *Replica {
 		conn:      cfg.Conn,
 		blocks:    map[[32]byte]*block{},
 		votes:     map[[32]byte]map[uint32][]byte{},
+		orphans:   map[[32]byte][]*block{},
 		voted:     map[uint64]bool{},
 		proposed:  map[uint64]bool{},
 		committed: map[[32]byte]bool{},
@@ -510,6 +515,10 @@ func (r *Replica) tryProposeLocked() {
 	if r.leaderOf(view) != r.cfg.Self || r.proposed[view] {
 		return
 	}
+	parent := r.blocks[r.highQC.block]
+	if parent == nil {
+		return // the certified block is still in flight; its arrival retries
+	}
 	// Filter requests that other leaders already committed.
 	r.batcher.Filter(func(req *replication.Request) bool {
 		fresh, _ := r.table.Check(req.Client, req.ReqID)
@@ -531,10 +540,6 @@ func (r *Replica) tryProposeLocked() {
 	}
 	cut.EndOrder(r.rt.Tracer(), view)
 
-	parent := r.blocks[r.highQC.block]
-	if parent == nil {
-		return
-	}
 	digest := batchDigest(cut.Reqs)
 	h := blockHash(view, parent.height+1, parent.hash, digest, r.highQC.block)
 	b := &block{
@@ -577,12 +582,45 @@ func (r *Replica) uncommittedAboveLocked(tip [32]byte) bool {
 func (r *Replica) onPropose(b *block) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for work := []*block{b}; len(work) > 0; work = work[1:] {
+		if b := work[0]; r.adoptLocked(b) {
+			work = append(work, r.orphans[b.hash]...)
+			delete(r.orphans, b.hash)
+		}
+	}
+}
+
+// maxOrphans bounds the proposals held per missing parent. Two is what
+// honest leaders produce (a timed-out view's block and its successor's,
+// both carrying the parent's QC); the slack is for a leader that
+// equivocates.
+const maxOrphans = 4
+
+// adoptLocked adds b to the block tree and processes it, or, if its
+// certified parent has not arrived, holds it until onPropose sees the
+// parent. It reports whether b was added. Caller holds r.mu.
+func (r *Replica) adoptLocked(b *block) bool {
 	if _, dup := r.blocks[b.hash]; dup {
-		return
+		return false
+	}
+	if b.parent != b.justify.block {
+		return false // chained HotStuff: blocks extend the justified block
 	}
 	pb := r.blocks[b.parent]
-	if pb == nil || pb.height+1 != b.height || b.parent != b.justify.block {
-		return // chained HotStuff: blocks extend the justified block
+	if pb == nil {
+		held := r.orphans[b.parent]
+		for _, o := range held {
+			if o.hash == b.hash {
+				return false
+			}
+		}
+		if len(held) < maxOrphans {
+			r.orphans[b.parent] = append(held, b)
+		}
+		return false
+	}
+	if pb.height+1 != b.height {
+		return false
 	}
 	r.blocks[b.hash] = b
 	// De-queue requests carried by the block.
@@ -590,6 +628,7 @@ func (r *Replica) onPropose(b *block) {
 		delete(r.inQueue, reqKey(req.Client, req.ReqID))
 	}
 	r.processBlockLocked(b)
+	return true
 }
 
 // validQC verifies a quorum certificate (the genesis QC at view 0 is
@@ -771,6 +810,17 @@ func (r *Replica) compactLocked(b *block) {
 	for h := range r.votes {
 		if _, ok := r.blocks[h]; !ok {
 			delete(r.votes, h)
+		}
+	}
+	for h, held := range r.orphans {
+		live := held[:0]
+		for _, o := range held {
+			if o.view > b.view {
+				live = append(live, o)
+			}
+		}
+		if r.orphans[h] = live; len(live) == 0 {
+			delete(r.orphans, h)
 		}
 	}
 	for v := range r.voted {

@@ -174,3 +174,51 @@ func appendVar(buf, b []byte) []byte {
 	buf = append(buf, byte(len(b)), byte(len(b)>>8), byte(len(b)>>16), byte(len(b)>>24))
 	return append(buf, b...)
 }
+
+// TestProposalBeforeItsParent delivers later views' proposals ahead of
+// view 1's — different leaders' broadcasts, which no network orders — and
+// checks the replica keeps the early ones, adopts them once the parent
+// lands, and does not stop following the chain. Two of them extend the
+// same certified parent (a timed-out view's block and its successor's
+// carry the same QC): either may be the one the chain continues from, so
+// both must survive the wait.
+func TestProposalBeforeItsParent(t *testing.T) {
+	c := newCluster(t, 4)
+	r := c.replicas[3] // leads none of these views
+	genesisQC := &qc{view: 0, block: genesisHash}
+	mk := func(view uint64, parent *block, justify *qc) *block {
+		var digest [32]byte
+		return &block{
+			hash: blockHash(view, parent.height+1, parent.hash, digest, justify.block),
+			view: view, height: parent.height + 1, parent: parent.hash, digest: digest, justify: justify,
+		}
+	}
+	b1 := mk(1, &block{hash: genesisHash}, genesisQC)
+	b2 := mk(2, b1, &qc{view: 1, block: b1.hash})
+	b3 := mk(3, b1, &qc{view: 1, block: b1.hash}) // view 2 timed out at its leader
+	b4 := mk(4, b3, &qc{view: 3, block: b3.hash}) // the chain goes on from the sibling
+
+	for _, b := range []*block{b4, b2, b3, b2} { // b2 again: a retransmission
+		r.onPropose(b)
+	}
+	r.mu.Lock()
+	early, held := len(r.blocks), len(r.orphans[b1.hash])
+	r.mu.Unlock()
+	if early != 1 || held != 2 {
+		t.Fatalf("before the parent: %d blocks known (want genesis only), %d held for b1 (want 2)", early, held)
+	}
+	r.onPropose(b1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, b := range []*block{b1, b2, b3, b4} {
+		if r.blocks[b.hash] == nil {
+			t.Errorf("b%d not adopted after the parent arrived", i+1)
+		}
+	}
+	if len(r.orphans) != 0 {
+		t.Errorf("%d orphan entries left", len(r.orphans))
+	}
+	if !r.voted[1] || !r.voted[2] || r.highQC.view != 3 {
+		t.Fatalf("voted %v/%v, highQC view %d: the replica did not follow the chain", r.voted[1], r.voted[2], r.highQC.view)
+	}
+}

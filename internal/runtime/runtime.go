@@ -445,10 +445,11 @@ func (rt *Runtime) retireRun(t *task) bool {
 			rt.corker.Flush()
 			select {
 			case <-rt.wake:
+				rt.corker.Cork()
 			case <-rt.stop:
+				rt.corker.Cork() // windows nest by count: the deferred Flush ends this one
 				return false
 			}
-			rt.corker.Cork()
 		}
 		rt.retire(t)
 		if n == maxRun {

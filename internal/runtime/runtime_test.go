@@ -413,25 +413,72 @@ func TestLoopCorksRunsOfEvents(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		rt.Close()
-		conn.mu.Lock()
-		sends, corked := 0, false
-		for _, op := range conn.log {
-			switch op {
-			case "cork":
-				corked = true
-			case "flush":
-				corked = false
-			case "send":
-				sends++
-				if !corked {
-					t.Fatalf("workers=%d: send outside a cork", workers)
-				}
+		sends, depth := conn.replay(t)
+		if sends != 101 || depth != 0 {
+			t.Fatalf("workers=%d: %d sends (want 101), %d windows left open", workers, sends, depth)
+		}
+	}
+}
+
+// replay walks the log: every send must fall inside a window and, windows
+// nesting by count on a shared conn, every flush must end one the loop
+// opened. It returns the sends seen and the windows still open.
+func (c *corkConn) replay(t *testing.T) (sends, depth int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, op := range c.log {
+		switch op {
+		case "cork":
+			depth++
+		case "flush":
+			if depth--; depth < 0 {
+				t.Fatalf("log[%d]: flush without a cork of the loop's own: %v", i, c.log)
+			}
+		case "send":
+			if sends++; depth == 0 {
+				t.Fatalf("log[%d]: send outside a cork", i)
 			}
 		}
-		conn.mu.Unlock()
-		if sends != 101 || corked {
-			t.Fatalf("workers=%d: %d sends (want 101), left corked = %v", workers, sends, corked)
+	}
+	return sends, depth
+}
+
+// gateHandler's verification blocks until the gate opens.
+type gateHandler struct{ gate chan struct{} }
+
+func (h *gateHandler) VerifyPacket(transport.NodeID, []byte) Event { <-h.gate; return nil }
+func (h *gateHandler) ApplyEvent(transport.NodeID, Event)          {}
+
+// TestLoopCorkBalancedOnStop stops the runtime while the loop is parked,
+// flushed, on an unverified head: it must not flush a second time, which
+// would end a window some other holder of the conn has open.
+func TestLoopCorkBalancedOnStop(t *testing.T) {
+	conn := &corkConn{}
+	rt := New(Config{Conn: conn, Workers: 2})
+	h := &gateHandler{gate: make(chan struct{})}
+	defer close(h.gate)
+	rt.Start(h)
+	conn.Deliver(7, packet(1))
+	logLen := func() int {
+		conn.mu.Lock()
+		defer conn.mu.Unlock()
+		return len(conn.log)
+	}
+	waitLen := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); logLen() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("log stuck at %v, want %d entries", conn.log, n)
+			}
 		}
+	}
+	waitLen(2) // cork, flush: parked
+	rt.Close()
+	waitLen(4) // cork, flush: the run's closing pair
+	time.Sleep(5 * time.Millisecond)
+	if _, depth := conn.replay(t); depth != 0 || logLen() != 4 {
+		t.Fatalf("stop while parked left %d windows open, log %v", depth, conn.log)
 	}
 }
 

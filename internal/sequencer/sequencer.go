@@ -107,10 +107,7 @@ type Options struct {
 // service handing that ID to senders).
 type Switch struct {
 	conn transport.Conn
-	// corker turns each stamp's multicast into one system call on a conn
-	// that can coalesce sends.
-	corker transport.Corker
-	opts   Options
+	opts Options
 
 	// signer is the aom-pk signing subsystem (pksigner.go); nil for the
 	// HMAC variant. Its mutable state is guarded by mu.
@@ -152,7 +149,6 @@ func New(conn transport.Conn, opts Options) *Switch {
 		groups:   make(map[uint32]*groupState),
 		dropSeqs: make(map[uint64]bool),
 	}
-	s.corker = transport.CorkerOf(conn)
 	if opts.Variant == wire.AuthPK {
 		s.signer = newPKSigner(opts.PKSeed, opts.SignRate, opts.SignBurst, opts.SignMaxChain)
 	}
@@ -311,8 +307,6 @@ func (s *Switch) handle(from transport.NodeID, pktBytes []byte) {
 		return
 	}
 
-	s.corker.Cork()
-	defer s.corker.Flush()
 	switch s.opts.Variant {
 	case wire.AuthHMAC:
 		s.emitHMAC(g, &stamp, payload)

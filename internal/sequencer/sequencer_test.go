@@ -3,14 +3,17 @@ package sequencer
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"neobft/internal/crypto/secp256k1"
 	"neobft/internal/crypto/siphash"
+	"neobft/internal/metrics"
 	"neobft/internal/simnet"
 	"neobft/internal/transport"
+	"neobft/internal/transport/udpnet"
 	"neobft/internal/wire"
 )
 
@@ -140,6 +143,62 @@ func TestHMACStampingAndVerification(t *testing.T) {
 		if got != want {
 			t.Fatalf("packet %d lane MAC mismatch", i)
 		}
+	}
+}
+
+// TestFanOutPacksPerReceiverOverUDP pins the switch's share of the packet
+// path on real sockets: it has no cork of its own, so a burst of k
+// requests that its conn's reader takes in together must leave as one
+// datagram per receiver — n datagrams carrying k·n stamped packets — each
+// receiver still seeing every sequence number, in order.
+func TestFanOutPacksPerReceiverOverUDP(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" && runtime.GOARCH != "arm64" {
+		t.Skip("without sendmmsg a second destination flushes the first")
+	}
+	const k, n = 5, 4
+	reg := metrics.NewRegistry()
+	fab := udpnet.NewLoopback(udpnet.FabricConfig{MetricsFor: func(id transport.NodeID) *metrics.Registry {
+		if id == switchID {
+			return reg
+		}
+		return nil
+	}})
+	defer fab.Close()
+	join := func(id transport.NodeID) transport.Conn {
+		c, err := fab.Join(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	sw := New(join(switchID), Options{Variant: wire.AuthHMAC})
+	cap := newCapture()
+	members := make([]transport.NodeID, n)
+	for i := range members {
+		members[i] = transport.NodeID(i + 1)
+		join(members[i]).SetHandler(cap.handler(members[i]))
+	}
+	sw.InstallGroup(GroupConfig{Group: 1, Epoch: 1, Members: members, HMACKeys: keysFor(n)})
+
+	// One corked run from the sender is one datagram, hence one burst.
+	sender := join(senderID)
+	cork := transport.CorkerOf(sender)
+	cork.Cork()
+	for i := 0; i < k; i++ {
+		sendAOM(sender, 1, []byte{byte('a' + i)})
+	}
+	cork.Flush()
+	for _, id := range members {
+		waitCount(t, cap, id, k)
+		for i := 0; i < k; i++ {
+			if hdr, _ := cap.get(id, i); hdr.Seq != uint64(i+1) {
+				t.Fatalf("receiver %d: packet %d has seq %d", id, i, hdr.Seq)
+			}
+		}
+	}
+	pkts, dgrams := reg.Counter("udp_tx_packets_total").Load(), reg.Counter("udp_tx_datagrams_total").Load()
+	if pkts != k*n || dgrams != n {
+		t.Fatalf("%d requests to %d receivers left as %d packets in %d datagrams, want %d in %d", k, n, pkts, dgrams, k*n, n)
 	}
 }
 

@@ -41,15 +41,20 @@ type Conn interface {
 }
 
 // Corker is an optional Conn capability for callers about to issue a run
-// of sends (a multicast fan-out, a burst of replies): between Cork and
-// Flush the conn may hold packets and transmit them together, which on
-// real sockets turns several system calls into one. Flush transmits
-// everything held and ends the cork; a caller must Flush before it
-// blocks, so no packet ever waits on a later event. Holding is bounded —
-// a conn transmits on its own once its burst is full — and never
-// reorders a sender's packets. Only udpnet implements it (simnet hands
-// packets over without a system call to save); callers go through
-// CorkerOf, which makes the calls no-ops elsewhere.
+// of sends (a multicast fan-out, a burst of replies). Cork opens a window;
+// while any window is open the conn may hold packets, from every
+// goroutine, and transmit them together, which on real sockets turns
+// several system calls into one and several packets for one destination
+// into one datagram. Windows nest by count, because several goroutines
+// (a conn's reader, a runtime loop) cork the same conn: Flush transmits
+// everything held, whoever sent it, and ends the caller's own window. The
+// calls come in pairs: an unmatched Flush ends some other holder's window
+// early (costing it its packing, never holding a packet back). A holder
+// must Flush before it blocks, so no packet ever waits on a later event. Holding is bounded — a conn transmits on its own once its burst
+// is full — and never reorders the packets one sender addresses to one
+// destination. Only udpnet implements it (simnet hands packets over
+// without a system call to save); callers go through CorkerOf, which
+// makes the calls no-ops elsewhere.
 type Corker interface {
 	Cork()
 	Flush()

@@ -10,6 +10,9 @@
 //     small ones
 //   - back-to-back bursts from several senders are delivered completely
 //     and in per-sender order while the receiver keeps up
+//   - a corked run of mixed-size packets to several destinations arrives
+//     with every packet's bytes and boundaries intact, in per-destination
+//     order, each slice the handler's own
 //   - Send to an unknown node, and oversize Send, return promptly
 //     without panicking
 //   - a closed node's ID can rejoin (crash–restart)
@@ -37,6 +40,7 @@ func Run(t *testing.T, newFabric func(t *testing.T) transport.Fabric) {
 	t.Run("BurstFromThreeSenders", func(t *testing.T) { testBurst(t, newFabric(t)) })
 	t.Run("LargePacket", func(t *testing.T) { testLargePacket(t, newFabric(t)) })
 	t.Run("LargePacketInsideBurst", func(t *testing.T) { testLargeInBurst(t, newFabric(t)) })
+	t.Run("CoalescedRun", func(t *testing.T) { testCoalescedRun(t, newFabric(t)) })
 	t.Run("SendToUnknownTolerated", func(t *testing.T) { testSendUnknown(t, newFabric(t)) })
 	t.Run("OversizeSendTolerated", func(t *testing.T) { testOversize(t, newFabric(t)) })
 	t.Run("RejoinAfterClose", func(t *testing.T) { testRejoin(t, newFabric(t)) })
@@ -313,6 +317,77 @@ func testLargeInBurst(t *testing.T, fab transport.Fabric) {
 	}
 	if !done.Load() {
 		t.Fatal("burst around a large packet never delivered completely")
+	}
+}
+
+// testCoalescedRun sends corked runs of mixed sizes — empty packets, a few
+// bytes, near an Ethernet MTU, a 60 KiB one in the middle — interleaved to
+// two destinations, the pattern a fabric that shares datagrams between
+// packets has to take apart again. Each receiver must see exactly the
+// packets addressed to it, byte for byte and in the order sent, never two
+// at once; and because ownership passes to the handler, it appends to
+// every slice it is given, which must not reach the next packet. The
+// sender waits for each run to arrive before the next, so a best-effort
+// fabric has no buffer overflow to excuse a loss with.
+func testCoalescedRun(t *testing.T, fab transport.Fabric) {
+	defer fab.Close()
+	const runs = 20
+	sizes := []int{1, 100, 0, 1400, 700, 700, 0, 60 << 10, 8, 1399, 1, 0, 300}
+	dests := []transport.NodeID{2, 3}
+	// Byte j of the k-th packet a destination is sent, all runs counted.
+	fill := func(dest transport.NodeID, k, j int) byte { return byte(k*31 + j*7 + int(dest)) }
+
+	var inFlight [2]atomic.Int32
+	var overlapped atomic.Bool
+	var got [2]atomic.Int64   // packets seen per destination
+	var wrong [2]atomic.Int64 // 1 + index of the first bad packet
+	for d, id := range dests {
+		d, id := d, id
+		mustJoin(t, fab, id).SetHandler(func(from transport.NodeID, pkt []byte) {
+			if !inFlight[d].CompareAndSwap(0, 1) {
+				overlapped.Store(true)
+			}
+			defer inFlight[d].Store(0)
+			k := int(got[d].Load())
+			ok := from == 1 && len(pkt) == sizes[k%len(sizes)]
+			for j := 0; ok && j < len(pkt); j++ {
+				ok = pkt[j] == fill(id, k, j)
+			}
+			if !ok && wrong[d].Load() == 0 {
+				wrong[d].Store(int64(k) + 1)
+			}
+			_ = append(pkt, 0xff, 0xff, 0xff, 0xff) // the slice is the handler's: growing it must stay inside it
+			got[d].Add(1)
+		})
+	}
+	src := mustJoin(t, fab, 1)
+	cork := transport.CorkerOf(src)
+	for r := 0; r < runs; r++ {
+		cork.Cork()
+		for i, size := range sizes {
+			for n := range dests {
+				id := dests[(i+n)%len(dests)] // A B, B A, A B, …
+				k := r*len(sizes) + i
+				p := make([]byte, size)
+				for j := range p {
+					p[j] = fill(id, k, j)
+				}
+				src.Send(id, p)
+			}
+		}
+		cork.Flush()
+		want := int64((r + 1) * len(sizes))
+		waitFor(t, 5*time.Second, func() bool {
+			return wrong[0].Load()+wrong[1].Load() != 0 || got[0].Load() >= want && got[1].Load() >= want
+		}, "corked run not delivered completely")
+		for d := range dests {
+			if k := wrong[d].Load(); k != 0 {
+				t.Fatalf("destination %d: packet %d arrived with the wrong sender, length or bytes", dests[d], k-1)
+			}
+		}
+	}
+	if overlapped.Load() {
+		t.Fatal("handler invocations overlapped: not sequential from one goroutine")
 	}
 }
 

@@ -15,6 +15,10 @@ import (
 // while keeping receive staging at 8 × 64 KiB per conn.
 const burst = 8
 
+// rxSlot is one receive staging slot: a full datagram, rounded up to whole
+// pages.
+const rxSlot = 64 << 10
+
 // mmsghdr is struct mmsghdr of <sys/socket.h> on 64-bit Linux; package
 // syscall has the call numbers but not the type.
 type mmsghdr struct {
@@ -47,8 +51,11 @@ type sockIO struct {
 	raw   syscall.RawConn
 	inet6 bool // AF_INET6 (dual-stack) socket: IPv4 peers go v4-mapped
 
-	// Receive side, owned by the reader goroutine.
-	rxBufs    [burst]*[]byte
+	// Receive side, owned by the reader goroutine. rxMem is the staging
+	// slots, mapped outside the Go heap (heap memory if the mapping was
+	// refused): only the pages datagrams reach are ever resident, and the
+	// collector neither scans the rest nor budgets garbage against it.
+	rxMem     []byte
 	rxMsgs    [burst]mmsghdr
 	rxIovs    [burst]syscall.Iovec
 	rxCtl     [burst]rxqOvfl
@@ -109,22 +116,27 @@ func mmsg(trap, fd uintptr, msgs *mmsghdr, n int) (int, syscall.Errno) {
 	}
 }
 
-// initRx takes the receive staging slots; each must fit a full datagram,
-// since any datagram of a burst may be a large one.
-func (s *sockIO) initRx() {
-	for i := range s.rxBufs {
-		s.rxBufs[i] = largePool.Get().(*[]byte)
-		s.rxIovs[i] = syscall.Iovec{Base: &(*s.rxBufs[i])[0], Len: maxDatagram}
+// mmap is syscall.Mmap; a test swaps it to refuse the mapping.
+var mmap = syscall.Mmap
+
+// initRx maps the receive staging slots; each must fit a full datagram,
+// since any datagram of a burst may be a large one. Where the mapping is
+// refused the slots come from the heap. The reader calls release when it
+// exits; it has copied out everything it delivered.
+func (s *sockIO) initRx() (release func()) {
+	var err error
+	s.rxMem, err = mmap(-1, 0, burst*rxSlot, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	release = func() { _ = syscall.Munmap(s.rxMem) } // fails only on a range that is not a mapping
+	if err != nil {
+		s.rxMem, release = make([]byte, burst*rxSlot), func() {}
+	}
+	for i := range s.rxMsgs {
+		s.rxIovs[i] = syscall.Iovec{Base: &s.rxMem[i*rxSlot], Len: maxDatagram}
 		h := &s.rxMsgs[i].hdr
 		h.Iov, h.Iovlen = &s.rxIovs[i], 1
 		h.Control = (*byte)(unsafe.Pointer(&s.rxCtl[i]))
 	}
-}
-
-func (s *sockIO) releaseRx() {
-	for _, b := range s.rxBufs {
-		largePool.Put(b)
-	}
+	return release
 }
 
 // recv blocks until at least one datagram is queued and reads up to a
@@ -148,7 +160,7 @@ func (s *sockIO) recv() (int, error) {
 	return s.rxN, nil
 }
 
-func (s *sockIO) datagram(i int) []byte { return (*s.rxBufs[i])[:s.rxMsgs[i].len] }
+func (s *sockIO) datagram(i int) []byte { return s.rxMem[i*rxSlot:][:s.rxMsgs[i].len] }
 
 // rxDropped is the kernel's cumulative receive-buffer overflow count as
 // of the last datagram that carried one.

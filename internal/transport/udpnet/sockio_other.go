@@ -7,14 +7,15 @@ import (
 	"net/netip"
 )
 
-// burst is one: without recvmmsg/sendmmsg every datagram is its own call,
-// and corking has nothing to coalesce.
+// burst is one: without recvmmsg/sendmmsg every datagram is its own call.
+// A corked conn still packs the messages of a run to one destination into
+// one datagram; a second destination sends the first one's.
 const burst = 1
 
 // sockIO is the portable stand-in for the Linux mmsg path: the same
 // methods over net.UDPConn's one-datagram calls. Its send can wait for
 // socket buffer space (the net package hides EAGAIN), and there is no
-// kernel overflow count to report.
+// kernel overflow count to report. Receive staging is one pooled slot.
 type sockIO struct {
 	sock *net.UDPConn
 	buf  *[]byte
@@ -23,8 +24,10 @@ type sockIO struct {
 
 func newSockIO(sock *net.UDPConn) (*sockIO, error) { return &sockIO{sock: sock}, nil }
 
-func (s *sockIO) initRx()    { s.buf = largePool.Get().(*[]byte) }
-func (s *sockIO) releaseRx() { largePool.Put(s.buf) }
+func (s *sockIO) initRx() (release func()) {
+	s.buf = largePool.Get().(*[]byte)
+	return func() { largePool.Put(s.buf) }
+}
 
 func (s *sockIO) recv() (int, error) {
 	n, _, err := s.sock.ReadFromUDPAddrPort(*s.buf)

@@ -6,18 +6,21 @@
 // let the fabric bind loopback port 0 and publish the bound addresses.
 //
 // Both directions run to completion on the goroutine that has the packet.
-// Send frames the packet into a pooled buffer and issues a non-blocking
-// send itself; a corked conn (transport.Corker) holds up to a burst of
-// frames and sends them in one sendmmsg. A full socket buffer, an unknown
-// destination, an oversize payload or a socket error drops the packet —
-// counted per kind in the metrics registry, with a flight-recorder trace
-// on the first occurrence of each kind — exactly the lossy-network
-// behaviour the protocols already tolerate. One reader goroutine per conn
-// pulls up to a burst of datagrams per recvmmsg and invokes the handler
-// for each, in arrival order; a slow handler backs up into the kernel
-// socket buffer, whose overflow the kernel counts and the conn reports.
-// Where recvmmsg/sendmmsg are unavailable the same loops run with a
-// burst of one (sockio_other.go).
+// Send frames the message into a pooled buffer and issues a non-blocking
+// send itself; while the conn is corked (transport.Corker) a message joins
+// the newest held datagram for its destination if that stays within one
+// Ethernet MTU, so a cork window emits one datagram per destination, and
+// up to a burst of datagrams leave in one sendmmsg. A full socket buffer,
+// an unknown destination, an oversize payload or a socket error drops the
+// messages concerned — counted per kind in the metrics registry, with a
+// flight-recorder trace on the first occurrence of each kind — exactly
+// the lossy-network behaviour the protocols already tolerate. One reader
+// goroutine per conn pulls up to a burst of datagrams per recvmmsg and
+// invokes the handler for each message of each, in arrival order, with
+// the conn corked so everything the handlers send shares datagrams; a
+// slow handler backs up into the kernel socket buffer, whose overflow the
+// kernel counts and the conn reports. Where recvmmsg/sendmmsg are
+// unavailable the same loops run with a burst of one (sockio_other.go).
 package udpnet
 
 import (
@@ -33,15 +36,23 @@ import (
 	"neobft/internal/transport"
 )
 
+// Every datagram is one frame: sender u32 | { len u16 | message }+, all
+// little-endian. A message sent outside a cork window, or too large to
+// share, is a frame of one.
 const (
-	// headerLen is the wire frame overhead: each datagram is prefixed
-	// with the 4-byte little-endian sender ID.
+	// headerLen is the sender ID that opens a frame, prefixLen the length
+	// before each message.
 	headerLen = 4
+	prefixLen = 2
 	// maxDatagram bounds receive and send staging buffers.
 	maxDatagram = 65535
-	// MaxPayload is the largest packet payload Send accepts by default:
-	// the IPv4 UDP datagram limit minus the sender-ID frame.
-	MaxPayload = 65507 - headerLen
+	// MaxPayload is the largest message Send accepts by default: the IPv4
+	// UDP datagram limit minus the frame overhead of a lone message.
+	MaxPayload = 65507 - headerLen - prefixLen
+	// packLimit is the largest frame a message may join: the UDP payload
+	// of one 1,500-byte Ethernet MTU, so packing never makes a datagram
+	// IP-fragment whose messages alone would not have.
+	packLimit = 1472
 )
 
 // AddressBook maps node IDs to UDP addresses. Entries may be added or
@@ -116,7 +127,7 @@ const (
 	dropTxOverflow                 // socket send buffer full (EAGAIN)
 	dropTxSockErr                  // the send failed otherwise
 	dropRxOverflow                 // kernel receive buffer full (SO_RXQ_OVFL)
-	dropRxShort                    // datagram shorter than the frame header
+	dropRxShort                    // datagram shorter than its frame says
 	nDropKinds
 )
 
@@ -137,9 +148,9 @@ var (
 	traceRxDrop = metrics.RegisterTraceKind("udp_rx_drop")
 )
 
-// Buffer pools for send/receive staging. Two size classes: most protocol
-// messages fit the small class; snapshots and aom packets with large
-// payloads use full-datagram buffers, as does every receive slot.
+// Buffer pools for send staging. Two size classes: the small one holds any
+// frame messages can join (packLimit); snapshots and aom packets with
+// large payloads travel alone in full-datagram buffers.
 const smallBufSize = 2048
 
 var smallPool = sync.Pool{New: func() any { b := make([]byte, smallBufSize); return &b }}
@@ -160,12 +171,13 @@ func putBuf(b *[]byte) {
 	}
 }
 
-// txBatch is the framed packets awaiting one send call: a single packet
-// normally, up to a burst while the conn is corked.
+// txBatch is the frames awaiting one send call: a single one-message
+// frame normally, up to a burst of packed ones while the conn is corked.
 type txBatch struct {
 	n    int
 	bufs [burst]*[]byte
 	lens [burst]int
+	msgs [burst]int // messages in the frame: what a refused datagram drops
 	dsts [burst]*net.UDPAddr
 }
 
@@ -180,23 +192,28 @@ type Conn struct {
 
 	handler atomic.Pointer[transport.Handler]
 
-	// txMu guards corked and tx, and is held across the send call (which
-	// the socket's own write lock would serialize anyway).
-	txMu   sync.Mutex
-	corked bool
-	tx     txBatch
+	// txMu guards corks and tx, and is held across the send call (which
+	// the socket's own write lock would serialize anyway). corks is the
+	// number of open cork windows: the reader's and the runtime loop's
+	// nest.
+	txMu  sync.Mutex
+	corks int
+	tx    txBatch
 
 	closeOnce sync.Once
 	closed    atomic.Bool
 	// onClose, when set (by a Fabric), releases the conn's ID for rejoin.
 	onClose func()
 
-	txPkts, rxPkts   *metrics.Counter
-	txBytes, rxBytes *metrics.Counter
-	txCalls, rxCalls *metrics.Counter
-	drops            [nDropKinds]*metrics.Counter
-	traced           [nDropKinds]atomic.Bool
-	rec              *metrics.Recorder
+	// Packets and drops count messages (transport.Conn's packets), so
+	// packets ÷ datagrams ÷ syscalls are registry ratios.
+	txPkts, rxPkts     *metrics.Counter
+	txBytes, rxBytes   *metrics.Counter
+	txDgrams, rxDgrams *metrics.Counter
+	txCalls, rxCalls   *metrics.Counter
+	drops              [nDropKinds]*metrics.Counter
+	traced             [nDropKinds]atomic.Bool
+	rec                *metrics.Recorder
 }
 
 var (
@@ -243,6 +260,8 @@ func listenAddr(id transport.NodeID, book *AddressBook, bind *net.UDPAddr, cfg C
 	c.rxPkts = reg.Counter("udp_rx_packets_total")
 	c.txBytes = reg.Counter("udp_tx_bytes_total")
 	c.rxBytes = reg.Counter("udp_rx_bytes_total")
+	c.txDgrams = reg.Counter("udp_tx_datagrams_total")
+	c.rxDgrams = reg.Counter("udp_rx_datagrams_total")
 	c.txCalls = reg.Counter("udp_tx_syscalls_total")
 	c.rxCalls = reg.Counter("udp_rx_syscalls_total")
 	for k := range c.drops {
@@ -256,12 +275,14 @@ func listenAddr(id transport.NodeID, book *AddressBook, bind *net.UDPAddr, cfg C
 // ID implements transport.Conn.
 func (c *Conn) ID() transport.NodeID { return c.id }
 
-// Send implements transport.Conn. It never blocks: the packet is framed
+// Send implements transport.Conn. It never blocks: the message is framed
 // into a pooled buffer and sent with a non-blocking call on the caller's
-// goroutine (or held for the pending Flush while corked); if the socket
-// buffer is full, the destination unknown, or the payload oversize, the
-// packet is dropped and counted. UDP is best-effort and the protocols
-// tolerate loss, so no error surfaces to the caller.
+// goroutine, or, while the conn is corked, held for the next Flush — in
+// the newest held frame for the same destination when that frame stays
+// within packLimit, in a frame of its own otherwise. If the socket buffer
+// is full, the destination unknown, or the payload oversize, the message
+// is dropped and counted. UDP is best-effort and the protocols tolerate
+// loss, so no error surfaces to the caller.
 func (c *Conn) Send(to transport.NodeID, packet []byte) {
 	if c.closed.Load() {
 		return
@@ -275,61 +296,80 @@ func (c *Conn) Send(to transport.NodeID, packet []byte) {
 		c.drop(dropTxUnknown, 1, to, 0)
 		return
 	}
-	n := headerLen + len(packet)
-	bp := getBuf(n)
-	binary.LittleEndian.PutUint32(*bp, uint32(c.id))
-	copy((*bp)[headerLen:], packet)
+	need := prefixLen + len(packet)
 	c.txMu.Lock()
 	b := &c.tx
-	b.bufs[b.n], b.lens[b.n], b.dsts[b.n] = bp, n, addr
-	b.n++
-	if !c.corked || b.n == burst {
+	i := b.n - 1
+	for i >= 0 && b.dsts[i] != addr {
+		i--
+	}
+	if i < 0 || b.lens[i]+need > packLimit {
+		// A new frame goes behind every held one, so messages to one
+		// destination keep their order across frames.
+		if b.n == burst {
+			c.flushLocked()
+		}
+		i = b.n
+		b.n++
+		b.bufs[i], b.lens[i], b.msgs[i], b.dsts[i] = getBuf(headerLen+need), headerLen, 0, addr
+		binary.LittleEndian.PutUint32(*b.bufs[i], uint32(c.id))
+	}
+	putMessage((*b.bufs[i])[b.lens[i]:], packet)
+	b.lens[i] += need
+	b.msgs[i]++
+	if c.corks == 0 {
 		c.flushLocked()
 	}
 	c.txMu.Unlock()
 }
 
-// Cork implements transport.Corker: until Flush, Sends (from any
-// goroutine) are held and leave in one send call per full burst.
+// Cork implements transport.Corker: it opens a cork window. While any
+// window is open, Sends (from any goroutine) are held.
 func (c *Conn) Cork() {
 	c.txMu.Lock()
-	c.corked = true
+	c.corks++
 	c.txMu.Unlock()
 }
 
-// Flush implements transport.Corker.
+// Flush implements transport.Corker: it transmits everything held, whoever
+// sent it, and closes the caller's window (a Flush with none open only
+// transmits).
 func (c *Conn) Flush() {
 	c.txMu.Lock()
-	c.corked = false
+	if c.corks > 0 {
+		c.corks--
+	}
 	c.flushLocked()
 	c.txMu.Unlock()
 }
 
 // flushLocked sends the held frames, in order, and returns their buffers
-// to the pool. A frame the socket refuses is dropped and counted; the
-// ones behind it are still tried.
+// to the pool. A frame the socket refuses is dropped, counting every
+// message it carried; the ones behind it are still tried.
 func (c *Conn) flushLocked() {
 	b := &c.tx
-	var sentBytes uint64
+	var sentMsgs, sentBytes uint64
 	for i := 0; i < b.n; {
 		sent, err := c.io.send(b, i)
 		c.txCalls.Inc()
 		switch {
 		case err == nil:
-			c.txPkts.Add(uint64(sent))
+			c.txDgrams.Add(uint64(sent))
 			for end := i + sent; i < end; i++ {
+				sentMsgs += uint64(b.msgs[i])
 				sentBytes += uint64(b.lens[i])
 			}
 		case errors.Is(err, net.ErrClosed):
 			i = b.n // racing Close: the rest goes the way of a Send after it
 		case errors.Is(err, syscall.EAGAIN), errors.Is(err, syscall.ENOBUFS):
-			c.drop(dropTxOverflow, 1, transport.NilNode, uint64(b.lens[i]))
+			c.drop(dropTxOverflow, uint64(b.msgs[i]), transport.NilNode, uint64(b.lens[i]))
 			i++
 		default:
-			c.drop(dropTxSockErr, 1, transport.NilNode, 0)
+			c.drop(dropTxSockErr, uint64(b.msgs[i]), transport.NilNode, 0)
 			i++
 		}
 	}
+	c.txPkts.Add(sentMsgs)
 	c.txBytes.Add(sentBytes)
 	for i := 0; i < b.n; i++ {
 		putBuf(b.bufs[i])
@@ -376,13 +416,15 @@ func (c *Conn) drop(kind dropKind, n uint64, peer transport.NodeID, detail uint6
 
 // readLoop is the conn's single delivery goroutine — the transport.Conn
 // contract. Each receive call fills up to a burst of staging slots, and
-// the handler runs for each datagram in arrival order before the next
-// call, so a busy handler leaves datagrams in the kernel socket buffer;
-// what overflows there the kernel counts, and the count rides in on the
-// next datagram received.
+// the handler runs for each message of each datagram in arrival order
+// before the next call, so a busy handler leaves datagrams in the kernel
+// socket buffer; what overflows there the kernel counts (in datagrams),
+// and the count rides in on the next datagram received. The burst is a
+// cork window: what its handlers send — a sequencer's fan-out for every
+// request of the burst, replies — and what other goroutines send
+// meanwhile leaves packed, at the latest before the reader blocks again.
 func (c *Conn) readLoop() {
-	c.io.initRx()
-	defer c.io.releaseRx()
+	defer c.io.initRx()()
 	var kernelDrops uint32
 	for {
 		n, err := c.io.recv()
@@ -390,9 +432,12 @@ func (c *Conn) readLoop() {
 			return // socket closed
 		}
 		c.rxCalls.Inc()
+		c.rxDgrams.Add(uint64(n))
+		c.Cork()
 		for i := 0; i < n; i++ {
 			c.deliver(c.io.datagram(i))
 		}
+		c.Flush()
 		if d := c.io.rxDropped(); d != kernelDrops {
 			c.drop(dropRxOverflow, uint64(d-kernelDrops), c.id, uint64(d))
 			kernelDrops = d
@@ -400,20 +445,52 @@ func (c *Conn) readLoop() {
 	}
 }
 
-// deliver hands one datagram to the handler. The payload is copied out
-// of the staging slot because packet ownership passes to the handler.
+// deliver hands one datagram's messages to the handler. The frame body is
+// copied out of the staging slot once, because ownership passes to the
+// handler; each message is a sub-slice capped at its own end, so an
+// append cannot reach its neighbour. A length that overruns the datagram
+// ends the walk: the messages before it are delivered, the rest counts
+// as one short drop.
 func (c *Conn) deliver(dgram []byte) {
 	if len(dgram) < headerLen {
 		c.drop(dropRxShort, 1, c.id, uint64(len(dgram)))
 		return
 	}
 	h := c.handler.Load()
-	if h == nil || c.closed.Load() {
+	if h == nil {
 		return
 	}
-	payload := make([]byte, len(dgram)-headerLen)
-	copy(payload, dgram[headerLen:])
-	c.rxPkts.Inc()
-	c.rxBytes.Add(uint64(len(payload)))
-	(*h)(transport.NodeID(binary.LittleEndian.Uint32(dgram)), payload)
+	from := transport.NodeID(binary.LittleEndian.Uint32(dgram))
+	body := make([]byte, len(dgram)-headerLen)
+	copy(body, dgram[headerLen:])
+	for len(body) > 0 && !c.closed.Load() {
+		msg, rest, ok := nextMessage(body)
+		if !ok {
+			c.drop(dropRxShort, 1, c.id, uint64(len(dgram)))
+			return
+		}
+		body = rest
+		c.rxPkts.Inc()
+		c.rxBytes.Add(uint64(len(msg)))
+		(*h)(from, msg)
+	}
+}
+
+// putMessage writes msg with its length prefix at the start of at.
+func putMessage(at, msg []byte) {
+	binary.LittleEndian.PutUint16(at, uint16(len(msg)))
+	copy(at[prefixLen:], msg)
+}
+
+// nextMessage splits the first message off a frame body. ok is false when
+// the body is too short for the length it states.
+func nextMessage(body []byte) (msg, rest []byte, ok bool) {
+	if len(body) < prefixLen {
+		return nil, nil, false
+	}
+	end := prefixLen + int(binary.LittleEndian.Uint16(body))
+	if end > len(body) {
+		return nil, nil, false
+	}
+	return body[prefixLen:end:end], body[end:], true
 }

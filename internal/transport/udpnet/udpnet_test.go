@@ -246,61 +246,183 @@ func TestUDPSendNeverBlocks(t *testing.T) {
 	}
 }
 
-// TestUDPCorkedFanOutIsOneSyscall checks the batching contract on the
-// mmsg path: a corked four-destination fan-out leaves in one send call,
-// and a burst queued on a socket is read in fewer calls than packets.
-func TestUDPCorkedFanOutIsOneSyscall(t *testing.T) {
-	if burst == 1 {
-		t.Skip("no sendmmsg/recvmmsg on this platform")
+// TestUDPCorkWindowDatagrams pins what a cork window puts on the wire: one
+// datagram per destination while the messages fit an Ethernet MTU, all of
+// a window's datagrams in one send call on the mmsg path, and one
+// datagram and one call per message outside a window.
+func TestUDPCorkWindowDatagrams(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		corked        bool
+		msgs, size    int
+		peers         int // messages go round-robin to this many peers
+		dgrams, calls uint64
+	}{
+		{"8x100B to one peer", true, 8, 100, 1, 1, 1},
+		{"8x100B to four peers", true, 8, 100, 4, 4, 1},
+		{"3x700B to one peer", true, 3, 700, 1, 2, 1},
+		{"1x60KiB between 2x100B", true, 3, 0, 1, 3, 1}, // sizes set below
+		{"3x100B uncorked", false, 3, 100, 1, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewLoopback(FabricConfig{})
+			defer f.Close()
+			src := joinConn(t, f, 0)
+			var got atomic.Int64
+			for id := 1; id <= tc.peers; id++ {
+				joinConn(t, f, transport.NodeID(id)).SetHandler(func(transport.NodeID, []byte) { got.Add(1) })
+			}
+			if tc.corked {
+				src.Cork()
+			}
+			for i := 0; i < tc.msgs; i++ {
+				size := tc.size
+				if size == 0 { // the large-message case: it travels alone, in order
+					size = []int{100, 60 << 10, 100}[i]
+				}
+				src.Send(transport.NodeID(1+i%tc.peers), make([]byte, size))
+			}
+			if tc.corked {
+				if n := src.txCalls.Load(); n != 0 {
+					t.Fatalf("%d send calls before Flush, want 0", n)
+				}
+				src.Flush()
+			}
+			if pkts, dgrams := src.txPkts.Load(), src.txDgrams.Load(); pkts != uint64(tc.msgs) || dgrams != tc.dgrams {
+				t.Fatalf("%d messages left in %d datagrams, want %d in %d", pkts, dgrams, tc.msgs, tc.dgrams)
+			}
+			if calls := src.txCalls.Load(); burst > 1 && calls != tc.calls {
+				t.Fatalf("%d send calls, want %d", calls, tc.calls)
+			}
+			waitCount(t, &got, int64(tc.msgs))
+			src.Send(1, []byte("after the window"))
+			if n := src.txDgrams.Load(); n != tc.dgrams+1 {
+				t.Fatalf("send after Flush did not leave at once (%d datagrams)", n)
+			}
+		})
 	}
+}
+
+func joinConn(t *testing.T, f *Fabric, id transport.NodeID) *Conn {
+	t.Helper()
+	c, err := f.Join(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.(*Conn)
+}
+
+// TestUDPNestedCork checks the nesting rule two corking goroutines rely
+// on: an inner Flush transmits what is held but the outer window stays
+// open, and a send from a goroutine that never corked is out by the time
+// the last holder flushes.
+func TestUDPNestedCork(t *testing.T) {
 	f := NewLoopback(FabricConfig{})
 	defer f.Close()
-	join := func(id transport.NodeID) *Conn {
-		c, err := f.Join(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.(*Conn)
-	}
-	src := join(0)
+	src := joinConn(t, f, 0)
 	var got atomic.Int64
-	for id := transport.NodeID(1); id <= 4; id++ {
-		join(id).SetHandler(func(transport.NodeID, []byte) { got.Add(1) })
+	joinConn(t, f, 1).SetHandler(func(transport.NodeID, []byte) { got.Add(1) })
+
+	src.Cork() // outer: say the reader's burst
+	src.Cork() // inner: the loop's run of events
+	src.Send(1, []byte("inner"))
+	if n := src.txDgrams.Load(); n != 0 {
+		t.Fatalf("%d datagrams left inside two windows, want 0", n)
 	}
-	src.Cork()
-	for id := transport.NodeID(1); id <= 4; id++ {
-		src.Send(id, []byte("stamp"))
+	src.Flush() // the loop is about to block
+	if n := src.txDgrams.Load(); n != 1 {
+		t.Fatalf("inner Flush transmitted %d datagrams, want 1", n)
 	}
-	if n := src.txCalls.Load(); n != 0 {
-		t.Fatalf("%d send calls before Flush, want 0", n)
+	src.Send(1, []byte("outer"))
+	bystander := make(chan struct{})
+	go func() {
+		src.Send(1, []byte("bystander"))
+		close(bystander)
+	}()
+	<-bystander
+	if n := src.txDgrams.Load(); n != 1 {
+		t.Fatalf("the outer window did not hold after the inner Flush (%d datagrams)", n)
 	}
 	src.Flush()
-	if calls, pkts := src.txCalls.Load(), src.txPkts.Load(); calls != 1 || pkts != 4 {
-		t.Fatalf("fan-out took %d send calls for %d packets, want 1 for 4", calls, pkts)
+	if pkts, dgrams := src.txPkts.Load(), src.txDgrams.Load(); pkts != 3 || dgrams != 2 {
+		t.Fatalf("after the last Flush: %d messages in %d datagrams, want 3 in 2", pkts, dgrams)
+	}
+	src.Flush() // unmatched: only transmits
+	src.Send(1, []byte("uncorked"))
+	if n := src.txDgrams.Load(); n != 3 {
+		t.Fatalf("send after every window closed did not leave at once (%d datagrams)", n)
 	}
 	waitCount(t, &got, 4)
-	src.Send(1, []byte("uncorked"))
-	if n := src.txCalls.Load(); n != 2 {
-		t.Fatalf("send after Flush did not leave at once (%d calls)", n)
-	}
+}
 
-	// Receive side: park the reader in its handler, queue a burst behind
-	// it, release — the backlog must come up several datagrams per call.
-	sink := join(5)
+// TestUDPUnmatchedFlush pins what a Flush with no Cork of its own can do
+// to another holder's window: end it early, never worse. The count does
+// not go negative (one Cork afterwards still opens a window) and no send
+// is left held once the holder has flushed.
+func TestUDPUnmatchedFlush(t *testing.T) {
+	f := NewLoopback(FabricConfig{})
+	defer f.Close()
+	src := joinConn(t, f, 0)
+	var got atomic.Int64
+	joinConn(t, f, 1).SetHandler(func(transport.NodeID, []byte) { got.Add(1) })
+
+	src.Cork() // the holder's window
+	src.Send(1, []byte("held"))
+	stray := make(chan struct{})
+	go func() {
+		src.Flush() // a third party's, unmatched
+		src.Flush()
+		close(stray)
+	}()
+	<-stray
+	if n := src.txDgrams.Load(); n != 1 {
+		t.Fatalf("stray Flush transmitted %d datagrams, want 1", n)
+	}
+	src.Send(1, []byte("window ended early"))
+	if n := src.txDgrams.Load(); n != 2 {
+		t.Fatalf("send held with no window open (%d datagrams)", n)
+	}
+	src.Flush() // the holder's own, now with nothing to end
+	src.Cork()
+	src.Send(1, []byte("a"))
+	src.Send(1, []byte("b"))
+	if n := src.txDgrams.Load(); n != 2 {
+		t.Fatalf("one Cork after the stray Flushes did not open a window (%d datagrams)", n)
+	}
+	src.Flush()
+	src.Send(1, []byte("uncorked"))
+	if pkts, dgrams := src.txPkts.Load(), src.txDgrams.Load(); pkts != 5 || dgrams != 4 {
+		t.Fatalf("%d messages in %d datagrams, want 5 in 4", pkts, dgrams)
+	}
+	waitCount(t, &got, 5)
+}
+
+// TestUDPReaderBurstIsCorkWindow checks both halves of the receive side:
+// a backlog comes up several datagrams per receive call (mmsg path), and
+// what the handlers of one burst send — here an echo per message — leaves
+// packed, flushed before the reader blocks again.
+func TestUDPReaderBurstIsCorkWindow(t *testing.T) {
+	f := NewLoopback(FabricConfig{})
+	defer f.Close()
+	src, sink := joinConn(t, f, 0), joinConn(t, f, 1)
+	var echoed atomic.Int64
+	src.SetHandler(func(transport.NodeID, []byte) { echoed.Add(1) })
 	release := make(chan struct{})
-	var sunk atomic.Int64
-	sink.SetHandler(func(transport.NodeID, []byte) {
-		<-release
-		sunk.Add(1)
+	sink.SetHandler(func(from transport.NodeID, p []byte) {
+		<-release // park the reader so a backlog queues behind it
+		sink.Send(from, p)
 	})
 	const n = 64
 	for i := 0; i < n; i++ {
-		src.Send(5, []byte("queued"))
+		src.Send(1, []byte("queued"))
 	}
 	close(release)
-	waitCount(t, &sunk, n)
-	if calls, pkts := sink.rxCalls.Load(), sink.rxPkts.Load(); calls >= pkts {
-		t.Fatalf("%d receive calls for %d packets: no batching", calls, pkts)
+	waitCount(t, &echoed, n)
+	if calls, dgrams := sink.rxCalls.Load(), sink.rxDgrams.Load(); burst > 1 && calls >= dgrams {
+		t.Fatalf("%d receive calls for %d datagrams: no batching", calls, dgrams)
+	}
+	if pkts, dgrams := sink.txPkts.Load(), sink.txDgrams.Load(); pkts != n || burst > 1 && dgrams >= pkts {
+		t.Fatalf("%d echoes left in %d datagrams: the reader's burst did not pack them", pkts, dgrams)
 	}
 }
 
@@ -316,13 +438,13 @@ func waitCount(t *testing.T, c *atomic.Int64, want int64) {
 }
 
 // TestUDPAllocs guards the packet path's allocation budget: Send frames
-// into pooled buffers (none), and a received packet costs exactly the
-// payload copy whose ownership passes to the handler.
+// into pooled buffers (none), and a received datagram costs exactly the
+// one copy whose ownership passes to the handler, however many messages
+// share it.
 func TestUDPAllocs(t *testing.T) {
 	f := NewLoopback(FabricConfig{Config: Config{RcvBuf: 1 << 20}})
 	defer f.Close()
-	a, _ := f.Join(1)
-	b, _ := f.Join(2)
+	a, b := joinConn(t, f, 1), joinConn(t, f, 2)
 	var got atomic.Int64
 	arrived := make(chan struct{}, 1)
 	b.SetHandler(func(transport.NodeID, []byte) {
@@ -347,16 +469,25 @@ func TestUDPAllocs(t *testing.T) {
 	}
 	waitCount(t, &got, sent)
 	// Round trips, so the reader's allocations fall inside the measurement.
+	const perDgram = 8
 	if n := testing.AllocsPerRun(200, func() {
-		send()
+		a.Cork()
+		for i := 0; i < perDgram; i++ {
+			send()
+		}
+		a.Flush()
 		for got.Load() < sent {
 			<-arrived
 		}
 	}); n > 1 {
-		t.Fatalf("send+receive allocates %.1f per packet, want <= 1", n)
+		t.Fatalf("send+receive allocates %.1f per datagram of %d messages, want <= 1", n, perDgram)
 	}
 }
 
+// TestUDPDropCounters checks that drops are counted in messages, like the
+// packet counters they are read against: a datagram the socket refuses
+// counts every message it carried, and a frame cut short delivers its
+// well-formed prefix and counts the remainder once.
 func TestUDPDropCounters(t *testing.T) {
 	book := freeBook(t, 2)
 	a, err := Listen(0, book)
@@ -372,6 +503,52 @@ func TestUDPDropCounters(t *testing.T) {
 	a.Send(1, make([]byte, MaxPayload+1))
 	if got := a.drops[dropTxOversize].Load(); got != 1 {
 		t.Fatalf("TxDropOversize = %d, want 1", got)
+	}
+	a.Send(1, make([]byte, MaxPayload)) // the largest message still fits a datagram
+	if sent, failed := a.txPkts.Load(), a.drops[dropTxSockErr].Load(); sent != 1 || failed != 0 {
+		t.Fatalf("MaxPayload message: sent %d, socket errors %d, want 1 and 0", sent, failed)
+	}
+
+	// An IPv6 peer is unreachable from this IPv4 socket: the whole packed
+	// datagram is refused, three messages at once.
+	book.Set(7, &net.UDPAddr{IP: net.IPv6loopback, Port: 9})
+	a.Cork()
+	for i := 0; i < 3; i++ {
+		a.Send(7, []byte("nowhere"))
+	}
+	a.Flush()
+	if got, sent := a.drops[dropTxSockErr].Load(), a.txPkts.Load(); got != 3 || sent != 1 {
+		t.Fatalf("refused datagram of 3 messages: TxDropSockErr = %d, tx packets = %d, want 3 and 1", got, sent)
+	}
+
+	// Receive side, with hand-made frames from a bare socket.
+	var got atomic.Int64
+	a.SetHandler(func(from transport.NodeID, p []byte) {
+		if from == 5 && string(p) == "ok" {
+			got.Add(1)
+		}
+	})
+	raw, err := net.DialUDP("udp", nil, a.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	for _, frame := range [][]byte{
+		{5, 0}, // shorter than the sender ID
+		{5, 0, 0, 0, 2, 0, 'o', 'k', 100, 0, 'x'},       // second length overruns the datagram
+		{5, 0, 0, 0, 2, 0, 'o', 'k', 2, 0, 'o', 'k', 7}, // one byte where a length should be
+	} {
+		if _, err := raw.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCount(t, &got, 3)
+	deadline := time.Now().Add(5 * time.Second)
+	for a.drops[dropRxShort].Load() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if short, pkts, dgrams := a.drops[dropRxShort].Load(), a.rxPkts.Load(), a.rxDgrams.Load(); short != 3 || pkts != 3 || dgrams != 3 {
+		t.Fatalf("RxDropShort = %d, rx packets = %d, rx datagrams = %d, want 3 each", short, pkts, dgrams)
 	}
 }
 
