@@ -237,12 +237,9 @@ func (r *Replica) restoreFromPersist(blob []byte) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if replication.InstallSnapshot(r.cfg.App, r.table, snap) != nil {
+	if replication.InstallSnapshot(r.cfg.App, r.table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth) != nil {
 		return
 	}
-	r.table.Reauth(uint32(r.cfg.Self), func(c transport.NodeID, b []byte) []byte {
-		return r.cfg.ClientAuth.TagFor(int64(c), b)
-	})
 	r.lastExec = height
 	r.executedOps = ops
 	r.log.Reset(height)

@@ -1,7 +1,7 @@
 // Package metrics is the repository's dependency-free instrumentation
 // layer. Every replica, sequencer and runtime owns one Registry; the
-// bench harness snapshots them into experiment output, and cmd/neokv /
-// cmd/aomseq expose them over HTTP in Prometheus text format alongside
+// bench harness snapshots them into experiment output, and cmd/neokv
+// exposes them over HTTP in Prometheus text format alongside
 // net/http/pprof.
 //
 // Design goals, in order:

@@ -109,14 +109,9 @@ type Replica struct {
 	inQueue map[string]bool
 	table   *replication.ClientTable
 
-	// ckpt collects f+1 matching checkpoint votes into stable
-	// certificates; stability truncates the log window.
-	ckpt         *seqlog.Engine
-	pendingCkpt  map[uint64]*pendingCkpt
-	stable       *stableCkpt
-	aheadClaims  map[uint32]uint64
-	lastFetch    time.Time
-	snapInstalls uint64
+	// ckpt runs checkpoints: f+1 matching votes make one stable, and
+	// stability truncates the log window.
+	ckpt *seqlog.Checkpointer
 
 	executedOps uint64
 
@@ -124,30 +119,11 @@ type Replica struct {
 	reg         *metrics.Registry
 	mCommits    *metrics.Counter
 	mAuthFail   *metrics.Counter
-	mCkpt       *metrics.Counter
-	mTruncated  *metrics.Counter
-	mSnapServe  *metrics.Counter
-	mSnapInst   *metrics.Counter
 	mHorizonRej *metrics.Counter
 	gLow        *metrics.Gauge
 	gHigh       *metrics.Gauge
 	msgCounters map[uint8]*metrics.Counter
 	trace       *metrics.Recorder
-}
-
-// pendingCkpt is a checkpoint this replica has taken but whose
-// certificate has not yet formed.
-type pendingCkpt struct {
-	seq         uint64
-	stateDigest [32]byte
-	snapshot    []byte
-	digest      [32]byte // seqlog.Digest(ckptDomain, seq, stateDigest)
-}
-
-// stableCkpt is the latest checkpoint with an f+1 certificate.
-type stableCkpt struct {
-	pendingCkpt
-	cert *seqlog.Cert
 }
 
 // New creates and starts a MinBFT replica.
@@ -168,24 +144,21 @@ func New(cfg Config) *Replica {
 		cfg.Metrics = cfg.Runtime.Metrics()
 	}
 	r := &Replica{
-		cfg:         cfg,
-		conn:        cfg.Conn,
-		rt:          cfg.Runtime,
-		lastSeen:    map[uint32]uint64{},
-		inQueue:     map[string]bool{},
-		table:       replication.NewClientTable(),
-		ckpt:        seqlog.NewEngine(cfg.F + 1),
-		pendingCkpt: map[uint64]*pendingCkpt{},
-		aheadClaims: map[uint32]uint64{},
+		cfg:      cfg,
+		conn:     cfg.Conn,
+		rt:       cfg.Runtime,
+		lastSeen: map[uint32]uint64{},
+		inQueue:  map[string]bool{},
+		table:    replication.NewClientTable(),
+		ckpt: seqlog.NewCheckpointer(seqlog.CheckpointConfig{
+			Domain: ckptDomain, Self: cfg.Self, N: cfg.N, Quorum: cfg.F + 1,
+			Auth: cfg.Auth, Metrics: cfg.Metrics,
+		}),
 	}
 	reg := cfg.Metrics
 	r.reg = reg
 	r.mCommits = reg.Counter("proto_commits_total")
 	r.mAuthFail = reg.Counter("proto_auth_fail_total")
-	r.mCkpt = reg.Counter("proto_checkpoints_total")
-	r.mTruncated = reg.Counter("proto_truncated_slots_total")
-	r.mSnapServe = reg.Counter("proto_state_snapshots_served_total")
-	r.mSnapInst = reg.Counter("proto_state_snapshots_installed_total")
 	r.mHorizonRej = reg.Counter("proto_sync_horizon_rejects_total")
 	r.gLow = reg.Gauge("proto_log_low_watermark")
 	r.gHigh = reg.Gauge("proto_log_high_watermark")
@@ -205,8 +178,10 @@ func New(cfg Config) *Replica {
 		Adaptive:  cfg.BatchAdaptive,
 		Metrics:   reg,
 	})
-	if cfg.Restore != nil {
-		r.restoreFromPersist(cfg.Restore)
+	if cp := r.ckpt.Read(wire.NewReader(cfg.Restore)); cp != nil {
+		r.mu.Lock()
+		r.installLocked(cp)
+		r.mu.Unlock()
 	}
 	if cfg.BatchLinger > 0 {
 		r.rt.ArmEvery(flushPollInterval(cfg.BatchLinger), r.onBatchPoll)
@@ -270,7 +245,7 @@ func (r *Replica) HighWatermark() uint64 {
 func (r *Replica) SnapshotInstalls() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapInstalls
+	return r.ckpt.Installs()
 }
 
 func (r *Replica) primary() int    { return int(r.view) % r.cfg.N }
@@ -370,13 +345,6 @@ type evCommit struct {
 	ui      usig.UI
 }
 
-type evCheckpoint struct {
-	replica uint32
-	seq     uint64
-	digest  [32]byte
-	tag     []byte
-}
-
 type evStateFetch struct{ haveExec uint64 }
 
 type evStateSnap struct{ body []byte }
@@ -441,19 +409,15 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 		return evCommit{view: view, replica: replica, counter: counter, bd: bd, ui: ui}
 	case kindCheckpoint:
 		rd := wire.NewReader(pkt[1:])
-		replica := rd.U32()
-		seq := rd.U64()
-		stateD := rd.Bytes32()
-		tag := append([]byte(nil), rd.VarBytes()...)
-		if rd.Done() != nil || int(replica) >= r.cfg.N {
+		v, ok := r.ckpt.ReadVote(rd)
+		if !ok || rd.Done() != nil {
 			return nil
 		}
-		digest := seqlog.Digest(ckptDomain, seq, stateD)
-		if !r.cfg.Auth.VerifyVector(int(replica), seqlog.Body(ckptDomain, seq, digest, replica), tag) {
+		if !r.ckpt.VerifyVote(v) {
 			r.mAuthFail.Inc()
 			return nil
 		}
-		return evCheckpoint{replica: replica, seq: seq, digest: digest, tag: tag}
+		return v
 	case kindStateFetch:
 		rd := wire.NewReader(pkt[1:])
 		have := rd.U64()
@@ -476,7 +440,7 @@ func (r *Replica) ApplyEvent(from transport.NodeID, ev runtime.Event) {
 		r.onPrepare(e)
 	case evCommit:
 		r.onCommit(e)
-	case evCheckpoint:
+	case seqlog.Vote:
 		r.onCheckpoint(e)
 	case evStateFetch:
 		r.onStateFetch(from, e.haveExec)
@@ -641,9 +605,7 @@ func (r *Replica) maybeExecuteLocked() {
 			r.conn.Send(req.Client, rep.Marshal())
 		}
 		if r.lastExec%uint64(r.cfg.CheckpointInterval) == 0 {
-			if st := r.ckpt.Stable(); st == nil || r.lastExec > st.Slot {
-				r.captureCheckpointLocked(r.lastExec)
-			}
+			r.captureCheckpointLocked(r.lastExec)
 		}
 		r.tryIssueLocked()
 	}

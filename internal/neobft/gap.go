@@ -152,7 +152,7 @@ func (r *Replica) onQuery(from transport.NodeID, body []byte) {
 		// gone. Ship the stable checkpoint snapshot so the querier jumps
 		// straight past the truncated region instead of timing out into a
 		// view change.
-		r.serveSnapshotLocked(from)
+		r.serveSnapshotLocked(from, slot-1)
 		return
 	}
 	if e.noOp || e.cert == nil {

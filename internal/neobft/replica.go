@@ -128,13 +128,9 @@ type Replica struct {
 	clientTable  *replication.ClientTable
 	syncPoint    uint64
 
-	// ckpt collects checkpoint votes into stable certificates; pending
-	// holds snapshots captured at interval boundaries awaiting stability,
-	// and stable is the latest stable checkpoint (served during state
-	// transfer).
-	ckpt    *seqlog.Engine
-	pending map[uint64]*pendingCkpt
-	stable  *stableCkpt
+	// ckpt runs state synchronisation: 2f+1 matching votes binding the
+	// log hash and the state make a sync point stable.
+	ckpt *seqlog.Checkpointer
 
 	// blockedOn is the slot whose resolution gates further delivery
 	// processing; 0 when not blocked (§5.4).
@@ -166,7 +162,6 @@ type Replica struct {
 	committedOps uint64
 	gapAgreed    uint64
 	viewChanges  uint64
-	snapInstalls uint64
 
 	// metrics (nil-safe no-ops when unconfigured)
 	reg         *metrics.Registry
@@ -176,10 +171,6 @@ type Replica struct {
 	mEpochChg   *metrics.Counter
 	mSyncAdv    *metrics.Counter
 	mStateXfer  *metrics.Counter
-	mCkpt       *metrics.Counter
-	mTruncated  *metrics.Counter
-	mSnapServe  *metrics.Counter
-	mSnapInst   *metrics.Counter
 	mSyncReject *metrics.Counter
 	gLow        *metrics.Gauge
 	gHigh       *metrics.Gauge
@@ -188,23 +179,6 @@ type Replica struct {
 	mMsgClient  *metrics.Counter
 	msgCounters map[uint8]*metrics.Counter
 	trace       *metrics.Recorder
-}
-
-// pendingCkpt is a checkpoint captured when execution crossed an
-// interval boundary, awaiting a stable certificate.
-type pendingCkpt struct {
-	slot        uint64
-	logHash     [32]byte
-	stateDigest [32]byte
-	snapshot    []byte
-	digest      [32]byte // seqlog.Digest(ckptDomain, slot, logHash, stateDigest)
-}
-
-// stableCkpt is the latest stable checkpoint: the snapshot this replica
-// serves during state transfer plus its 2f+1 certificate.
-type stableCkpt struct {
-	pendingCkpt
-	cert *seqlog.Cert
 }
 
 // Flight-recorder event kinds for the rare-path protocol machinery.
@@ -254,8 +228,6 @@ func New(cfg Config) *Replica {
 		verifiers:         map[uint32]*aom.CertVerifier{},
 		clientTable:       replication.NewClientTable(),
 		gaps:              map[uint64]*gapSlot{},
-		ckpt:              seqlog.NewEngine(2*cfg.F + 1),
-		pending:           map[uint64]*pendingCkpt{},
 		pendingClientReqs: map[string]time.Time{},
 	}
 	reg := cfg.Metrics
@@ -267,16 +239,16 @@ func New(cfg Config) *Replica {
 		}
 	}
 	r.reg = reg
+	r.ckpt = seqlog.NewCheckpointer(seqlog.CheckpointConfig{
+		Domain: ckptDomain, Self: cfg.Self, N: cfg.N, Quorum: 2*cfg.F + 1, Extra: 1,
+		Auth: cfg.Auth, Metrics: reg,
+	})
 	r.mCommits = reg.Counter("proto_commits_total")
 	r.mGapAgree = reg.Counter("proto_gap_agreements_total")
 	r.mViewChg = reg.Counter("proto_view_changes_total")
 	r.mEpochChg = reg.Counter("proto_epoch_changes_total")
 	r.mSyncAdv = reg.Counter("proto_sync_rounds_total")
 	r.mStateXfer = reg.Counter("proto_state_transfers_total")
-	r.mCkpt = reg.Counter("proto_checkpoints_total")
-	r.mTruncated = reg.Counter("proto_truncated_slots_total")
-	r.mSnapServe = reg.Counter("proto_state_snapshots_served_total")
-	r.mSnapInst = reg.Counter("proto_state_snapshots_installed_total")
 	r.mSyncReject = reg.Counter("proto_sync_horizon_rejects_total")
 	r.gLow = reg.Gauge("proto_log_low_watermark")
 	r.gHigh = reg.Gauge("proto_log_high_watermark")
@@ -412,7 +384,7 @@ func (r *Replica) GapSlots() int {
 func (r *Replica) SnapshotInstalls() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapInstalls
+	return r.ckpt.Installs()
 }
 
 // Executed returns the highest (speculatively) executed slot.
@@ -785,11 +757,7 @@ func (r *Replica) rollbackToLocked(slot uint64) {
 	// Checkpoints captured at or above the rollback point no longer
 	// describe the state that will exist there; re-execution across the
 	// boundary re-captures and re-votes.
-	for s := range r.pending {
-		if s >= slot {
-			delete(r.pending, s)
-		}
-	}
+	r.ckpt.Forget(slot)
 }
 
 // recomputeHashesLocked rebuilds the hash chain from slot onward after a

@@ -1,7 +1,6 @@
 package neobft
 
 import (
-	"crypto/sha256"
 	"sort"
 
 	"neobft/internal/replication"
@@ -10,8 +9,8 @@ import (
 	"neobft/internal/wire"
 )
 
-// State synchronization (§B.2), built on the shared seqlog checkpoint
-// engine: when execution crosses a SyncInterval boundary at slot s, the
+// State synchronization (§B.2), built on the shared seqlog checkpointer:
+// when execution crosses a SyncInterval boundary at slot s, the
 // replica captures a snapshot of its application + client-table state,
 // folds H(s ‖ log-hash ‖ state-digest) into a checkpoint digest, and
 // broadcasts ⟨SYNC, s, log-hash, state-digest, drops⟩_σi (drops carries
@@ -32,26 +31,6 @@ func (r *Replica) syncHorizonLocked() uint64 {
 	return r.log.High() + uint64(r.cfg.SyncInterval)
 }
 
-// snapshotLocked captures the replica-level snapshot bundle (application
-// state plus client table). Caller holds r.mu.
-func (r *Replica) snapshotLocked() []byte {
-	return replication.CaptureSnapshot(r.cfg.App, r.clientTable)
-}
-
-// restoreSnapshotLocked installs replica-level snapshot bytes. Caller
-// holds r.mu.
-func (r *Replica) restoreSnapshotLocked(snap []byte) bool {
-	if replication.InstallSnapshot(r.cfg.App, r.clientTable, snap) != nil {
-		return false
-	}
-	// Cached replies in the snapshot are canonicalized (no authenticator);
-	// re-stamp them as this replica's.
-	r.clientTable.Reauth(uint32(r.cfg.Self), func(c transport.NodeID, body []byte) []byte {
-		return r.cfg.ClientAuth.TagFor(int64(c), body)
-	})
-	return true
-}
-
 // captureCheckpointLocked runs when execution crosses an interval
 // boundary: capture the snapshot, vote, and broadcast the sync message.
 // Caller holds r.mu.
@@ -60,19 +39,13 @@ func (r *Replica) captureCheckpointLocked(slot uint64) {
 	if !ok {
 		return
 	}
-	snap := r.snapshotLocked()
-	stateD := sha256.Sum256(snap)
-	p := &pendingCkpt{
-		slot:        slot,
-		logHash:     e.logHash,
-		stateDigest: stateD,
-		snapshot:    snap,
-		digest:      seqlog.Digest(ckptDomain, slot, e.logHash, stateD),
+	w := wire.NewWriter(192)
+	w.U8(kindSync)
+	step, ok := r.ckpt.Capture(w, slot, replication.CaptureSnapshot(r.cfg.App, r.clientTable), e.logHash)
+	if !ok {
+		return
 	}
-	r.pending[slot] = p
-	r.mCkpt.Inc()
-
-	// Collect gap certificates for no-ops above the current sync point.
+	// Trailer: gap certificates for no-ops above the current sync point.
 	var drops []*GapCert
 	r.log.Ascend(r.syncPoint+1, func(s uint64, le *logEntry) bool {
 		if s > slot {
@@ -83,34 +56,19 @@ func (r *Replica) captureCheckpointLocked(slot uint64) {
 		}
 		return true
 	})
-	body := seqlog.Body(ckptDomain, slot, p.digest, uint32(r.cfg.Self))
-	tag := r.cfg.Auth.TagVector(body)
-	w := wire.NewWriter(192)
-	w.U8(kindSync)
-	w.U32(uint32(r.cfg.Self))
-	w.U64(slot)
-	w.Bytes32(e.logHash)
-	w.Bytes32(stateD)
-	w.VarBytes(tag)
 	w.U32(uint32(len(drops)))
 	for _, g := range drops {
 		g.marshal(w)
 	}
 	r.broadcast(w.Bytes())
-	if cert := r.ckpt.Add(slot, uint32(r.cfg.Self), p.digest, tag); cert != nil {
-		r.advanceStableLocked(cert)
-	}
+	r.stepLocked(step)
 }
 
 func (r *Replica) onSync(pkt []byte) {
 	rd := wire.NewReader(pkt)
-	replica := rd.U32()
-	slot := rd.U64()
-	logHash := rd.Bytes32()
-	stateD := rd.Bytes32()
-	tag := rd.VarBytes()
+	v, ok := r.ckpt.ReadVote(rd)
 	nDrops := rd.U32()
-	if rd.Err() != nil || nDrops > 1<<16 {
+	if !ok || rd.Err() != nil || nDrops > 1<<16 {
 		return
 	}
 	drops := make([]*GapCert, nDrops)
@@ -124,20 +82,19 @@ func (r *Replica) onSync(pkt []byte) {
 	defer r.mu.Unlock()
 	// Checkpoint votes are view-independent; only refuse them while the
 	// log is in flux during a view change.
-	if r.status != StatusNormal || int(replica) >= r.cfg.N {
+	if r.status != StatusNormal {
 		return
 	}
-	if slot == 0 || slot%uint64(r.cfg.SyncInterval) != 0 || slot <= r.syncPoint {
+	if v.Slot == 0 || v.Slot%uint64(r.cfg.SyncInterval) != 0 || v.Slot <= r.syncPoint {
 		return
 	}
 	// Byzantine bounding: refuse votes for slots far beyond anything this
-	// replica has appended (they would pool in the engine forever).
-	if slot > r.syncHorizonLocked() {
+	// replica has appended, before spending a MAC check on them.
+	if v.Slot > r.syncHorizonLocked() {
 		r.mSyncReject.Inc()
 		return
 	}
-	digest := seqlog.Digest(ckptDomain, slot, logHash, stateD)
-	if !r.cfg.Auth.VerifyVector(int(replica), seqlog.Body(ckptDomain, slot, digest, replica), tag) {
+	if !r.ckpt.VerifyVote(v) {
 		return
 	}
 	// Apply certified no-ops we may have missed (§B.2): a valid gap
@@ -145,9 +102,7 @@ func (r *Replica) onSync(pkt []byte) {
 	for _, g := range drops {
 		r.applySyncDropLocked(g)
 	}
-	if cert := r.ckpt.Add(slot, replica, digest, tag); cert != nil {
-		r.advanceStableLocked(cert)
-	}
+	r.stepLocked(r.ckpt.Add(v, r.syncHorizonLocked()))
 }
 
 // applySyncDropLocked installs a gap-certified no-op learned through a
@@ -189,46 +144,26 @@ func (r *Replica) applySyncDropLocked(g *GapCert) {
 	}
 }
 
-// advanceStableLocked reacts to a newly formed stable checkpoint
-// certificate: advance the sync point and truncate if the local state
-// matches, or fetch state if the quorum is ahead of us. Caller holds
-// r.mu.
-func (r *Replica) advanceStableLocked(cert *seqlog.Cert) {
-	if cert.Slot <= r.syncPoint {
-		return
-	}
-	p := r.pending[cert.Slot]
-	if p != nil && p.digest == cert.Digest {
-		r.syncPoint = cert.Slot
-		r.stable = &stableCkpt{pendingCkpt: *p, cert: cert}
+// stepLocked acts on a vote. When our own checkpoint became stable the
+// sync point advances, speculative bookkeeping below it is released, and
+// the log is truncated with the slot's chain hash as the new base. When
+// the quorum checkpointed a state we do not hold (we are behind, or our
+// speculative state diverged) we fetch the committed state from the
+// leader. Caller holds r.mu.
+func (r *Replica) stepLocked(s seqlog.Step) {
+	if s.Stable != 0 {
+		r.syncPoint = s.Stable
 		r.mSyncAdv.Inc()
-		r.trace.Record(tkSyncPoint, cert.Slot, 0)
-		r.pruneFinalizedLocked(cert.Slot)
-		r.truncateLocked(cert.Slot, p.logHash)
-		return
+		r.trace.Record(tkSyncPoint, s.Stable, 0)
+		r.pruneFinalizedLocked(s.Stable)
+		r.baseHash = r.ckpt.Stable().Extra[0]
+		seqlog.Truncate(r.ckpt, &r.log, s.Stable)
+		r.gLow.Set(int64(r.log.Low()))
+		r.gHigh.Set(int64(r.log.High()))
 	}
-	// The quorum checkpointed a state we do not hold (we are behind, or
-	// our speculative state diverged): fetch the committed state.
-	r.requestStateLocked()
-}
-
-// truncateLocked reclaims log memory below the stable checkpoint: the
-// slot's chain hash becomes the new base and everything at or below it
-// is dropped. Caller holds r.mu.
-func (r *Replica) truncateLocked(slot uint64, logHash [32]byte) {
-	if slot <= r.log.Low() {
-		return
+	if s.Fetch {
+		r.requestStateLocked()
 	}
-	r.baseHash = logHash
-	dropped := r.log.TruncateTo(slot)
-	r.mTruncated.Add(uint64(dropped))
-	for s := range r.pending {
-		if s <= slot {
-			delete(r.pending, s)
-		}
-	}
-	r.gLow.Set(int64(r.log.Low()))
-	r.gHigh.Set(int64(r.log.High()))
 }
 
 // pruneFinalizedLocked releases speculative bookkeeping for slots at or
@@ -263,7 +198,7 @@ func (r *Replica) pruneFinalizedLocked(slot uint64) {
 func (r *Replica) Persist() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stable == nil {
+	if r.ckpt.Stable() == nil {
 		return nil
 	}
 	epochs := make([]uint32, 0, len(r.epochStart))
@@ -271,17 +206,14 @@ func (r *Replica) Persist() []byte {
 		epochs = append(epochs, e)
 	}
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	w := wire.NewWriter(512 + len(r.stable.snapshot))
+	w := wire.NewWriter(12 + 12*len(epochs))
 	w.U64(r.view.Pack())
 	w.U32(uint32(len(epochs)))
 	for _, e := range epochs {
 		w.U32(e)
 		w.U64(r.epochStart[e])
 	}
-	w.VarBytes(r.stable.cert.Marshal())
-	w.Bytes32(r.stable.logHash)
-	w.VarBytes(r.stable.snapshot)
-	return w.Bytes()
+	return r.ckpt.Persist(w.Bytes())
 }
 
 // restoreFromPersist boots from a Persist blob. Called from New after
@@ -303,55 +235,42 @@ func (r *Replica) restoreFromPersist(blob []byte) {
 		e := rd.U32()
 		starts[e] = rd.U64()
 	}
-	certB := rd.VarBytes()
-	logHash := rd.Bytes32()
-	snap := append([]byte(nil), rd.VarBytes()...)
-	if rd.Done() != nil {
-		return
-	}
-	cert, err := seqlog.UnmarshalCert(certB)
-	if err != nil {
-		return
-	}
-	if view.Epoch != r.recv.Epoch() {
-		return // superseded epoch: cold-start and fetch state from peers
+	cp := r.ckpt.Read(rd)
+	if cp == nil || view.Epoch != r.recv.Epoch() {
+		return // malformed, or a superseded epoch: cold-start and fetch state from peers
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !cert.Verify(ckptDomain, r.cfg.N, 2*r.cfg.F+1, func(rep uint32, b, tag []byte) bool {
-		return r.cfg.Auth.VerifyVector(int(rep), b, tag)
-	}) {
-		return
-	}
-	stateD := sha256.Sum256(snap)
-	if cert.Digest != seqlog.Digest(ckptDomain, cert.Slot, logHash, stateD) {
-		return
-	}
-	if !r.restoreSnapshotLocked(snap) {
+	if !r.installLocked(cp) {
 		return
 	}
 	r.view = view
 	r.epochStart = starts
-	r.log.Reset(cert.Slot)
-	r.baseHash = logHash
-	r.specExecuted = cert.Slot
-	r.syncPoint = cert.Slot
-	r.stable = &stableCkpt{
-		pendingCkpt: pendingCkpt{
-			slot: cert.Slot, logHash: logHash, stateDigest: stateD,
-			snapshot: snap, digest: cert.Digest,
-		},
-		cert: cert,
-	}
-	r.ckpt.SetStable(cert)
-	r.gLow.Set(int64(r.log.Low()))
-	r.gHigh.Set(int64(r.log.High()))
 	// Resume the aom stream where the checkpoint left off: sequence
 	// numbers are per-epoch, so the receiver skips past the slots the
 	// checkpoint already covers in the current epoch.
-	if start, ok := starts[view.Epoch]; ok && cert.Slot >= start {
-		r.recv.SkipTo(cert.Slot - start)
+	if start, ok := starts[view.Epoch]; ok && cp.Slot >= start {
+		r.recv.SkipTo(cp.Slot - start)
 	}
+}
+
+// installLocked adopts a checkpoint wholesale if it checks out: the log
+// restarts at its slot, with its chain hash as the base, and the
+// snapshot replaces the executed state. The shared tail of snapshot
+// state transfer and crash-restart recovery. Caller holds r.mu.
+func (r *Replica) installLocked(cp *seqlog.Checkpoint) bool {
+	if !r.ckpt.Install(cp, func(snap []byte) error {
+		return replication.InstallSnapshot(r.cfg.App, r.clientTable, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
+	}) {
+		return false
+	}
+	r.log.Reset(cp.Slot)
+	r.baseHash = cp.Extra[0]
+	r.specExecuted = cp.Slot
+	r.syncPoint = cp.Slot
+	r.gLow.Set(int64(r.log.Low()))
+	r.gHigh.Set(int64(r.log.High()))
+	return true
 }
 
 // --- state transfer -------------------------------------------------------
@@ -389,7 +308,7 @@ func (r *Replica) onStateRequest(from transport.NodeID, body []byte) {
 		// The requester's log ends below our low watermark; those slots
 		// are truncated. Ship the stable checkpoint snapshot instead — the
 		// requester follows up for the suffix above it.
-		r.serveSnapshotLocked(from)
+		r.serveSnapshotLocked(from, haveLen)
 		return
 	}
 	entries := r.wireEntriesLocked(haveLen)
@@ -401,21 +320,16 @@ func (r *Replica) onStateRequest(from transport.NodeID, body []byte) {
 }
 
 // serveSnapshotLocked ships the stable checkpoint snapshot to a replica
-// whose log ends below our low watermark. The certificate inside binds
-// the snapshot digest, so the transfer carries its own proof. Caller
-// holds r.mu.
-func (r *Replica) serveSnapshotLocked(to transport.NodeID) {
-	if r.stable == nil {
-		return
-	}
-	r.mSnapServe.Inc()
-	w := wire.NewWriter(256 + len(r.stable.snapshot))
+// whose log ends at have, below our low watermark. The certificate
+// inside binds the snapshot digest, so the transfer carries its own
+// proof. Caller holds r.mu.
+func (r *Replica) serveSnapshotLocked(to transport.NodeID, have uint64) {
+	w := wire.NewWriter(9)
 	w.U8(kindStateSnapshot)
 	w.U64(r.view.Pack())
-	w.VarBytes(r.stable.cert.Marshal())
-	w.Bytes32(r.stable.logHash)
-	w.VarBytes(r.stable.snapshot)
-	r.conn.Send(to, w.Bytes())
+	if pkt := r.ckpt.Serve(w.Bytes(), have); pkt != nil {
+		r.conn.Send(to, pkt)
+	}
 }
 
 func (r *Replica) onStateReply(body []byte) {
@@ -468,14 +382,8 @@ func (r *Replica) onStateReply(body []byte) {
 func (r *Replica) onStateSnapshot(body []byte) {
 	rd := wire.NewReader(body)
 	view := UnpackView(rd.U64())
-	certB := rd.VarBytes()
-	logHash := rd.Bytes32()
-	snap := append([]byte(nil), rd.VarBytes()...)
-	if rd.Done() != nil {
-		return
-	}
-	cert, err := seqlog.UnmarshalCert(certB)
-	if err != nil {
+	cp := r.ckpt.Read(rd)
+	if cp == nil {
 		return
 	}
 	r.mu.Lock()
@@ -483,43 +391,17 @@ func (r *Replica) onStateSnapshot(body []byte) {
 	if r.status != StatusNormal || view != r.view {
 		return
 	}
-	if cert.Slot <= r.syncPoint || cert.Slot <= r.log.High() {
+	if cp.Slot <= r.syncPoint || cp.Slot <= r.log.High() {
 		return // nothing a snapshot would teach us
 	}
-	if !cert.Verify(ckptDomain, r.cfg.N, 2*r.cfg.F+1, func(rep uint32, b, tag []byte) bool {
-		return r.cfg.Auth.VerifyVector(int(rep), b, tag)
-	}) {
+	if !r.installLocked(cp) {
 		return
 	}
-	stateD := sha256.Sum256(snap)
-	if cert.Digest != seqlog.Digest(ckptDomain, cert.Slot, logHash, stateD) {
-		return
-	}
-	if !r.restoreSnapshotLocked(snap) {
-		return
-	}
-	// Adopt the checkpointed state wholesale: the log restarts at the
-	// certificate's slot and the snapshot replaces speculative state.
+	// The snapshot replaced speculative state: nothing below it can be
+	// rolled back any more.
 	r.undoStack = nil
-	r.pending = map[uint64]*pendingCkpt{}
-	r.log.Reset(cert.Slot)
-	r.baseHash = logHash
-	r.specExecuted = cert.Slot
-	r.syncPoint = cert.Slot
-	r.stable = &stableCkpt{
-		pendingCkpt: pendingCkpt{
-			slot: cert.Slot, logHash: logHash, stateDigest: stateD,
-			snapshot: snap, digest: cert.Digest,
-		},
-		cert: cert,
-	}
-	r.ckpt.SetStable(cert)
-	r.pruneFinalizedLocked(cert.Slot)
-	r.snapInstalls++
-	r.mSnapInst.Inc()
-	r.trace.Record(tkStateXfer, cert.Slot, 1)
-	r.gLow.Set(int64(r.log.Low()))
-	r.gHigh.Set(int64(r.log.High()))
+	r.pruneFinalizedLocked(cp.Slot)
+	r.trace.Record(tkStateXfer, cp.Slot, 1)
 
 	// Resume: drop the blocked-slot marker (it referred to a slot now
 	// below the checkpoint or will be re-raised), re-process buffered

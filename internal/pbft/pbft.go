@@ -133,56 +133,27 @@ type Replica struct {
 	inQueue map[string]bool // dedupe queued requests by (client, reqID)
 	table   *replication.ClientTable
 
-	// ckpt collects checkpoint votes into stable certificates; pendingCkpt
-	// holds snapshots captured at interval boundaries awaiting stability,
-	// stable is the latest stable checkpoint (served during state
-	// transfer), and aheadClaims records, per replica, the highest
-	// checkpoint seq claimed beyond our window (f+1 such claims prove we
-	// are behind and trigger a state fetch).
-	ckpt        *seqlog.Engine
-	pendingCkpt map[uint64]*pendingCkpt
-	stable      *stableCkpt
-	aheadClaims map[uint32]uint64
-	lastFetch   time.Time
+	// ckpt runs checkpoints: 2f+1 matching votes over the snapshot
+	// digest make one stable.
+	ckpt *seqlog.Checkpointer
 
 	pendingClientReqs map[string]time.Time
 
 	rt *runtime.Runtime
 
-	executedOps  uint64
-	viewChanges  uint64
-	snapInstalls uint64
+	executedOps uint64
+	viewChanges uint64
 
 	// metrics (nil-safe no-ops when unconfigured)
 	reg         *metrics.Registry
 	mCommits    *metrics.Counter
 	mViewChg    *metrics.Counter
 	mAuthFail   *metrics.Counter
-	mCkpt       *metrics.Counter
-	mTruncated  *metrics.Counter
-	mSnapServe  *metrics.Counter
-	mSnapInst   *metrics.Counter
 	mHorizonRej *metrics.Counter
 	gLow        *metrics.Gauge
 	gHigh       *metrics.Gauge
 	msgCounters map[uint8]*metrics.Counter
 	trace       *metrics.Recorder
-}
-
-// pendingCkpt is a checkpoint captured when execution crossed an
-// interval boundary, awaiting a stable certificate.
-type pendingCkpt struct {
-	seq         uint64
-	stateDigest [32]byte
-	snapshot    []byte
-	digest      [32]byte // seqlog.Digest(ckptDomain, seq, stateDigest)
-}
-
-// stableCkpt is the latest stable checkpoint: the snapshot this replica
-// serves during state transfer plus its 2f+1 certificate.
-type stableCkpt struct {
-	pendingCkpt
-	cert *seqlog.Cert
 }
 
 var pbftKindNames = map[uint8]string{
@@ -220,13 +191,14 @@ func New(cfg Config) *Replica {
 		cfg.Metrics = cfg.Runtime.Metrics()
 	}
 	r := &Replica{
-		cfg:               cfg,
-		conn:              cfg.Conn,
-		inQueue:           map[string]bool{},
-		table:             replication.NewClientTable(),
-		ckpt:              seqlog.NewEngine(2*cfg.F + 1),
-		pendingCkpt:       map[uint64]*pendingCkpt{},
-		aheadClaims:       map[uint32]uint64{},
+		cfg:     cfg,
+		conn:    cfg.Conn,
+		inQueue: map[string]bool{},
+		table:   replication.NewClientTable(),
+		ckpt: seqlog.NewCheckpointer(seqlog.CheckpointConfig{
+			Domain: ckptDomain, Self: cfg.Self, N: cfg.N, Quorum: 2*cfg.F + 1,
+			Auth: cfg.Auth, Metrics: cfg.Metrics,
+		}),
 		vcMsgs:            map[uint64]map[uint32]*vcMsg{},
 		pendingClientReqs: map[string]time.Time{},
 		rt:                cfg.Runtime,
@@ -236,10 +208,6 @@ func New(cfg Config) *Replica {
 	r.mCommits = reg.Counter("proto_commits_total")
 	r.mViewChg = reg.Counter("proto_view_changes_total")
 	r.mAuthFail = reg.Counter("proto_auth_fail_total")
-	r.mCkpt = reg.Counter("proto_checkpoints_total")
-	r.mTruncated = reg.Counter("proto_truncated_slots_total")
-	r.mSnapServe = reg.Counter("proto_state_snapshots_served_total")
-	r.mSnapInst = reg.Counter("proto_state_snapshots_installed_total")
 	r.mHorizonRej = reg.Counter("proto_sync_horizon_rejects_total")
 	r.gLow = reg.Gauge("proto_log_low_watermark")
 	r.gHigh = reg.Gauge("proto_log_high_watermark")
@@ -256,8 +224,10 @@ func New(cfg Config) *Replica {
 		Adaptive:  cfg.BatchAdaptive,
 		Metrics:   reg,
 	})
-	if cfg.Restore != nil {
-		r.restoreFromPersist(cfg.Restore)
+	if cp := r.ckpt.Read(wire.NewReader(cfg.Restore)); cp != nil {
+		r.mu.Lock()
+		r.installLocked(cp)
+		r.mu.Unlock()
 	}
 	if cfg.BatchLinger > 0 {
 		// Poll deferred batches well inside the linger bound; the 10ms
@@ -319,7 +289,7 @@ func (r *Replica) HighWatermark() uint64 {
 func (r *Replica) SnapshotInstalls() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapInstalls
+	return r.ckpt.Installs()
 }
 
 // CheckpointVotes returns the number of slots with outstanding
@@ -461,13 +431,6 @@ type evCommit struct {
 type evViewChange struct{ body []byte }
 type evNewView struct{ body []byte }
 
-type evCheckpoint struct {
-	replica uint32
-	seq     uint64
-	stateD  [32]byte
-	tag     []byte
-}
-
 type evStateFetch struct{ haveExec uint64 }
 type evStateSnap struct{ body []byte }
 
@@ -541,19 +504,15 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 		return evNewView{body: append([]byte(nil), pkt[1:]...)}
 	case kindCheckpoint:
 		rd := wire.NewReader(pkt[1:])
-		replica := rd.U32()
-		seq := rd.U64()
-		stateD := rd.Bytes32()
-		tag := append([]byte(nil), rd.VarBytes()...)
-		if rd.Done() != nil || int(replica) >= r.cfg.N {
+		v, ok := r.ckpt.ReadVote(rd)
+		if !ok || rd.Done() != nil {
 			return nil
 		}
-		digest := seqlog.Digest(ckptDomain, seq, stateD)
-		if !r.cfg.Auth.VerifyVector(int(replica), seqlog.Body(ckptDomain, seq, digest, replica), tag) {
+		if !r.ckpt.VerifyVote(v) {
 			r.mAuthFail.Inc()
 			return nil
 		}
-		return evCheckpoint{replica: replica, seq: seq, stateD: stateD, tag: tag}
+		return v
 	case kindStateFetch:
 		rd := wire.NewReader(pkt[1:])
 		haveExec := rd.U64()
@@ -623,7 +582,7 @@ func (r *Replica) ApplyEvent(from transport.NodeID, ev runtime.Event) {
 		r.onViewChange(e.body)
 	case evNewView:
 		r.onNewView(e.body)
-	case evCheckpoint:
+	case seqlog.Vote:
 		r.onCheckpoint(e)
 	case evStateFetch:
 		r.onStateFetch(from, e.haveExec)
@@ -841,9 +800,7 @@ func (r *Replica) executeReadyLocked() {
 			r.conn.Send(req.Client, rep.Marshal())
 		}
 		if seq%uint64(r.cfg.CheckpointInterval) == 0 {
-			if st := r.ckpt.Stable(); st == nil || seq > st.Slot {
-				r.captureCheckpointLocked(seq)
-			}
+			r.captureCheckpointLocked(seq)
 		}
 		r.tryIssueLocked()
 	}

@@ -134,9 +134,9 @@ func (r *Replica) startViewChangeLocked(target uint64) {
 	r.vcStart = time.Now()
 
 	m := &vcMsg{Replica: uint32(r.cfg.Self), Target: target, LastExec: r.lastExec}
-	if r.stable != nil {
-		m.StableSeq = r.stable.seq
-		m.StableCert = r.stable.cert.Marshal()
+	if st := r.ckpt.Stable(); st != nil {
+		m.StableSeq = st.Slot
+		m.StableCert = st.Cert.Marshal()
 	}
 	// Proofs cover only the live window above the stable checkpoint; the
 	// certificate vouches for everything below it.
@@ -196,12 +196,7 @@ func (r *Replica) validStableLocked(m *vcMsg) (*seqlog.Cert, bool) {
 		return nil, true
 	}
 	cert, err := seqlog.UnmarshalCert(m.StableCert)
-	if err != nil || cert.Slot != m.StableSeq {
-		return nil, false
-	}
-	if !cert.Verify(ckptDomain, r.cfg.N, 2*r.cfg.F+1, func(rep uint32, b, tag []byte) bool {
-		return r.cfg.Auth.VerifyVector(int(rep), b, tag)
-	}) {
+	if err != nil || cert.Slot != m.StableSeq || !r.ckpt.CheckCert(cert) {
 		return nil, false
 	}
 	return cert, true
@@ -374,7 +369,7 @@ func (r *Replica) enterNewViewLocked(view uint64, msgs []*vcMsg) {
 		}
 	}
 	if baseCert != nil {
-		r.ckpt.SetStable(baseCert)
+		r.ckpt.Raise(baseCert)
 	}
 	r.view = view
 	r.inVC = false

@@ -10,6 +10,7 @@ package replication
 import (
 	"crypto/sha256"
 
+	"neobft/internal/crypto/auth"
 	"neobft/internal/transport"
 	"neobft/internal/wire"
 )
@@ -62,9 +63,10 @@ type wireError struct{ msg string }
 func (e *wireError) Error() string { return e.msg }
 
 // InstallSnapshot restores a CaptureSnapshot bundle into the application
-// and client table. The caller is responsible for re-stamping cached
-// replies (ClientTable.Reauth) afterwards.
-func InstallSnapshot(app App, table *ClientTable, data []byte) error {
+// and client table, then re-stamps the cached replies as replica self's
+// (ca MACs them): the bundle carries them canonicalized, and a duplicate
+// request must be answered with a reply its client can authenticate.
+func InstallSnapshot(app App, table *ClientTable, data []byte, self uint32, ca *auth.ReplicaSide) error {
 	rd := wire.NewReader(data)
 	appB := rd.VarBytes()
 	tableB := rd.VarBytes()
@@ -78,7 +80,13 @@ func InstallSnapshot(app App, table *ClientTable, data []byte) error {
 	} else if len(appB) != 0 {
 		return errSnapshotBundle
 	}
-	return table.Restore(tableB)
+	if err := table.Restore(tableB); err != nil {
+		return err
+	}
+	table.Reauth(self, func(c transport.NodeID, body []byte) []byte {
+		return ca.TagFor(int64(c), body)
+	})
+	return nil
 }
 
 // EchoApp is the echo-RPC application used by the paper's protocol-level

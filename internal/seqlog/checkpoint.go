@@ -1,11 +1,19 @@
-// Checkpoint engine: collects per-replica signed checkpoint digests and
-// promotes a quorum of matching ones into a stable checkpoint
-// certificate, the finality point below which the log may be truncated.
+// Checkpoints: one replica's side of the stable-checkpoint protocol that
+// PBFT, MinBFT, Zyzzyva and NeoBFT share. At an interval boundary a
+// replica captures a snapshot and broadcasts an authenticated vote over
+// its digest; a quorum of matching votes is a certificate, the finality
+// point below which the log is truncated and the snapshot that replicas
+// which fell behind install instead of replaying truncated slots.
 package seqlog
 
 import (
+	"crypto/sha256"
 	"errors"
+	"sort"
+	"time"
 
+	"neobft/internal/crypto/auth"
+	"neobft/internal/metrics"
 	"neobft/internal/wire"
 )
 
@@ -149,7 +157,8 @@ func (e *Engine) SetStable(c *Cert) {
 // vote completes a quorum of matching digests at a slot above the
 // current stable checkpoint, the new stable certificate is formed,
 // votes at or below it are discarded, and the certificate is returned;
-// otherwise Add returns nil.
+// otherwise Add returns nil. The certificate's parts are in ascending
+// replica order, so one quorum always marshals to the same bytes.
 func (e *Engine) Add(slot uint64, replica uint32, digest [32]byte, tag []byte) *Cert {
 	if e.stable != nil && slot <= e.stable.Slot {
 		return nil
@@ -176,6 +185,7 @@ func (e *Engine) Add(slot uint64, replica uint32, digest [32]byte, tag []byte) *
 			cert.Parts = append(cert.Parts, Part{Replica: r, Tag: v.tag})
 		}
 	}
+	sort.Slice(cert.Parts, func(i, j int) bool { return cert.Parts[i].Replica < cert.Parts[j].Replica })
 	e.stable = cert
 	e.prune(slot)
 	return cert
@@ -192,3 +202,348 @@ func (e *Engine) prune(slot uint64) {
 		}
 	}
 }
+
+// fetchCooldown spaces the state fetches a replica starts on its own
+// (ahead claims, a primary ordering beyond the window), so a burst of
+// such messages does not become a burst of fetches.
+const fetchCooldown = 100 * time.Millisecond
+
+// CheckpointConfig is what a protocol supplies to run checkpoints.
+type CheckpointConfig struct {
+	// Domain separates the protocol's checkpoint authenticators from
+	// every other authenticated body (e.g. "pbft-ckpt").
+	Domain string
+	// Self is this replica's index among N.
+	Self, N int
+	// Quorum is the number of matching votes that makes a checkpoint
+	// stable: 2f+1, or f+1 when a trusted counter rules out
+	// equivocation. Either way up to N−Quorum replicas may be faulty.
+	Quorum int
+	// Extra is how many 32-byte values the digest binds ahead of the
+	// state digest: 0 for PBFT and MinBFT, 1 for Zyzzyva's history hash
+	// and NeoBFT's log hash.
+	Extra int
+	// Auth produces and checks the transferable vote authenticators.
+	Auth auth.Authenticator
+	// Metrics receives the proto_* checkpoint series (nil: none).
+	Metrics *metrics.Registry
+}
+
+// Checkpoint is a snapshot this replica captured or installed.
+type Checkpoint struct {
+	Slot     uint64
+	Extra    [][32]byte // the protocol's extra digest parts, in order
+	Snapshot []byte
+	Digest   [32]byte // Digest(domain, Slot, Extra…, sha256(Snapshot))
+	Cert     *Cert    // the quorum certificate once stable, else nil
+}
+
+// Vote is one replica's decoded checkpoint vote.
+type Vote struct {
+	Replica uint32
+	Slot    uint64
+	Digest  [32]byte
+	Tag     []byte
+}
+
+// Step is what a vote asks of the protocol.
+type Step struct {
+	// Stable is the slot of this replica's own checkpoint that just
+	// became stable, 0 if none: truncate the log to it.
+	Stable uint64
+	// Fetch asks for the stable snapshot from From, a peer other than
+	// this replica: a quorum certified a state this replica does not
+	// hold, or more than N−Quorum replicas voted beyond its window.
+	Fetch bool
+	From  int
+}
+
+// Checkpointer is one replica's side of the checkpoint protocol: its
+// pending checkpoints, the stable one it serves and persists, the vote
+// pool, and the claims of replicas ahead of it. ReadVote and VerifyVote
+// touch no mutable state and may run on verification workers; every
+// other method runs under the replica's lock.
+type Checkpointer struct {
+	cfg       CheckpointConfig
+	votes     *Engine
+	pending   map[uint64]*Checkpoint
+	stable    *Checkpoint
+	ahead     map[uint32]uint64 // voter → its highest slot beyond our window
+	lastFetch time.Time
+	installs  uint64
+
+	mCaptured, mTruncated, mServed, mInstalled, mBeyond *metrics.Counter
+}
+
+// NewCheckpointer creates a replica's checkpointer.
+func NewCheckpointer(cfg CheckpointConfig) *Checkpointer {
+	reg := cfg.Metrics
+	return &Checkpointer{
+		cfg:        cfg,
+		votes:      NewEngine(cfg.Quorum),
+		pending:    map[uint64]*Checkpoint{},
+		ahead:      map[uint32]uint64{},
+		mCaptured:  reg.Counter("proto_checkpoints_total"),
+		mTruncated: reg.Counter("proto_truncated_slots_total"),
+		mServed:    reg.Counter("proto_state_snapshots_served_total"),
+		mInstalled: reg.Counter("proto_state_snapshots_installed_total"),
+		mBeyond:    reg.Counter("proto_sync_horizon_rejects_total"),
+	}
+}
+
+// digest binds a checkpoint's slot, extra parts and state digest.
+func (c *Checkpointer) digest(slot uint64, extra [][32]byte, stateD [32]byte) [32]byte {
+	return Digest(c.cfg.Domain, slot, append(extra[:len(extra):len(extra)], stateD)...)
+}
+
+// floor is the slot of the highest certificate known; votes and captures
+// at or below it are moot.
+func (c *Checkpointer) floor() uint64 {
+	if s := c.votes.Stable(); s != nil {
+		return s.Slot
+	}
+	return 0
+}
+
+// Capture records snap as this replica's checkpoint at slot and appends
+// its vote, replica u32 | slot u64 | extra… | state digest | tag, to w.
+// It declines (false) a slot at or below the highest certificate. The
+// step is what the replica's own vote completed: act on it after sending
+// w.
+func (c *Checkpointer) Capture(w *wire.Writer, slot uint64, snap []byte, extra ...[32]byte) (Step, bool) {
+	if slot <= c.floor() {
+		return Step{}, false
+	}
+	stateD := sha256.Sum256(snap)
+	cp := &Checkpoint{Slot: slot, Extra: extra, Snapshot: snap, Digest: c.digest(slot, extra, stateD)}
+	c.pending[slot] = cp
+	c.mCaptured.Inc()
+	self := uint32(c.cfg.Self)
+	tag := c.cfg.Auth.TagVector(Body(c.cfg.Domain, slot, cp.Digest, self))
+	w.U32(self)
+	w.U64(slot)
+	for _, e := range extra {
+		w.Bytes32(e)
+	}
+	w.Bytes32(stateD)
+	w.VarBytes(tag)
+	return c.add(Vote{Replica: self, Slot: slot, Digest: cp.Digest, Tag: tag}), true
+}
+
+// ReadVote decodes a vote as Capture writes it, leaving rd after the
+// tag. It reports false on a short read or a voter outside [0, N); the
+// vote is not yet authenticated.
+func (c *Checkpointer) ReadVote(rd *wire.Reader) (Vote, bool) {
+	replica := rd.U32()
+	slot := rd.U64()
+	extra := make([][32]byte, c.cfg.Extra)
+	for i := range extra {
+		extra[i] = rd.Bytes32()
+	}
+	stateD := rd.Bytes32()
+	tag := append([]byte(nil), rd.VarBytes()...)
+	if rd.Err() != nil || int(replica) >= c.cfg.N {
+		return Vote{}, false
+	}
+	return Vote{Replica: replica, Slot: slot, Digest: c.digest(slot, extra, stateD), Tag: tag}, true
+}
+
+// VerifyVote reports whether v's tag authenticates it as its voter's.
+func (c *Checkpointer) VerifyVote(v Vote) bool {
+	return c.cfg.Auth.VerifyVector(int(v.Replica), Body(c.cfg.Domain, v.Slot, v.Digest, v.Replica), v.Tag)
+}
+
+// Add pools an authenticated vote. horizon is the highest slot the
+// replica keeps state for: a vote beyond it is counted in
+// proto_sync_horizon_rejects_total and kept only as its voter's claim to
+// be ahead, never pooled, so a Byzantine voter cannot pin memory.
+func (c *Checkpointer) Add(v Vote, horizon uint64) Step {
+	if v.Slot <= c.floor() {
+		return Step{}
+	}
+	if v.Slot > horizon {
+		c.mBeyond.Inc()
+		return c.claim(v, horizon)
+	}
+	return c.add(v)
+}
+
+func (c *Checkpointer) add(v Vote) Step {
+	cert := c.votes.Add(v.Slot, v.Replica, v.Digest, v.Tag)
+	if cert == nil {
+		return Step{}
+	}
+	if cp := c.pending[cert.Slot]; cp != nil && cp.Digest == cert.Digest {
+		cp.Cert = cert
+		c.adopt(cp)
+		return Step{Stable: cert.Slot}
+	}
+	// The quorum certified a state this replica does not hold: it is
+	// behind, or its speculative state diverged.
+	for _, p := range cert.Parts {
+		if int(p.Replica) != c.cfg.Self {
+			return Step{Fetch: true, From: int(p.Replica)}
+		}
+	}
+	return Step{}
+}
+
+// claim records that v's voter is beyond this replica's window. Once
+// more than N−Quorum replicas are, at least one of them is honest, and
+// the replica fetches from the furthest ahead (lowest index on a tie),
+// at most once per cooldown.
+func (c *Checkpointer) claim(v Vote, horizon uint64) Step {
+	if int(v.Replica) != c.cfg.Self && v.Slot > c.ahead[v.Replica] {
+		c.ahead[v.Replica] = v.Slot
+	}
+	var step Step
+	var best uint64
+	n := 0
+	for rep, s := range c.ahead {
+		if s <= horizon {
+			delete(c.ahead, rep)
+			continue
+		}
+		n++
+		if s > best || s == best && int(rep) < step.From {
+			best, step.From = s, int(rep)
+		}
+	}
+	step.Fetch = n > c.cfg.N-c.cfg.Quorum && c.FetchDue()
+	return step
+}
+
+// FetchDue reports whether a state fetch the replica starts on its own
+// may go out now and, if so, starts the cooldown.
+func (c *Checkpointer) FetchDue() bool {
+	if time.Since(c.lastFetch) < fetchCooldown {
+		return false
+	}
+	c.lastFetch = time.Now()
+	return true
+}
+
+// adopt makes cp the stable checkpoint and drops the pending ones it
+// supersedes.
+func (c *Checkpointer) adopt(cp *Checkpoint) {
+	c.stable = cp
+	c.votes.SetStable(cp.Cert)
+	for s := range c.pending {
+		if s <= cp.Slot {
+			delete(c.pending, s)
+		}
+	}
+}
+
+// Forget drops pending checkpoints at or above slot, which a rollback
+// invalidated; re-executing across the boundary captures them again.
+func (c *Checkpointer) Forget(slot uint64) {
+	for s := range c.pending {
+		if s >= slot {
+			delete(c.pending, s)
+		}
+	}
+}
+
+// Raise moves the vote floor up to cert, a stable checkpoint learned
+// without its snapshot (from a view change).
+func (c *Checkpointer) Raise(cert *Cert) { c.votes.SetStable(cert) }
+
+// Stable returns the stable checkpoint this replica serves and
+// persists, nil before the first.
+func (c *Checkpointer) Stable() *Checkpoint { return c.stable }
+
+// Truncate drops l's slots at or below slot, where a checkpoint of ours
+// just became stable, counting them in proto_truncated_slots_total.
+func Truncate[T any](c *Checkpointer, l *Log[T], slot uint64) {
+	c.mTruncated.Add(uint64(l.TruncateTo(slot)))
+}
+
+// Serve returns the state-snapshot message for a replica whose state
+// ends at have: prefix (the protocol's kind byte and any header) then the
+// stable checkpoint as cert | extra… | snapshot. Nil when there is
+// nothing newer to send.
+func (c *Checkpointer) Serve(prefix []byte, have uint64) []byte {
+	if c.stable == nil || c.stable.Slot <= have {
+		return nil
+	}
+	c.mServed.Inc()
+	return c.encode(prefix)
+}
+
+// Persist returns prefix then the stable checkpoint, encoded as Serve
+// sends it: the state a restarted replica boots from. Nil before the
+// first stable checkpoint.
+func (c *Checkpointer) Persist(prefix []byte) []byte {
+	if c.stable == nil {
+		return nil
+	}
+	return c.encode(prefix)
+}
+
+func (c *Checkpointer) encode(prefix []byte) []byte {
+	w := wire.NewWriter(len(prefix) + 256 + len(c.stable.Snapshot))
+	w.Raw(prefix)
+	w.VarBytes(c.stable.Cert.Marshal())
+	for _, e := range c.stable.Extra {
+		w.Bytes32(e)
+	}
+	w.VarBytes(c.stable.Snapshot)
+	return w.Bytes()
+}
+
+// Read decodes the rest of rd as Serve and Persist encode a checkpoint,
+// nil if malformed. The checkpoint is unchecked until Install.
+func (c *Checkpointer) Read(rd *wire.Reader) *Checkpoint {
+	certB := rd.VarBytes()
+	cp := &Checkpoint{Extra: make([][32]byte, c.cfg.Extra)}
+	for i := range cp.Extra {
+		cp.Extra[i] = rd.Bytes32()
+	}
+	cp.Snapshot = append([]byte(nil), rd.VarBytes()...)
+	if rd.Done() != nil {
+		return nil
+	}
+	cert, err := UnmarshalCert(certB)
+	if err != nil {
+		return nil
+	}
+	cp.Slot, cp.Digest, cp.Cert = cert.Slot, cert.Digest, cert
+	return cp
+}
+
+// CheckCert reports whether cert holds Quorum authentic votes from
+// distinct replicas for its slot and digest.
+func (c *Checkpointer) CheckCert(cert *Cert) bool {
+	return cert.Verify(c.cfg.Domain, c.cfg.N, c.cfg.Quorum, func(rep uint32, body, tag []byte) bool {
+		return c.cfg.Auth.VerifyVector(int(rep), body, tag)
+	})
+}
+
+// Check reports whether cp is what its certificate certifies: a valid
+// quorum certificate whose digest binds cp's extra parts and snapshot.
+func (c *Checkpointer) Check(cp *Checkpoint) bool {
+	return cp.Cert != nil && cp.Cert.Slot == cp.Slot && c.CheckCert(cp.Cert) &&
+		cp.Cert.Digest == c.digest(cp.Slot, cp.Extra, sha256.Sum256(cp.Snapshot))
+}
+
+// Install adopts a checkpoint received in state transfer or read back
+// after a restart: if Check passes and apply accepts its snapshot, cp
+// becomes the stable checkpoint. The protocol then moves its own state
+// to cp.Slot.
+func (c *Checkpointer) Install(cp *Checkpoint, apply func(snapshot []byte) error) bool {
+	if !c.Check(cp) || apply(cp.Snapshot) != nil {
+		return false
+	}
+	c.adopt(cp)
+	c.installs++
+	c.mInstalled.Inc()
+	return true
+}
+
+// Installs returns how many checkpoints Install adopted.
+func (c *Checkpointer) Installs() uint64 { return c.installs }
+
+// Votes returns the number of slots with pooled votes, for bounding
+// checks in tests.
+func (c *Checkpointer) Votes() int { return c.votes.Votes() }

@@ -17,10 +17,6 @@ import (
 	"neobft/internal/wire"
 )
 
-// ckptDomain separates the server's checkpoint digests from the
-// replicated protocols sharing the seqlog helpers.
-const ckptDomain = "unrep-ckpt"
-
 // Config configures an unreplicated server.
 type Config struct {
 	Conn       transport.Conn
@@ -121,12 +117,9 @@ func (s *Server) restoreFromPersist(blob []byte) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if replication.InstallSnapshot(s.cfg.App, s.table, snap) != nil {
+	if replication.InstallSnapshot(s.cfg.App, s.table, snap, 0, s.cfg.ClientAuth) != nil {
 		return
 	}
-	s.table.Reauth(0, func(c transport.NodeID, b []byte) []byte {
-		return s.cfg.ClientAuth.TagFor(int64(c), b)
-	})
 	s.ops = ops
 	s.log.Reset(ops)
 	s.gLow.Set(int64(s.log.Low()))
@@ -216,13 +209,12 @@ func (s *Server) ApplyEvent(from transport.NodeID, ev runtime.Event) {
 
 // checkpointLocked stabilizes the log at slot: with no peers, the
 // server's own vote is the full quorum, so the certificate forms
-// immediately and the window truncates on the spot. Caller holds s.mu.
+// immediately and the window truncates on the spot. Nothing leaves the
+// server, so the vote is the bare state digest. Caller holds s.mu.
 func (s *Server) checkpointLocked(slot uint64) {
-	snap := replication.CaptureSnapshot(s.cfg.App, s.table)
-	stateD := sha256.Sum256(snap)
-	digest := seqlog.Digest(ckptDomain, slot, stateD)
+	stateD := sha256.Sum256(replication.CaptureSnapshot(s.cfg.App, s.table))
 	s.mCkpt.Inc()
-	if cert := s.ckpt.Add(slot, 0, digest, nil); cert != nil {
+	if cert := s.ckpt.Add(slot, 0, stateD, nil); cert != nil {
 		dropped := s.log.TruncateTo(cert.Slot)
 		s.mTruncated.Add(uint64(dropped))
 		s.gLow.Set(int64(s.log.Low()))

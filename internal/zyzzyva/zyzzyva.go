@@ -105,14 +105,10 @@ type Replica struct {
 	maxCC uint64
 
 	// log retains executed batches in the live watermark window; stable
-	// checkpoints truncate it (and pendingCkpt / buffered entries below
-	// the new low watermark).
-	log          seqlog.Log[*orderReq]
-	ckpt         *seqlog.Engine
-	pendingCkpt  map[uint64]*pendingCkpt
-	stable       *stableCkpt
-	lastFetch    time.Time
-	snapInstalls uint64
+	// checkpoints (2f+1 votes binding history and state) truncate it and
+	// the buffered entries below the new low watermark.
+	log  seqlog.Log[*orderReq]
+	ckpt *seqlog.Checkpointer
 
 	executedOps uint64
 
@@ -121,31 +117,11 @@ type Replica struct {
 	mCommits    *metrics.Counter
 	mSlowPath   *metrics.Counter
 	mAuthFail   *metrics.Counter
-	mCkpt       *metrics.Counter
-	mTruncated  *metrics.Counter
-	mSnapServe  *metrics.Counter
-	mSnapInst   *metrics.Counter
 	mHorizonRej *metrics.Counter
 	gLow        *metrics.Gauge
 	gHigh       *metrics.Gauge
 	msgCounters map[uint8]*metrics.Counter
 	trace       *metrics.Recorder
-}
-
-// pendingCkpt is a checkpoint this replica has taken but whose
-// certificate has not yet formed.
-type pendingCkpt struct {
-	seq         uint64
-	history     [32]byte
-	stateDigest [32]byte
-	snapshot    []byte
-	digest      [32]byte // seqlog.Digest(ckptDomain, seq, history, stateDigest)
-}
-
-// stableCkpt is the latest checkpoint with a 2f+1 certificate.
-type stableCkpt struct {
-	pendingCkpt
-	cert *seqlog.Cert
 }
 
 var zyzKindNames = map[uint8]string{
@@ -185,24 +161,22 @@ func New(cfg Config) *Replica {
 		cfg.Metrics = cfg.Runtime.Metrics()
 	}
 	r := &Replica{
-		cfg:         cfg,
-		conn:        cfg.Conn,
-		rt:          cfg.Runtime,
-		inQueue:     map[string]bool{},
-		buffered:    map[uint64]*orderReq{},
-		table:       replication.NewClientTable(),
-		ckpt:        seqlog.NewEngine(2*cfg.F + 1),
-		pendingCkpt: map[uint64]*pendingCkpt{},
+		cfg:      cfg,
+		conn:     cfg.Conn,
+		rt:       cfg.Runtime,
+		inQueue:  map[string]bool{},
+		buffered: map[uint64]*orderReq{},
+		table:    replication.NewClientTable(),
+		ckpt: seqlog.NewCheckpointer(seqlog.CheckpointConfig{
+			Domain: ckptDomain, Self: cfg.Self, N: cfg.N, Quorum: 2*cfg.F + 1, Extra: 1,
+			Auth: cfg.Auth, Metrics: cfg.Metrics,
+		}),
 	}
 	reg := cfg.Metrics
 	r.reg = reg
 	r.mCommits = reg.Counter("proto_commits_total")
 	r.mSlowPath = reg.Counter("proto_slow_path_total")
 	r.mAuthFail = reg.Counter("proto_auth_fail_total")
-	r.mCkpt = reg.Counter("proto_checkpoints_total")
-	r.mTruncated = reg.Counter("proto_truncated_slots_total")
-	r.mSnapServe = reg.Counter("proto_state_snapshots_served_total")
-	r.mSnapInst = reg.Counter("proto_state_snapshots_installed_total")
 	r.mHorizonRej = reg.Counter("proto_sync_horizon_rejects_total")
 	r.gLow = reg.Gauge("proto_log_low_watermark")
 	r.gHigh = reg.Gauge("proto_log_high_watermark")
@@ -219,8 +193,10 @@ func New(cfg Config) *Replica {
 		Adaptive:  cfg.BatchAdaptive,
 		Metrics:   reg,
 	})
-	if cfg.Restore != nil {
-		r.restoreFromPersist(cfg.Restore)
+	if cp := r.ckpt.Read(wire.NewReader(cfg.Restore)); cp != nil {
+		r.mu.Lock()
+		r.installLocked(cp)
+		r.mu.Unlock()
 	}
 	if cfg.BatchLinger > 0 {
 		r.rt.ArmEvery(flushPollInterval(cfg.BatchLinger), r.onBatchPoll)
@@ -264,7 +240,7 @@ func (r *Replica) HighWatermark() uint64 {
 func (r *Replica) SnapshotInstalls() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapInstalls
+	return r.ckpt.Installs()
 }
 
 func (r *Replica) primary() int    { return int(r.view) % r.cfg.N }
@@ -337,13 +313,6 @@ type evCommit struct {
 	valid           int
 }
 
-type evCheckpoint struct {
-	replica uint32
-	seq     uint64
-	digest  [32]byte
-	tag     []byte
-}
-
 type evStateFetch struct{ haveExec uint64 }
 
 type evStateSnap struct{ body []byte }
@@ -376,7 +345,16 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 	case kindCommit:
 		return r.verifyCommit(pkt[1:])
 	case kindCheckpoint:
-		return r.verifyCheckpoint(pkt[1:])
+		rd := wire.NewReader(pkt[1:])
+		v, ok := r.ckpt.ReadVote(rd)
+		if !ok || rd.Done() != nil {
+			return nil
+		}
+		if !r.ckpt.VerifyVote(v) {
+			r.mAuthFail.Inc()
+			return nil
+		}
+		return v
 	case kindStateFetch:
 		rd := wire.NewReader(pkt[1:])
 		have := rd.U64()
@@ -388,26 +366,6 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 		return evStateSnap{body: append([]byte(nil), pkt[1:]...)}
 	}
 	return nil
-}
-
-// verifyCheckpoint authenticates a checkpoint vote on the workers; the
-// loop only pools pre-verified votes.
-func (r *Replica) verifyCheckpoint(pkt []byte) runtime.Event {
-	rd := wire.NewReader(pkt)
-	replica := rd.U32()
-	seq := rd.U64()
-	history := rd.Bytes32()
-	stateD := rd.Bytes32()
-	tag := append([]byte(nil), rd.VarBytes()...)
-	if rd.Done() != nil || int(replica) >= r.cfg.N {
-		return nil
-	}
-	digest := seqlog.Digest(ckptDomain, seq, history, stateD)
-	if !r.cfg.Auth.VerifyVector(int(replica), seqlog.Body(ckptDomain, seq, digest, replica), tag) {
-		r.mAuthFail.Inc()
-		return nil
-	}
-	return evCheckpoint{replica: replica, seq: seq, digest: digest, tag: tag}
 }
 
 // verifyOrderReq decodes and authenticates an order-req against the
@@ -496,7 +454,7 @@ func (r *Replica) ApplyEvent(from transport.NodeID, ev runtime.Event) {
 		r.onOrderReq(e.o)
 	case evCommit:
 		r.onCommit(from, e)
-	case evCheckpoint:
+	case seqlog.Vote:
 		r.onCheckpoint(e)
 	case evStateFetch:
 		r.onStateFetch(from, e.haveExec)
@@ -587,7 +545,9 @@ func (r *Replica) onOrderReq(o *orderReq) {
 			// truncated these slots' predecessors). Drop the batch and
 			// fetch the stable snapshot instead.
 			r.mHorizonRej.Inc()
-			r.maybeFetchLocked(r.primary())
+			if r.ckpt.FetchDue() {
+				r.sendStateFetchLocked(r.primary())
+			}
 			return
 		}
 		if o.seq > r.lastExec {
@@ -655,9 +615,7 @@ func (r *Replica) executeLocked(o *orderReq) {
 	}
 	delete(r.buffered, o.seq)
 	if o.seq%uint64(r.cfg.CheckpointInterval) == 0 {
-		if st := r.ckpt.Stable(); st == nil || o.seq > st.Slot {
-			r.captureCheckpointLocked(o.seq)
-		}
+		r.captureCheckpointLocked(o.seq)
 	}
 	r.tryIssueLocked()
 }
