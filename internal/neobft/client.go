@@ -1,6 +1,7 @@
 package neobft
 
 import (
+	"sync/atomic"
 	"time"
 
 	"neobft/internal/aom"
@@ -12,7 +13,8 @@ import (
 // Client is a NeoBFT client: it multicasts signed requests through the
 // aom primitive and waits for 2f+1 matching replies (§5.3). If replies
 // are slow it retransmits via aom *and* unicasts the request to all
-// replicas, which drives the sequencer-suspicion path.
+// replicas, which drives the sequencer-suspicion path. A reply from a
+// newer epoch moves the client to that epoch's sequencer.
 type Client struct {
 	base   *replication.Client
 	sender *aom.Sender
@@ -20,6 +22,8 @@ type Client struct {
 	svc    *configsvc.Service
 	group  uint32
 	repls  []transport.NodeID
+	// epoch is the epoch whose sequencer sender routes to.
+	epoch atomic.Uint32
 }
 
 // ClientOptions configures a NeoBFT client.
@@ -53,6 +57,7 @@ func NewClient(o ClientOptions) (*Client, error) {
 		repls:  o.Replicas,
 		sender: aom.NewSender(o.Conn, o.Group, view.Sequencer),
 	}
+	c.epoch.Store(view.Epoch)
 	cfg := replication.ClientConfig{
 		Conn:          o.Conn,
 		N:             o.N,
@@ -60,6 +65,11 @@ func NewClient(o ClientOptions) (*Client, error) {
 		Quorum:        2*o.F + 1,
 		MatchPosition: true,
 		Submit:        c.submit,
+		OnReplyHook: func(rep *replication.Reply) {
+			if UnpackView(rep.View).Epoch > c.epoch.Load() {
+				c.refreshSequencer()
+			}
+		},
 	}
 	o.Tune.Apply(&cfg)
 	if o.Timeout != 0 {
@@ -72,9 +82,7 @@ func NewClient(o ClientOptions) (*Client, error) {
 func (c *Client) submit(req *replication.Request, retry bool) {
 	if retry {
 		// The sequencer may have been replaced; refresh the group route.
-		if view, err := c.svc.View(c.group); err == nil {
-			c.sender.SetSequencer(view.Sequencer)
-		}
+		c.refreshSequencer()
 		// Unicast to all replicas so they can suspect the sequencer
 		// (§5.3) while we keep resending through aom.
 		pkt := req.Marshal()
@@ -83,6 +91,14 @@ func (c *Client) submit(req *replication.Request, retry bool) {
 		}
 	}
 	c.sender.Send(req.Marshal())
+}
+
+// refreshSequencer routes the client to the group's current sequencer.
+func (c *Client) refreshSequencer() {
+	if view, err := c.svc.View(c.group); err == nil {
+		c.sender.SetSequencer(view.Sequencer)
+		c.epoch.Store(view.Epoch)
+	}
 }
 
 // Invoke executes one operation against the replicated service.

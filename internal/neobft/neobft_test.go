@@ -91,6 +91,9 @@ type clusterOpts struct {
 
 const group = 1
 
+// fastRequestTimeout is the fast cluster's sequencer-suspicion bound.
+const fastRequestTimeout = 60 * time.Millisecond
+
 func newCluster(t *testing.T, o clusterOpts) *cluster {
 	t.Helper()
 	if o.n == 0 {
@@ -142,7 +145,7 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 		}
 		if o.fast {
 			cfg.QueryTimeout = 20 * time.Millisecond
-			cfg.RequestTimeout = 60 * time.Millisecond
+			cfg.RequestTimeout = fastRequestTimeout
 			cfg.ViewChangeTimeout = 300 * time.Millisecond
 			cfg.TickInterval = 5 * time.Millisecond
 		}
@@ -153,7 +156,16 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 	return c
 }
 
+// clientTimeout is every test client's initial retransmission interval.
+const clientTimeout = 50 * time.Millisecond
+
 func (c *cluster) client(id int) *Client {
+	c.t.Helper()
+	return c.tunedClient(id, replication.Tuning{})
+}
+
+// tunedClient is client with a pipeline window or a metrics registry.
+func (c *cluster) tunedClient(id int, tune replication.Tuning) *Client {
 	c.t.Helper()
 	members := make([]transport.NodeID, c.n)
 	for i := range members {
@@ -167,7 +179,8 @@ func (c *cluster) client(id int) *Client {
 		Replicas: members,
 		Group:    group,
 		Svc:      c.svc,
-		Timeout:  50 * time.Millisecond,
+		Timeout:  clientTimeout,
+		Tune:     tune,
 	})
 	if err != nil {
 		c.t.Fatal(err)
@@ -408,7 +421,11 @@ func TestQueryRecoversFromLeader(t *testing.T) {
 func TestSequencerFailover(t *testing.T) {
 	// The sequencer crashes; replicas suspect it through undelivered
 	// client-unicast requests, fail over via the configuration service,
-	// and run an epoch-switching view change (§5.5, §6.4).
+	// and run an epoch-switching view change (§5.5, §6.4). The client's
+	// first retry is the only wait: replicas suspect the silent sequencer
+	// within a tick, before RequestTimeout could fire, and the new leader
+	// re-submits the held request instead of waiting for the client's
+	// second retry at 3 × Timeout.
 	c := newCluster(t, clusterOpts{variant: wire.AuthHMAC, fast: true})
 	cl := c.client(0)
 	for i := 1; i <= 3; i++ {
@@ -425,9 +442,13 @@ func TestSequencerFailover(t *testing.T) {
 		}
 		t.Fatalf("failover did not complete: %v", err)
 	}
-	t.Logf("failover + commit took %v", time.Since(start))
+	took := time.Since(start)
+	t.Logf("failover + commit took %v", took)
 	if string(res) != "4" {
 		t.Fatalf("result %q, want 4", res)
+	}
+	if bound := clientTimeout + fastRequestTimeout; took >= bound {
+		t.Fatalf("failover took %v, not under client Timeout + RequestTimeout (%v)", took, bound)
 	}
 	// All replicas should now be in epoch 2.
 	deadline := time.Now().Add(5 * time.Second)

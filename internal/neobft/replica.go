@@ -61,7 +61,9 @@ type Config struct {
 	// or gap decision before resending / suspecting the leader.
 	QueryTimeout time.Duration
 	// RequestTimeout is how long a client-unicast request may stay
-	// undelivered by aom before the replica suspects the sequencer.
+	// undelivered by aom before the replica suspects the sequencer. It
+	// binds while aom packets keep arriving; if none arrives at all, one
+	// TickInterval is enough.
 	RequestTimeout time.Duration
 	// ViewChangeTimeout bounds a view change attempt before moving to
 	// the next view.
@@ -145,9 +147,15 @@ type Replica struct {
 	epochVotes map[uint32]map[uint32]epochVote
 	pendingVC  map[ViewID]map[uint32]*viewChangeMsg
 
-	// pendingClientReqs tracks requests received by unicast that have not
-	// yet appeared in the log (sequencer suspicion, §5.5).
-	pendingClientReqs map[string]time.Time
+	// pendingClientReqs holds requests received by unicast that have not
+	// yet appeared in the log (sequencer suspicion, §5.5); the leader of a
+	// new epoch re-submits them.
+	pendingClientReqs map[clientReq]*heldReq
+	// aomApplied counts the aom packets applied on the loop. A held request
+	// that sees it stand still for a tick suspects the sequencer at once.
+	// Only the runtime loop (ApplyEvent, onTick) touches it, so it needs
+	// no lock.
+	aomApplied uint64
 
 	rt       *runtime.Runtime
 	stopOnce sync.Once
@@ -228,7 +236,7 @@ func New(cfg Config) *Replica {
 		verifiers:         map[uint32]*aom.CertVerifier{},
 		clientTable:       replication.NewClientTable(),
 		gaps:              map[uint64]*gapSlot{},
-		pendingClientReqs: map[string]time.Time{},
+		pendingClientReqs: map[clientReq]*heldReq{},
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -557,6 +565,7 @@ func (r *Replica) preVerifyPayload(pre *aom.PreVerified) {
 func (r *Replica) ApplyEvent(from transport.NodeID, ev runtime.Event) {
 	switch e := ev.(type) {
 	case evAOM:
+		r.aomApplied++
 		r.recv.HandlePacketPre(from, e.pkt, e.pre)
 	case evClientRequest:
 		r.onClientRequest(from, e.req)
@@ -733,7 +742,9 @@ func (r *Replica) executeSlotLocked(slot uint64, e *logEntry) {
 	}
 	rep.Auth = r.cfg.ClientAuth.TagFor(int64(req.Client), rep.SignedBody())
 	r.clientTable.Store(req.Client, req.ReqID, rep)
-	delete(r.pendingClientReqs, clientReqKey(req.Client, req.ReqID))
+	if len(r.pendingClientReqs) > 0 {
+		delete(r.pendingClientReqs, clientReq{req.Client, req.ReqID})
+	}
 	r.conn.Send(req.Client, rep.Marshal())
 }
 
@@ -786,7 +797,7 @@ func (r *Replica) recomputeHashesLocked(slot uint64) {
 // onClientRequest handles a request sent by unicast (the client's
 // fallback when aom replies are slow, §5.3). The MAC was already
 // verified by VerifyPacket. Executed requests are answered from the
-// client table; unseen requests start the sequencer suspicion timer.
+// client table; unseen requests are held for sequencer suspicion.
 func (r *Replica) onClientRequest(from transport.NodeID, req *replication.Request) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -797,17 +808,25 @@ func (r *Replica) onClientRequest(from transport.NodeID, req *replication.Reques
 		}
 		return
 	}
-	key := clientReqKey(req.Client, req.ReqID)
-	if _, tracked := r.pendingClientReqs[key]; !tracked {
-		r.pendingClientReqs[key] = time.Now()
+	key := clientReq{req.Client, req.ReqID}
+	if _, held := r.pendingClientReqs[key]; !held {
+		r.pendingClientReqs[key] = &heldReq{req: req, since: time.Now(), aomSeen: r.aomApplied}
 	}
 }
 
-func clientReqKey(c transport.NodeID, reqID uint64) string {
-	w := wire.NewWriter(12)
-	w.U32(uint32(c))
-	w.U64(reqID)
-	return string(w.Bytes())
+// clientReq identifies one client request.
+type clientReq struct {
+	client transport.NodeID
+	reqID  uint64
+}
+
+// heldReq is a unicast request not yet delivered by aom.
+type heldReq struct {
+	req   *replication.Request
+	since time.Time
+	// aomSeen is aomApplied when the request arrived.
+	aomSeen   uint64
+	suspected bool
 }
 
 // requestBody strips the envelope kind from an aom payload carrying a
@@ -848,11 +867,19 @@ func (r *Replica) onTick() {
 	}
 
 	// Client-unicast requests not yet delivered by aom: suspect the
-	// sequencer and fail over to a new epoch (§5.5).
+	// sequencer and fail over to a new epoch (§5.5). A request that waited
+	// a whole tick without a single aom packet arriving suspects at once;
+	// while the sequencer is alive the client's own aom copy keeps the
+	// count moving, and RequestTimeout stays the bound. Each held request
+	// suspects at most once and stays held for the next epoch's leader.
 	if r.status == StatusNormal {
-		for key, since := range r.pendingClientReqs {
-			if now.Sub(since) > r.cfg.RequestTimeout {
-				delete(r.pendingClientReqs, key)
+		for _, h := range r.pendingClientReqs {
+			if h.suspected {
+				continue
+			}
+			waited := now.Sub(h.since)
+			if waited > r.cfg.RequestTimeout || waited >= r.cfg.TickInterval && h.aomSeen == r.aomApplied {
+				h.suspected = true
 				r.suspectSequencerLocked()
 				break
 			}

@@ -4,8 +4,10 @@ import (
 	"sort"
 	"time"
 
+	"neobft/internal/aom"
 	"neobft/internal/replication"
 	"neobft/internal/tracing"
+	"neobft/internal/transport"
 	"neobft/internal/wire"
 )
 
@@ -492,7 +494,7 @@ func (r *Replica) finishViewChangeLocked() {
 	r.gaps = map[uint64]*gapSlot{}
 	r.blockedOn = 0
 	r.queryAttempts = 0
-	r.pendingClientReqs = map[string]time.Time{}
+	r.pendingClientReqs = map[clientReq]*heldReq{}
 	for v := range r.pendingVC {
 		if !r.view.Less(v) {
 			delete(r.pendingVC, v)
@@ -602,11 +604,40 @@ func (r *Replica) maybeFinishEpochStartLocked() {
 
 	// Install the new epoch's aom credentials.
 	view, err := r.cfg.Svc.View(r.cfg.Group)
-	if err == nil && view.Epoch == epoch {
+	installed := err == nil && view.Epoch == epoch
+	if installed {
 		ep := r.cfg.Svc.EpochConfigFor(view, r.cfg.Self)
 		r.recv.InstallEpoch(ep)
 		r.installVerifier(epoch, ep)
 	}
 	delete(r.epochVotes, epoch)
+	held := r.pendingClientReqs // finishViewChangeLocked starts a new map
 	r.finishViewChangeLocked()
+	if installed && r.isLeader() {
+		r.resubmitLocked(held, view.Sequencer)
+	}
+}
+
+// resubmitLocked sends the new sequencer every request held across the
+// epoch change that is still unexecuted, so a client that already retried
+// by unicast need not retry again. The request carries the client's MAC
+// vector and the client table absorbs duplicates, so forwarding is safe.
+// Requests go in ascending (client, reqID) order: the client table keeps
+// one id per client, so a newer request sequenced first would make an
+// older one stale. Caller holds r.mu.
+func (r *Replica) resubmitLocked(held map[clientReq]*heldReq, seq transport.NodeID) {
+	keys := make([]clientReq, 0, len(held))
+	for k := range held {
+		if fresh, _ := r.clientTable.Check(k.client, k.reqID); fresh {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		return a.client < b.client || a.client == b.client && a.reqID < b.reqID
+	})
+	s := aom.NewSender(r.conn, r.cfg.Group, seq)
+	for _, k := range keys {
+		s.Send(held[k].req.Marshal())
+	}
 }
