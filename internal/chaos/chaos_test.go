@@ -159,7 +159,11 @@ func TestRecordingAppSnapshotRoundTrip(t *testing.T) {
 	a := NewRecordingApp(nopApp{})
 	mkHist(t, a, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{1, 2})
 	b := NewRecordingApp(nopApp{})
-	if err := b.Restore(a.Snapshot()); err != nil {
+	snap := a.AppendSnapshot(nil)
+	if len(snap) != a.SnapshotSize() {
+		t.Fatalf("snapshot is %d bytes, SnapshotSize says %d", len(snap), a.SnapshotSize())
+	}
+	if err := b.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	ha, hb := a.History(), b.History()

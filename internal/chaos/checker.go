@@ -108,17 +108,22 @@ func (a *RecordingApp) DropTail(n int) {
 	a.hist = a.hist[:len(a.hist)-n]
 }
 
-// Snapshot implements replication.Snapshotter: the inner application
-// snapshot plus the history.
-func (a *RecordingApp) Snapshot() []byte {
-	var innerB []byte
-	if s, ok := a.inner.(replication.Snapshotter); ok {
-		innerB = s.Snapshot()
-	}
+// SnapshotSize implements replication.Snapshotter: varbytes inner |
+// u32 count | count × (u32 client | u64 seq | 32-byte digest).
+func (a *RecordingApp) SnapshotSize() int {
+	n := replication.SnapshotSize(a.inner)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	w := wire.NewWriter(16 + len(innerB) + 44*len(a.hist))
-	w.VarBytes(innerB)
+	return 8 + n + 44*len(a.hist)
+}
+
+// AppendSnapshot implements replication.Snapshotter: the inner
+// application snapshot plus the history.
+func (a *RecordingApp) AppendSnapshot(buf []byte) []byte {
+	w := wire.AppendTo(buf)
+	w.VarAppend(func(b []byte) []byte { return replication.AppendSnapshot(a.inner, b) })
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	w.U32(uint32(len(a.hist)))
 	for _, e := range a.hist {
 		w.U32(e.Client)

@@ -25,8 +25,9 @@ func (n *node) leaf() bool { return n.children == nil }
 
 // BTree is an in-memory B-Tree mapping string keys to byte values.
 type BTree struct {
-	root *node
-	size int
+	root  *node
+	size  int
+	bytes int // Σ len(key)+len(value) over every item
 }
 
 // NewBTree creates an empty tree.
@@ -36,6 +37,9 @@ func NewBTree() *BTree {
 
 // Len returns the number of keys stored.
 func (t *BTree) Len() int { return t.size }
+
+// Bytes returns the total length of every stored key and value.
+func (t *BTree) Bytes() int { return t.bytes }
 
 // search returns the position of key in items and whether it was found.
 func search(items []item, key string) (int, bool) {
@@ -76,8 +80,11 @@ func (t *BTree) Put(key string, value []byte) (old []byte, existed bool) {
 		t.root.splitChild(0)
 	}
 	old, existed = t.root.insert(key, value)
-	if !existed {
+	if existed {
+		t.bytes += len(value) - len(old)
+	} else {
 		t.size++
+		t.bytes += len(key) + len(value)
 	}
 	return old, existed
 }
@@ -132,6 +139,7 @@ func (t *BTree) Delete(key string) ([]byte, bool) {
 	old, existed := t.root.delete(key)
 	if existed {
 		t.size--
+		t.bytes -= len(key) + len(old)
 	}
 	if len(t.root.items) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]

@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"encoding/binary"
+	"slices"
 	"sync"
 
 	"neobft/internal/wire"
@@ -180,22 +182,44 @@ func (s *Store) Execute(op []byte) ([]byte, func()) {
 	return errResult("unknown op"), nil
 }
 
-// Snapshot implements replication.Snapshotter: a deterministic dump of
-// every (key, value) pair in key order. Two stores holding the same map
-// produce identical bytes, so checkpoint digests computed over the
-// snapshot match across replicas.
-func (s *Store) Snapshot() []byte {
+// SnapshotSize implements replication.Snapshotter. The size is exact and
+// costs nothing to read: the tree keeps its key and value bytes current
+// through every Put and Delete, which every write path here (Execute,
+// undo, Load, Restore) goes through.
+func (s *Store) SnapshotSize() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w := wire.NewWriter(16 + 32*s.tree.Len())
-	w.U32(uint32(s.tree.Len()))
+	return s.snapshotSizeLocked()
+}
+
+// snapshotSizeLocked is u32 count | (u32 len | key | u32 len | value)*.
+func (s *Store) snapshotSizeLocked() int {
+	return 4 + 8*s.tree.Len() + s.tree.Bytes()
+}
+
+// AppendSnapshot implements replication.Snapshotter: a deterministic dump
+// of every (key, value) pair in key order, u32 count | (varbytes key |
+// varbytes value)*, appended to buf in one pass of the tree after growing
+// buf once to fit. Two stores holding the same map produce identical
+// bytes, so checkpoint digests computed over the snapshot match across
+// replicas.
+func (s *Store) AppendSnapshot(buf []byte) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	buf = slices.Grow(buf, s.snapshotSizeLocked())
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.tree.Len()))
 	s.tree.Scan("", "", func(k string, v []byte) bool {
-		w.VarBytes([]byte(k))
-		w.VarBytes(v)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
+		buf = append(buf, k...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
+		buf = append(buf, v...)
 		return true
 	})
-	return w.Bytes()
+	return buf
 }
+
+// Snapshot returns the AppendSnapshot bytes in a buffer of their own.
+func (s *Store) Snapshot() []byte { return s.AppendSnapshot(nil) }
 
 // Restore implements replication.Snapshotter: it replaces the tree with
 // the snapshot's contents.

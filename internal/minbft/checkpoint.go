@@ -106,8 +106,12 @@ func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
 // The USIG state is deliberately not part of the blob: it models the
 // trusted counter surviving in the enclave, so the harness hands the
 // same USIG instance back to the restarted replica.
-func (r *Replica) Persist() []byte {
+func (r *Replica) Persist() []byte { return r.Save().Blob() }
+
+// Save captures what Persist encodes under r.mu; the snapshot is encoded
+// after the lock is released.
+func (r *Replica) Save() seqlog.Saved {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ckpt.Persist(nil)
+	return r.ckpt.Save(nil)
 }

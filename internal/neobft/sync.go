@@ -195,11 +195,15 @@ func (r *Replica) pruneFinalizedLocked(slot uint64) {
 // later slots through gap resolution / state transfer. Nil means no
 // checkpoint is stable yet: a restart recovers entirely from peers via
 // snapshot state transfer (a cold restart).
-func (r *Replica) Persist() []byte {
+func (r *Replica) Persist() []byte { return r.Save().Blob() }
+
+// Save captures what Persist encodes under r.mu; the snapshot is encoded
+// after the lock is released.
+func (r *Replica) Save() seqlog.Saved {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.ckpt.Stable() == nil {
-		return nil
+		return seqlog.Saved{}
 	}
 	epochs := make([]uint32, 0, len(r.epochStart))
 	for e := range r.epochStart {
@@ -213,7 +217,7 @@ func (r *Replica) Persist() []byte {
 		w.U32(e)
 		w.U64(r.epochStart[e])
 	}
-	return r.ckpt.Persist(w.Bytes())
+	return r.ckpt.Save(w.Bytes())
 }
 
 // restoreFromPersist boots from a Persist blob. Called from New after

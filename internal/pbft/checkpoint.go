@@ -112,8 +112,12 @@ func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
 // this blob (Config.Restore) resumes from the checkpoint and catches up
 // through normal state transfer; nil means no checkpoint is stable yet
 // and a restart must recover entirely from peers.
-func (r *Replica) Persist() []byte {
+func (r *Replica) Persist() []byte { return r.Save().Blob() }
+
+// Save captures what Persist encodes under r.mu; the snapshot is encoded
+// after the lock is released.
+func (r *Replica) Save() seqlog.Saved {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ckpt.Persist(nil)
+	return r.ckpt.Save(nil)
 }

@@ -35,10 +35,12 @@ func (a *counterApp) value() int64 {
 
 // Snapshot/Restore implement replication.Snapshotter so state-transfer
 // tests can verify application state travels with checkpoints.
-func (a *counterApp) Snapshot() []byte {
+func (a *counterApp) SnapshotSize() int { return 8 }
+
+func (a *counterApp) AppendSnapshot(buf []byte) []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	w := wire.NewWriter(8)
+	w := wire.AppendTo(buf)
 	w.U64(uint64(a.sum))
 	return w.Bytes()
 }

@@ -12,6 +12,7 @@ import (
 	"neobft/internal/metrics"
 	"neobft/internal/replication"
 	"neobft/internal/runtime"
+	"neobft/internal/seqlog"
 	"neobft/internal/store"
 	"neobft/internal/tracing"
 	"neobft/internal/transport"
@@ -64,11 +65,46 @@ type Host struct {
 	blob []byte
 	// busyBase is the runtime busy time of earlier incarnations.
 	busyBase time.Duration
-	// ckptHash dedups the persister's captures, so the WAL only grows
-	// when the stable watermark advances.
-	ckptHash    [32]byte
+	// persisted identifies the blob the persister last appended, so the
+	// WAL only grows when what a restart would boot from has changed.
+	persisted   persistKey
 	persistStop chan struct{}
 	persistDone chan struct{}
+}
+
+// persistKey identifies a Persist blob without encoding it. For a saver
+// it is the stable checkpoint's slot plus the protocol's prefix (NeoBFT's
+// view and epoch table), so a view or epoch change is persisted even when
+// the checkpoint is not new. HotStuff and Unreplicated capture fresh state
+// on every Persist, so their blobs are keyed by hash.
+type persistKey struct {
+	slot   uint64
+	prefix string
+	hash   [32]byte
+}
+
+// saver is a Replica whose Persist blob is a small prefix plus its
+// immutable stable checkpoint: the seqlog protocols (NeoBFT, PBFT,
+// Zyzzyva, MinBFT).
+type saver interface{ Save() seqlog.Saved }
+
+// persistState returns the key of rep's current Persist blob and a
+// function that encodes it, or a nil encoder when there is nothing to
+// persist yet. For a saver the encoder may run after every lock is
+// released.
+func persistState(rep Replica) (persistKey, func() []byte) {
+	if s, ok := rep.(saver); ok {
+		sv := s.Save()
+		if sv.Stable == nil {
+			return persistKey{}, nil
+		}
+		return persistKey{slot: sv.Stable.Slot, prefix: string(sv.Prefix)}, sv.Blob
+	}
+	blob := rep.Persist()
+	if blob == nil {
+		return persistKey{}, nil
+	}
+	return persistKey{hash: sha256.Sum256(blob)}, func() []byte { return blob }
 }
 
 // NewHost prepares a replica node; Boot starts it.
@@ -147,7 +183,7 @@ func (h *Host) Boot(cold bool) error {
 		if every <= 0 {
 			every = 50 * time.Millisecond
 		}
-		h.ckptHash = [32]byte{}
+		h.persisted = persistKey{}
 		h.persistStop = make(chan struct{})
 		h.persistDone = make(chan struct{})
 		go h.persistLoop(every, h.persistStop, h.persistDone)
@@ -216,29 +252,25 @@ func (h *Host) persistLoop(every time.Duration, stop <-chan struct{}, done chan<
 		case <-tick.C:
 		}
 		// The capture reads protocol state under h.mu, the way Stop does;
-		// the group-commit append happens outside it so a slow fsync
-		// never blocks lifecycle transitions.
+		// encoding the blob and the group-commit append happen outside it,
+		// so neither a large snapshot nor a slow fsync blocks lifecycle
+		// transitions.
 		h.mu.Lock()
 		if !h.alive {
 			h.mu.Unlock()
 			return
 		}
-		blob := h.replica.Persist()
-		if blob == nil {
+		key, encode := persistState(h.replica)
+		if encode == nil || key == h.persisted {
 			h.mu.Unlock()
 			continue
 		}
-		sum := sha256.Sum256(blob)
-		if sum == h.ckptHash {
-			h.mu.Unlock()
-			continue
-		}
-		h.ckptHash = sum
+		h.persisted = key
 		slot, st := h.replica.Executed(), h.st
 		h.mu.Unlock()
 		// The store may race a concurrent kill and be closed — exactly
 		// what a real process losing a write race sees.
-		st.AppendCheckpoint(slot, blob)
+		st.AppendCheckpoint(slot, encode())
 	}
 }
 

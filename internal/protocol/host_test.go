@@ -1,15 +1,119 @@
 package protocol
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"neobft/internal/metrics"
 	"neobft/internal/replication"
+	"neobft/internal/seqlog"
 	"neobft/internal/simnet"
 	"neobft/internal/transport"
 )
+
+// fakeSaver is a replica whose persisted state the test sets directly.
+type fakeSaver struct {
+	mu    sync.Mutex
+	saved seqlog.Saved
+	saves int
+}
+
+func (f *fakeSaver) Save() seqlog.Saved {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.saves++
+	return f.saved
+}
+
+func (f *fakeSaver) Persist() []byte  { return f.Save().Blob() }
+func (f *fakeSaver) Executed() uint64 { return 0 }
+func (f *fakeSaver) Close()           {}
+
+// set replaces the saved state and waits until the persister has looked
+// at the new one and then once more.
+func (f *fakeSaver) set(t *testing.T, sv seqlog.Saved) {
+	t.Helper()
+	f.mu.Lock()
+	f.saved = sv
+	from := f.saves
+	f.mu.Unlock()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		f.mu.Lock()
+		n := f.saves - from
+		f.mu.Unlock()
+		// The first Save after the swap may have started before it.
+		if n >= 3 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the persister stopped polling")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestPersisterDedupesBySlotAndPrefix: the persister journals a
+// checkpoint record when the stable checkpoint's slot or the protocol's
+// prefix changes, and only then, and a reboot restores the last one.
+func TestPersisterDedupesBySlotAndPrefix(t *testing.T) {
+	rep := &fakeSaver{}
+	var restored []byte
+	spec := &Spec{Name: "fake", fleet: func(int) int { return 1 }, replica: func(h *Host, restore []byte) Replica {
+		restored = restore
+		return rep
+	}}
+	fab := simnet.Fabric{Network: simnet.New(simnet.Options{})}
+	defer fab.Close()
+	reg := metrics.NewRegistry()
+	h := NewHost(HostConfig{
+		Cluster:      spec.Cluster(1, Params{}),
+		Fabric:       fab,
+		Metrics:      reg,
+		App:          func() replication.App { return replication.EchoApp{} },
+		DataDir:      t.TempDir(),
+		PersistEvery: time.Millisecond,
+	})
+	if err := h.Boot(false); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := func(slot uint64) *seqlog.Checkpoint {
+		return &seqlog.Checkpoint{Slot: slot, Cert: &seqlog.Cert{Slot: slot}, Snapshot: []byte(fmt.Sprint("state@", slot))}
+	}
+	at8 := checkpoint(8)
+	steps := []struct {
+		name    string
+		saved   seqlog.Saved
+		records uint64
+	}{
+		{"no stable checkpoint", seqlog.Saved{Prefix: []byte("view 0")}, 0},
+		{"first checkpoint", seqlog.Saved{Prefix: []byte("view 0"), Stable: at8}, 1},
+		{"same slot and prefix", seqlog.Saved{Prefix: []byte("view 0"), Stable: checkpoint(8)}, 1},
+		{"view change", seqlog.Saved{Prefix: []byte("view 1"), Stable: at8}, 2},
+		{"new checkpoint", seqlog.Saved{Prefix: []byte("view 1"), Stable: checkpoint(16)}, 3},
+		{"unchanged", seqlog.Saved{Prefix: []byte("view 1"), Stable: checkpoint(16)}, 3},
+	}
+	records := reg.Counter("store_wal_records_total")
+	for _, step := range steps {
+		rep.set(t, step.saved)
+		if got := records.Load(); got != step.records {
+			t.Fatalf("%s: %d checkpoint records, want %d", step.name, got, step.records)
+		}
+	}
+	if err := h.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Boot(false); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Kill()
+	if want := steps[len(steps)-1].saved.Blob(); !bytes.Equal(restored, want) {
+		t.Fatalf("rebooted from %q, want %q", restored, want)
+	}
+}
 
 // TestHostKillRebootsFromPersistedCheckpoint is the durability contract
 // of the one replica host that internal/bench and cmd/neokv both boot:
@@ -64,7 +168,7 @@ func TestHostKillRebootsFromPersistedCheckpoint(t *testing.T) {
 	// Commit until the victim's persister has captured two different
 	// checkpoints: it appends them one after the other, each append
 	// returning once fsynced, so by then the first is on disk.
-	var first, zero [32]byte
+	var first, zero persistKey
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if time.Now().After(deadline) {
@@ -72,7 +176,7 @@ func TestHostKillRebootsFromPersistedCheckpoint(t *testing.T) {
 		}
 		invoke(8)
 		victim.mu.Lock()
-		captured := victim.ckptHash
+		captured := victim.persisted
 		victim.mu.Unlock()
 		if first == zero {
 			first = captured

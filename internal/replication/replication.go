@@ -32,9 +32,33 @@ type App interface {
 // identical state return identical bytes — because checkpoint digests
 // are computed over it. Restore replaces the application state wholesale
 // with the snapshotted one.
+//
+// The snapshot is written in place: SnapshotSize reports its exact length
+// in the current state and AppendSnapshot appends it to a caller's
+// buffer, so a checkpoint of a large state is one buffer allocated once,
+// not a copy of a copy.
 type Snapshotter interface {
-	Snapshot() []byte
+	SnapshotSize() int
+	AppendSnapshot(buf []byte) []byte
 	Restore(data []byte) error
+}
+
+// SnapshotSize is app's snapshot length, 0 for an application that does
+// not implement Snapshotter.
+func SnapshotSize(app App) int {
+	if s, ok := app.(Snapshotter); ok {
+		return s.SnapshotSize()
+	}
+	return 0
+}
+
+// AppendSnapshot appends app's snapshot to buf; an application that does
+// not implement Snapshotter appends nothing.
+func AppendSnapshot(app App, buf []byte) []byte {
+	if s, ok := app.(Snapshotter); ok {
+		return s.AppendSnapshot(buf)
+	}
+	return buf
 }
 
 // CaptureSnapshot bundles the application snapshot with the client table
@@ -45,13 +69,9 @@ type Snapshotter interface {
 // and diverge. Applications that do not implement Snapshotter contribute
 // an empty application section.
 func CaptureSnapshot(app App, table *ClientTable) []byte {
-	var appB []byte
-	if s, ok := app.(Snapshotter); ok {
-		appB = s.Snapshot()
-	}
 	tableB := table.Snapshot()
-	w := wire.NewWriter(16 + len(appB) + len(tableB))
-	w.VarBytes(appB)
+	w := wire.NewWriter(8 + SnapshotSize(app) + len(tableB))
+	w.VarAppend(func(buf []byte) []byte { return AppendSnapshot(app, buf) })
 	w.VarBytes(tableB)
 	return w.Bytes()
 }
@@ -96,8 +116,11 @@ type EchoApp struct{}
 // Execute implements App.
 func (EchoApp) Execute(op []byte) ([]byte, func()) { return op, nil }
 
-// Snapshot implements Snapshotter: the echo app is stateless.
-func (EchoApp) Snapshot() []byte { return nil }
+// SnapshotSize implements Snapshotter: the echo app is stateless.
+func (EchoApp) SnapshotSize() int { return 0 }
+
+// AppendSnapshot implements Snapshotter.
+func (EchoApp) AppendSnapshot(buf []byte) []byte { return buf }
 
 // Restore implements Snapshotter.
 func (EchoApp) Restore(data []byte) error { return nil }

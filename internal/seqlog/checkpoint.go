@@ -468,31 +468,44 @@ func (c *Checkpointer) Serve(prefix []byte, have uint64) []byte {
 		return nil
 	}
 	c.mServed.Inc()
-	return c.encode(prefix)
+	return encode(prefix, c.stable)
 }
 
-// Persist returns prefix then the stable checkpoint, encoded as Serve
-// sends it: the state a restarted replica boots from. Nil before the
-// first stable checkpoint.
-func (c *Checkpointer) Persist(prefix []byte) []byte {
-	if c.stable == nil {
+// Saved is the state a restarted replica boots from, captured but not yet
+// encoded: the protocol's prefix and the stable checkpoint. A stable
+// checkpoint is never modified once adopted, so a replica captures a
+// Saved under its lock and encodes it with Blob after releasing it.
+type Saved struct {
+	Prefix []byte
+	Stable *Checkpoint // nil before the first stable checkpoint
+}
+
+// Save captures prefix and the stable checkpoint for Blob.
+func (c *Checkpointer) Save(prefix []byte) Saved {
+	return Saved{Prefix: prefix, Stable: c.stable}
+}
+
+// Blob returns the prefix then the stable checkpoint, encoded as Serve
+// sends it. Nil before the first stable checkpoint.
+func (s Saved) Blob() []byte {
+	if s.Stable == nil {
 		return nil
 	}
-	return c.encode(prefix)
+	return encode(s.Prefix, s.Stable)
 }
 
-func (c *Checkpointer) encode(prefix []byte) []byte {
-	w := wire.NewWriter(len(prefix) + 256 + len(c.stable.Snapshot))
+func encode(prefix []byte, cp *Checkpoint) []byte {
+	w := wire.NewWriter(len(prefix) + 256 + len(cp.Snapshot))
 	w.Raw(prefix)
-	w.VarBytes(c.stable.Cert.Marshal())
-	for _, e := range c.stable.Extra {
+	w.VarBytes(cp.Cert.Marshal())
+	for _, e := range cp.Extra {
 		w.Bytes32(e)
 	}
-	w.VarBytes(c.stable.Snapshot)
+	w.VarBytes(cp.Snapshot)
 	return w.Bytes()
 }
 
-// Read decodes the rest of rd as Serve and Persist encode a checkpoint,
+// Read decodes the rest of rd as Serve and Saved.Blob encode a checkpoint,
 // nil if malformed. The checkpoint is unchecked until Install.
 func (c *Checkpointer) Read(rd *wire.Reader) *Checkpoint {
 	certB := rd.VarBytes()

@@ -207,7 +207,7 @@ func TestCheckpointerAheadClaims(t *testing.T) {
 func TestCheckpointerCheckRejects(t *testing.T) {
 	cps, _ := newGroup(1)
 	stabilize(t, cps, 8, sameSnaps(4, "state@8"), [32]byte{7})
-	good := cps[0].Read(wire.NewReader(cps[0].Persist(nil)))
+	good := cps[0].Read(wire.NewReader(cps[0].Save(nil).Blob()))
 	if good == nil || !cps[1].Check(good) {
 		t.Fatal("an honest checkpoint failed Check")
 	}
@@ -222,7 +222,7 @@ func TestCheckpointerCheckRejects(t *testing.T) {
 		"wrong slot":        func(cp *Checkpoint) { cp.Slot++ },
 	}
 	for name, tamper := range cases {
-		cp := cps[0].Read(wire.NewReader(cps[0].Persist(nil)))
+		cp := cps[0].Read(wire.NewReader(cps[0].Save(nil).Blob()))
 		tamper(cp)
 		if cps[1].Check(cp) {
 			t.Errorf("%s: Check accepted it", name)
@@ -243,7 +243,7 @@ func TestCheckpointerPersistRoundTrip(t *testing.T) {
 	for _, extra := range [][][32]byte{nil, {{0xAB}}} {
 		cps, _ := newGroup(len(extra))
 		stabilize(t, cps, 8, sameSnaps(4, "state@8"), extra...)
-		blob := cps[0].Persist(nil)
+		blob := cps[0].Save(nil).Blob()
 		fresh, regs := newGroup(len(extra))
 		var applied []byte
 		cp := fresh[3].Read(wire.NewReader(blob))
@@ -253,7 +253,7 @@ func TestCheckpointerPersistRoundTrip(t *testing.T) {
 		if string(applied) != "state@8" || fresh[3].Stable().Slot != 8 || fresh[3].Installs() != 1 {
 			t.Fatalf("extra=%d: installed %q at %d", len(extra), applied, fresh[3].Stable().Slot)
 		}
-		if !bytes.Equal(fresh[3].Persist(nil), blob) {
+		if !bytes.Equal(fresh[3].Save(nil).Blob(), blob) {
 			t.Fatalf("extra=%d: Persist after install differs", len(extra))
 		}
 		if pkt := fresh[3].Serve([]byte{0x42}, 0); len(pkt) == 0 || pkt[0] != 0x42 || !bytes.Equal(pkt[1:], blob) {

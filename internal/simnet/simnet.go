@@ -214,10 +214,10 @@ func (n *Network) Join(id transport.NodeID) *Node {
 		panic("simnet: duplicate node ID")
 	}
 	nd := &Node{
-		net:   n,
-		id:    id,
-		inbox: make(chan packet, n.opts.InboxSize),
-		done:  make(chan struct{}),
+		net:  n,
+		id:   id,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	n.nodes[id] = nd
 	go nd.deliveryLoop()
@@ -444,13 +444,24 @@ func (h *delayHeap) Pop() interface{} {
 
 // Node is one attachment point on the simulated network. It implements
 // transport.Conn.
+//
+// Its inbox is a queue that grows with use rather than a channel of
+// InboxSize slots, so an idle or lightly loaded node costs no memory for
+// the bound it never reaches. queued counts every packet accepted and not
+// yet handed to the handler, including those of a batch the delivery
+// goroutine has taken and is still handing out, so the bound is the one
+// a channel of that capacity would enforce.
 type Node struct {
 	net     *Network
 	id      transport.NodeID
-	inbox   chan packet
 	handler atomic.Pointer[transport.Handler]
 	done    chan struct{}
 	closed  atomic.Bool
+
+	mu     sync.Mutex
+	inbox  []packet      // accepted, not yet taken by the delivery goroutine
+	queued atomic.Int64  // accepted, not yet delivered
+	wake   chan struct{} // signals the delivery goroutine that inbox is non-empty
 }
 
 var _ transport.Conn = (*Node)(nil)
@@ -489,19 +500,41 @@ func (nd *Node) closeLocked() {
 }
 
 func (nd *Node) enqueue(p packet) {
-	select {
-	case nd.inbox <- p:
-	default:
+	if nd.queued.Add(1) > int64(nd.net.opts.InboxSize) {
+		nd.queued.Add(-1)
 		nd.net.dropped.Add(1) // inbox overflow: the network is unreliable
+		return
+	}
+	nd.mu.Lock()
+	nd.inbox = append(nd.inbox, p)
+	nd.mu.Unlock()
+	select {
+	case nd.wake <- struct{}{}:
+	default:
 	}
 }
 
+// deliveryLoop hands packets to the handler one at a time, in the order
+// they were accepted. It takes the whole inbox at once and swaps in the
+// buffer of the batch before, so in steady state the queue allocates
+// nothing.
 func (nd *Node) deliveryLoop() {
+	var batch []packet
 	for {
 		select {
 		case <-nd.done:
 			return
-		case p := <-nd.inbox:
+		case <-nd.wake:
+		}
+		nd.mu.Lock()
+		batch, nd.inbox = nd.inbox, batch[:0]
+		nd.mu.Unlock()
+		for i, p := range batch {
+			if nd.closed.Load() {
+				return
+			}
+			batch[i] = packet{} // release the payload to the collector
+			nd.queued.Add(-1)
 			if h := nd.handler.Load(); h != nil {
 				(*h)(p.from, p.payload)
 				nd.net.delivered.Add(1)

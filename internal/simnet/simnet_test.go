@@ -77,6 +77,48 @@ func TestDelayedDeliveryOrdersByTime(t *testing.T) {
 	}
 }
 
+// TestInboxBound: a node holds at most InboxSize packets not yet handed
+// to its handler, counting those the delivery goroutine has already taken
+// in a batch; it drops the rest and delivers the accepted ones in order.
+func TestInboxBound(t *testing.T) {
+	net := New(Options{InboxSize: 4})
+	defer net.Close()
+	a := net.Join(1)
+	b := net.Join(2)
+	entered := make(chan byte)
+	release := make(chan struct{})
+	b.SetHandler(func(from transport.NodeID, p []byte) {
+		entered <- p[0]
+		<-release
+	})
+	send := func(lo, hi byte) {
+		for i := lo; i <= hi; i++ {
+			a.Send(2, []byte{i})
+		}
+	}
+	next := func(want byte) {
+		t.Helper()
+		if got := <-entered; got != want {
+			t.Fatalf("handler got packet %d, want %d", got, want)
+		}
+	}
+	send(1, 1)
+	next(1)
+	send(2, 7) // 1 is in the handler: 2–5 fill the inbox, 6 and 7 overflow
+	release <- struct{}{}
+	next(2)
+	send(8, 9) // 3–5 are still queued behind 2: 8 fits, 9 overflows
+	if st := net.Stats(); st.Sent != 9 || st.Dropped != 3 {
+		t.Fatalf("sent %d, dropped %d; want 9 and 3", st.Sent, st.Dropped)
+	}
+	for _, want := range []byte{3, 4, 5, 8} {
+		release <- struct{}{}
+		next(want)
+	}
+	release <- struct{}{}
+	waitFor(t, func() bool { return net.Stats().Delivered == 6 }, "6 deliveries")
+}
+
 func TestDropRate(t *testing.T) {
 	net := New(Options{DropRate: 1.0, Seed: 1})
 	defer net.Close()

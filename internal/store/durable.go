@@ -9,11 +9,16 @@ import (
 
 // Durable wraps a replicated application so that every executed
 // operation is journaled to the store's WAL as a write-behind
-// RecordOp. Execution never blocks on the disk: the record rides the
-// next group-commit fsync batch, and the append→fsync latency is
-// visible in the store_wal_append_ns histogram. Protocol-level
-// durability comes from the checkpoint records the persist loop
-// appends, not from this journal (see the package comment).
+// RecordOp. Execution never blocks on the disk: the append is one
+// write(2) into the page cache under the store's mutex, and no fsync
+// runs under that mutex (the committer takes its batch under it and
+// syncs outside it), so the record rides the next group-commit fsync
+// batch while execution carries on. The append→fsync latency is visible
+// in the store_wal_append_ns histogram. The write itself stays on the
+// execution path because a write that has returned survives a SIGKILL of
+// the process. Protocol-level durability comes from the checkpoint
+// records the persist loop appends, not from this journal (see the
+// package comment).
 //
 // The wrapper always implements replication.Snapshotter, delegating
 // to the inner application when it does; CaptureSnapshot and
@@ -38,11 +43,10 @@ func (d *durableApp) Execute(op []byte) ([]byte, func()) {
 	return d.inner.Execute(op)
 }
 
-func (d *durableApp) Snapshot() []byte {
-	if s, ok := d.inner.(replication.Snapshotter); ok {
-		return s.Snapshot()
-	}
-	return nil
+func (d *durableApp) SnapshotSize() int { return replication.SnapshotSize(d.inner) }
+
+func (d *durableApp) AppendSnapshot(buf []byte) []byte {
+	return replication.AppendSnapshot(d.inner, buf)
 }
 
 func (d *durableApp) Restore(data []byte) error {

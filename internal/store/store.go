@@ -100,21 +100,45 @@ type waiter struct {
 	ack chan error // nil for write-behind op appends
 }
 
+// rolled is a segment the writer has moved past, with the appends it
+// holds that no fsync has covered yet.
+type rolled struct {
+	f     *os.File
+	batch []waiter
+}
+
+// fsync is (*os.File).Sync; a test swaps it to slow the disk.
+var fsync = (*os.File).Sync
+
 // Store is a single replica's durable state: one directory holding
 // WAL segments and snapshot files. All methods are safe for
 // concurrent use.
+//
+// Appends take mu only to write; no fsync ever runs under it, so an
+// append (AppendOp on a replica's apply loop among them) never waits for
+// the disk. The fsyncs are ordered by syncMu instead, which is always
+// taken before mu.
 type Store struct {
 	dir string
 	o   Options
+
+	// syncMu is held across each flush's fsyncs. It keeps a segment from
+	// being closed under an fsync in flight (by a flush of the segments
+	// rolled past, or by Close), and it makes a rolled segment durable
+	// before an append in a later one is acknowledged: recovery drops
+	// every segment after a torn one.
+	syncMu sync.Mutex
 
 	mu        sync.Mutex
 	f         *os.File // active segment
 	segs      []segment
 	active    int // index into segs of the active segment
 	next      uint64
-	pending   []waiter
-	buf       []byte // frame staging, reused
-	err       error  // sticky write-path failure
+	pending   []waiter // appends in f awaiting an fsync
+	spare     []waiter // the last flushed batch's buffer, for the next pending
+	rolled    []rolled // segments rolled past, oldest first, for flush to sync and close
+	buf       []byte   // frame staging, reused
+	err       error    // sticky write-path failure
 	closed    bool
 	ckptCount int    // checkpoint records since last promotion
 	lastCkpt  Record // most recent checkpoint record (Payload retained)
@@ -394,28 +418,19 @@ func (s *Store) append(rec Record, ack bool) (uint64, error) {
 	return rec.Index, <-w.ack
 }
 
-// rollLocked fsyncs and closes the active segment (releasing every
-// pending waiter — their bytes are now durable) and opens the next.
+// rollLocked hands the active segment and its pending appends to the
+// next flush, which fsyncs and closes it, and opens the next segment.
+// It does not wait for the disk itself.
 func (s *Store) rollLocked() error {
-	if !s.o.NoSync {
-		t := time.Now()
-		if err := s.f.Sync(); err != nil {
-			s.releaseLocked(err)
-			return err
-		}
-		s.observeFsync(t, len(s.pending))
-	}
-	s.releaseLocked(nil)
-	if err := s.f.Close(); err != nil {
-		return err
-	}
+	s.rolled = append(s.rolled, rolled{f: s.f, batch: s.pending})
+	s.f, s.pending = nil, nil
 	return s.openSegmentLocked(s.next)
 }
 
-// releaseLocked acks every pending waiter with err.
-func (s *Store) releaseLocked(err error) {
+// release acks every waiter of a batch with err.
+func (s *Store) release(batch []waiter, err error) {
 	now := time.Now()
-	for _, w := range s.pending {
+	for _, w := range batch {
 		if s.hAppend != nil {
 			s.hAppend.Observe(uint64(now.Sub(w.enq)))
 		}
@@ -423,7 +438,21 @@ func (s *Store) releaseLocked(err error) {
 			w.ack <- err
 		}
 	}
-	s.pending = s.pending[:0]
+}
+
+// syncBatch fsyncs f on behalf of a batch of n appends and returns the
+// error to release the batch with. A store that has already failed (err)
+// does not touch the disk again.
+func (s *Store) syncBatch(f *os.File, n int, err error) error {
+	if err != nil {
+		return err
+	}
+	t := time.Now()
+	if !s.o.NoSync {
+		err = fsync(f)
+	}
+	s.observeFsync(t, n)
+	return err
 }
 
 func (s *Store) observeFsync(start time.Time, batch int) {
@@ -466,28 +495,33 @@ func (s *Store) committer() {
 	}
 }
 
-// flush fsyncs the active segment and releases the current batch.
+// flush makes every append so far durable and releases its waiters: the
+// rolled segments first, oldest first, each closed once synced, then the
+// active one. Only taking the batches happens under mu.
 func (s *Store) flush() {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
-	if len(s.pending) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	batch := len(s.pending)
-	var err error
-	if s.err != nil {
-		err = s.err
-	} else if !s.o.NoSync {
-		t := time.Now()
-		err = s.f.Sync()
-		s.observeFsync(t, batch)
-		if err != nil {
-			s.err = err
+	rolled, batch, f, err := s.rolled, s.pending, s.f, s.err
+	s.rolled, s.pending, s.spare = nil, s.spare, nil
+	s.mu.Unlock()
+	for _, r := range rolled {
+		err = s.syncBatch(r.f, len(r.batch), err)
+		s.release(r.batch, err)
+		if cerr := r.f.Close(); err == nil {
+			err = cerr
 		}
-	} else {
-		s.observeFsync(time.Now(), batch)
 	}
-	s.releaseLocked(err)
+	if len(batch) > 0 {
+		err = s.syncBatch(f, len(batch), err)
+		s.release(batch, err)
+	}
+	clear(batch)
+	s.mu.Lock()
+	s.spare = batch[:0]
+	if err != nil && s.err == nil {
+		s.err = err
+	}
 	s.mu.Unlock()
 	// Drain a stale cut signal so the next batch lingers properly.
 	select {
@@ -573,12 +607,16 @@ func (s *Store) Close() error {
 	close(s.quit)
 	<-s.done
 
+	// The committer's last flush synced and closed every rolled segment;
+	// syncMu keeps a concurrent Sync from fsyncing the file closed here.
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var err error
 	if s.f != nil {
 		if !s.o.NoSync && s.err == nil {
-			err = s.f.Sync()
+			err = fsync(s.f)
 		}
 		if cerr := s.f.Close(); err == nil {
 			err = cerr

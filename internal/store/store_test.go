@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -362,6 +365,191 @@ func TestDurableAppJournals(t *testing.T) {
 	r := s2.Recovered()
 	if len(r.Ops) != 5 || !bytes.Equal(r.Ops[4], []byte("op-4")) {
 		t.Fatalf("journal %d ops %q", len(r.Ops), r.Ops)
+	}
+}
+
+// TestAppendOpDoesNotWaitForFsync: an op append returns while the group
+// committer's fsync is in flight, and a checkpoint written meanwhile is
+// acknowledged only once an fsync that covers it has completed.
+func TestAppendOpDoesNotWaitForFsync(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	fsync = func(f *os.File) error {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+		return f.Sync()
+	}
+	defer func() { fsync = (*os.File).Sync }()
+	reg := metrics.NewRegistry()
+	s, err := Open(t.TempDir(), Options{FsyncLinger: -1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer unblock()
+
+	if err := s.AppendOp(1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the committer never fsynced")
+	}
+	op := make(chan error, 1)
+	go func() { op <- s.AppendOp(2, []byte("b")) }()
+	select {
+	case err := <-op:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AppendOp waited for the fsync in flight")
+	}
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- s.AppendCheckpoint(3, []byte("c")) }()
+	records := reg.Counter("store_wal_records_total")
+	for records.Load() < 3 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case err := <-ckpt:
+		t.Fatalf("checkpoint acknowledged (%v) while every fsync was blocked", err)
+	default:
+	}
+	unblock()
+	select {
+	case err := <-ckpt:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("checkpoint never acknowledged")
+	}
+}
+
+// TestConcurrentAppendRollClose appends ops and checkpoints from several
+// goroutines across segment rolls, with slow fsyncs and a Close racing
+// the writers. Every acknowledged checkpoint lies inside what a completed
+// fsync of its segment covered when it was acknowledged, and the WAL
+// holds every append that succeeded, with dense indexes.
+func TestConcurrentAppendRollClose(t *testing.T) {
+	var mu sync.Mutex
+	synced := map[string]int64{} // segment path → bytes a completed fsync covered
+	fsync = func(f *os.File) error {
+		info, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		time.Sleep(200 * time.Microsecond)
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		mu.Lock()
+		synced[f.Name()] = max(synced[f.Name()], info.Size())
+		mu.Unlock()
+		return nil
+	}
+	defer func() { fsync = (*os.File).Sync }()
+	dir := t.TempDir()
+	o := Options{SegmentBytes: 2048, SnapshotEvery: 1 << 30, FsyncLinger: 100 * time.Microsecond}
+	s, err := Open(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	var ackMu sync.Mutex
+	covered := map[string]map[string]int64{} // checkpoint payload → synced when acknowledged
+	var appended atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				var err error
+				if i%5 == 4 {
+					p := fmt.Sprintf("ckpt-%d-%d", w, i)
+					if err = s.AppendCheckpoint(uint64(i), []byte(p)); err == nil {
+						mu.Lock()
+						cov := maps.Clone(synced)
+						mu.Unlock()
+						ackMu.Lock()
+						covered[p] = cov
+						ackMu.Unlock()
+					}
+				} else {
+					err = s.AppendOp(uint64(i), []byte(fmt.Sprintf("op-%d-%d", w, i)))
+				}
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				appended.Add(1)
+			}
+		}(w)
+	}
+	for appended.Load() < 400 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 {
+		t.Fatalf("%d segments: the writers never rolled", len(segs))
+	}
+	next, acked := uint64(1), 0
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(data); {
+			rec, n, err := readFrame(data[off:])
+			if err != nil {
+				t.Fatalf("%s at %d: %v", seg.path, off, err)
+			}
+			off += n
+			if rec.Index != next {
+				t.Fatalf("WAL index %d follows %d", rec.Index, next-1)
+			}
+			next++
+			if cov, ok := covered[string(rec.Payload)]; ok {
+				acked++
+				if cov[seg.path] < int64(off) {
+					t.Fatalf("%s acknowledged with %d bytes of %s synced, record ends at %d",
+						rec.Payload, cov[seg.path], seg.path, off)
+				}
+			}
+		}
+	}
+	if got := int64(next - 1); got != appended.Load() {
+		t.Fatalf("WAL holds %d records, %d appends succeeded", got, appended.Load())
+	}
+	if acked != len(covered) {
+		t.Fatalf("%d of %d acknowledged checkpoints found in the WAL", acked, len(covered))
+	}
+	s2, err := Open(dir, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if r := s2.Recovered(); r.Torn || int64(r.Records) != appended.Load() {
+		t.Fatalf("reopened: torn=%v, %d records", r.Torn, r.Records)
 	}
 }
 

@@ -26,6 +26,10 @@ func NewWriter(capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity)}
 }
 
+// AppendTo returns a Writer that appends to buf, for an encoder that
+// writes into its caller's buffer.
+func AppendTo(buf []byte) *Writer { return &Writer{buf: buf} }
+
 // Bytes returns the encoded buffer. The buffer is owned by the Writer
 // until Reset is called.
 func (w *Writer) Bytes() []byte { return w.buf }
@@ -64,6 +68,17 @@ func (w *Writer) Bytes32(v [32]byte) { w.buf = append(w.buf, v[:]...) }
 func (w *Writer) VarBytes(v []byte) {
 	w.U32(uint32(len(v)))
 	w.buf = append(w.buf, v...)
+}
+
+// VarAppend appends a length-prefixed byte string that fn appends to the
+// buffer it is given, so a large value is encoded in place instead of
+// being built elsewhere and copied in. The bytes are those VarBytes
+// writes for the same value.
+func (w *Writer) VarAppend(fn func(buf []byte) []byte) {
+	off := len(w.buf)
+	w.U32(0)
+	w.buf = fn(w.buf)
+	binary.LittleEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
 }
 
 // Raw appends bytes with no length prefix.

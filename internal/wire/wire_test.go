@@ -56,6 +56,21 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVarAppendMatchesVarBytes: a value appended in place encodes as the
+// same value passed to VarBytes, behind whatever the buffer held.
+func TestVarAppendMatchesVarBytes(t *testing.T) {
+	for _, v := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("ab"), 300)} {
+		want := NewWriter(0)
+		want.U8(9)
+		want.VarBytes(v)
+		got := AppendTo([]byte{9})
+		got.VarAppend(func(buf []byte) []byte { return append(buf, v...) })
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("len %d: VarAppend %x, VarBytes %x", len(v), got.Bytes(), want.Bytes())
+		}
+	}
+}
+
 func TestReaderTruncation(t *testing.T) {
 	r := NewReader([]byte{1, 2})
 	_ = r.U32()

@@ -127,8 +127,12 @@ func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
 // replica restarted with this blob (Config.Restore) resumes the
 // speculative chain from the certified point; nil means no checkpoint
 // is stable yet.
-func (r *Replica) Persist() []byte {
+func (r *Replica) Persist() []byte { return r.Save().Blob() }
+
+// Save captures what Persist encodes under r.mu; the snapshot is encoded
+// after the lock is released.
+func (r *Replica) Save() seqlog.Saved {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ckpt.Persist(nil)
+	return r.ckpt.Save(nil)
 }
