@@ -15,11 +15,13 @@ import (
 	"testing"
 	"time"
 
+	"neobft/internal/batch"
 	"neobft/internal/bench"
 	"neobft/internal/crypto/auth"
 	"neobft/internal/crypto/secp256k1"
 	"neobft/internal/kvstore"
 	"neobft/internal/pbft"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/runtime"
 	"neobft/internal/sequencer"
@@ -284,14 +286,16 @@ func benchVerifyFlood(b *testing.B, n, workers int) {
 	conn := &sinkConn{id: mem[0]}
 	rt := runtime.New(runtime.Config{Conn: conn, Workers: workers, Queue: 8192})
 	r := pbft.New(pbft.Config{
-		Self: 0, N: n, F: f,
-		Members:    mem,
-		Conn:       conn,
-		Auth:       auth.NewHMACAuth(master, 0, n),
-		ClientAuth: auth.NewReplicaSide([]byte("client-master"), 0),
-		App:        replication.EchoApp{},
-		BatchSize:  8,
-		Runtime:    rt,
+		Config: replica.Config{
+			Self: 0, N: n, F: f,
+			Members:    mem,
+			Conn:       conn,
+			Auth:       auth.NewHMACAuth(master, 0, n),
+			ClientAuth: auth.NewReplicaSide([]byte("client-master"), 0),
+			App:        replication.EchoApp{},
+			Runtime:    rt,
+		},
+		Batch: batch.Config{MaxCount: 8},
 	})
 	defer r.Close()
 

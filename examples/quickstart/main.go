@@ -11,6 +11,7 @@ import (
 	"neobft/internal/configsvc"
 	"neobft/internal/crypto/auth"
 	"neobft/internal/neobft"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/sequencer"
 	"neobft/internal/simnet"
@@ -43,15 +44,17 @@ func main() {
 	// 3. Four NeoBFT replicas running an echo state machine.
 	for i := 0; i < n; i++ {
 		r := neobft.New(neobft.Config{
-			Self: i, N: n, F: f,
-			Members:    members,
-			Group:      group,
-			Conn:       net.Join(members[i]),
-			Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
-			ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
-			App:        replication.EchoApp{},
-			Variant:    wire.AuthHMAC,
-			Svc:        svc,
+			Config: replica.Config{
+				Self: i, N: n, F: f,
+				Members:    members,
+				Conn:       net.Join(members[i]),
+				Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
+				ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
+				App:        replication.EchoApp{},
+			},
+			Group:   group,
+			Variant: wire.AuthHMAC,
+			Svc:     svc,
 		})
 		defer r.Close()
 	}

@@ -72,7 +72,8 @@ type RunResult struct {
 	ProjectedTput float64
 	// Latencies holds per-operation latencies from the measured window.
 	Latencies []time.Duration
-	// Errors counts operations that timed out.
+	// Errors counts operations that failed (timed out) and either
+	// started or failed inside the measured window.
 	Errors int
 	// MsgsPerOp is the busiest replica's inbound messages per committed
 	// op (the paper's bottleneck complexity, Table 1).
@@ -172,35 +173,19 @@ func Run(sys *System, load Load) RunResult {
 	if load.PacketCost == 0 {
 		load.PacketCost = 3 * time.Microsecond
 	}
-	type clientResult struct {
-		mu   sync.Mutex
-		lats []time.Duration
-		errs int
-	}
 	var (
-		measuring atomic.Bool
-		stop      atomic.Bool
-		wg        sync.WaitGroup
-		results   = make([]clientResult, load.Clients)
-		acks      chaos.AckRecorder
+		rec  = newRecorder(load.Clients)
+		stop atomic.Bool
+		wg   sync.WaitGroup
+		acks chaos.AckRecorder
 	)
-	record := func(idx int, op []byte, err error, elapsed time.Duration) {
+	record := func(idx int, op []byte, started bool, err error, elapsed time.Duration) {
 		if err == nil && chaosArmed {
 			if client, s, ok := chaos.DecodeOp(op); ok {
 				acks.Record(client, s)
 			}
 		}
-		if !measuring.Load() {
-			return
-		}
-		r := &results[idx]
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if err != nil {
-			r.errs++
-			return
-		}
-		r.lats = append(r.lats, elapsed)
+		rec.done(idx, started, err, elapsed)
 	}
 	for c := 0; c < load.Clients; c++ {
 		cl := sys.NewClient(c)
@@ -218,13 +203,13 @@ func Run(sys *System, load Load) RunResult {
 				for !stop.Load() {
 					op := load.Op(idx, seq)
 					seq++
-					start := time.Now()
+					start, started := time.Now(), rec.started()
 					call := st.Start(op, load.OpTimeout)
 					inflight.Add(1)
 					go func() {
 						defer inflight.Done()
 						_, err := call.Wait()
-						record(idx, op, err, time.Since(start))
+						record(idx, op, started, err, time.Since(start))
 					}()
 				}
 				inflight.Wait()
@@ -233,22 +218,22 @@ func Run(sys *System, load Load) RunResult {
 			for !stop.Load() {
 				op := load.Op(idx, seq)
 				seq++
-				start := time.Now()
+				start, started := time.Now(), rec.started()
 				_, err := cl.Invoke(op, load.OpTimeout)
-				record(idx, op, err, time.Since(start))
+				record(idx, op, started, err, time.Since(start))
 			}
 		}()
 	}
 	time.Sleep(load.Warmup)
 	snap0 := snapCounters(sys)
-	measuring.Store(true)
+	rec.measuring.Store(true)
 	start := time.Now()
 	var exec *chaos.Executor
 	if chaosArmed {
 		exec = chaos.Start(sys.fleet(), sys.Chaos)
 	}
 	time.Sleep(load.Duration)
-	measuring.Store(false)
+	rec.measuring.Store(false)
 	window := time.Since(start)
 	snap1 := snapCounters(sys)
 	var chaosOut *ChaosOutcome
@@ -282,13 +267,57 @@ func Run(sys *System, load Load) RunResult {
 	out.Config = sys.runConfig("closed", load.Clients, 0)
 	out.Chaos = chaosOut
 	fillSystemState(&out, sys)
-	for i := range results {
-		out.Latencies = append(out.Latencies, results[i].lats...)
-		out.Errors += results[i].errs
-	}
-	out.Throughput = float64(len(out.Latencies)) / window.Seconds()
+	rec.collect(&out, window)
 	fillPerOp(&out, snap0, snap1, load.PacketCost)
 	return out
+}
+
+// recorder collects the per-client outcomes of one load run. A success
+// counts when it completes inside the measured window (its latency and
+// the window's throughput). A failure counts when the operation started
+// inside the window or failed inside it, so an operation that times out
+// after the window closes, while the clients drain, is not lost.
+type recorder struct {
+	measuring atomic.Bool
+	clients   []clientOutcomes
+}
+
+type clientOutcomes struct {
+	mu   sync.Mutex
+	lats []time.Duration
+	errs int
+}
+
+func newRecorder(clients int) *recorder {
+	return &recorder{clients: make([]clientOutcomes, clients)}
+}
+
+// started reports whether an operation starting now starts inside the
+// measured window; the caller passes it back to done.
+func (r *recorder) started() bool { return r.measuring.Load() }
+
+// done files client idx's completed operation.
+func (r *recorder) done(idx int, started bool, err error, lat time.Duration) {
+	if !r.measuring.Load() && (err == nil || !started) {
+		return
+	}
+	c := &r.clients[idx]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.errs++
+		return
+	}
+	c.lats = append(c.lats, lat)
+}
+
+// collect moves the outcomes into out, after every client has drained.
+func (r *recorder) collect(out *RunResult, window time.Duration) {
+	for i := range r.clients {
+		out.Latencies = append(out.Latencies, r.clients[i].lats...)
+		out.Errors += r.clients[i].errs
+	}
+	out.Throughput = float64(len(out.Latencies)) / window.Seconds()
 }
 
 // counterSnap is one point-in-time reading of the system's per-replica
@@ -418,17 +447,11 @@ func RunOpen(sys *System, load OpenLoad) RunResult {
 		load.Seed = 1
 	}
 	perClientMean := float64(time.Second) * float64(load.Clients) / load.Rate
-	type clientResult struct {
-		mu   sync.Mutex
-		lats []time.Duration
-		errs int
-	}
 	var (
-		measuring atomic.Bool
-		stop      atomic.Bool
-		arrivals  sync.WaitGroup // submission loops
-		inflight  sync.WaitGroup // outstanding completions
-		results   = make([]clientResult, load.Clients)
+		rec      = newRecorder(load.Clients)
+		stop     atomic.Bool
+		arrivals sync.WaitGroup // submission loops
+		inflight sync.WaitGroup // outstanding completions
 	)
 	for c := 0; c < load.Clients; c++ {
 		cl := sys.NewClient(c)
@@ -453,34 +476,23 @@ func RunOpen(sys *System, load OpenLoad) RunResult {
 				}
 				op := load.Op(idx, seq)
 				seq++
-				sched := next
+				sched, started := next, rec.started()
 				call := st.Start(op, load.OpTimeout) // blocks while window is full
 				inflight.Add(1)
 				go func() {
 					defer inflight.Done()
 					_, err := call.Wait()
-					lat := time.Since(sched)
-					if !measuring.Load() {
-						return
-					}
-					r := &results[idx]
-					r.mu.Lock()
-					if err != nil {
-						r.errs++
-					} else {
-						r.lats = append(r.lats, lat)
-					}
-					r.mu.Unlock()
+					rec.done(idx, started, err, time.Since(sched))
 				}()
 			}
 		}()
 	}
 	time.Sleep(load.Warmup)
 	snap0 := snapCounters(sys)
-	measuring.Store(true)
+	rec.measuring.Store(true)
 	start := time.Now()
 	time.Sleep(load.Duration)
-	measuring.Store(false)
+	rec.measuring.Store(false)
 	window := time.Since(start)
 	snap1 := snapCounters(sys)
 	stop.Store(true)
@@ -490,11 +502,7 @@ func RunOpen(sys *System, load OpenLoad) RunResult {
 	var out RunResult
 	out.Config = sys.runConfig("open", load.Clients, load.Rate)
 	fillSystemState(&out, sys)
-	for i := range results {
-		out.Latencies = append(out.Latencies, results[i].lats...)
-		out.Errors += results[i].errs
-	}
-	out.Throughput = float64(len(out.Latencies)) / window.Seconds()
+	rec.collect(&out, window)
 	fillPerOp(&out, snap0, snap1, load.PacketCost)
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neobft/internal/batch"
 	"neobft/internal/chaos"
 	"neobft/internal/configsvc"
 	"neobft/internal/metrics"
@@ -313,10 +314,12 @@ func Build(o Options) *System {
 	}
 	spec := mustSpec(o.Protocol)
 	cl := spec.Cluster(o.N, protocol.Params{
-		BatchSize:          o.BatchSize,
-		BatchBytes:         o.BatchBytes,
-		BatchLinger:        o.BatchLinger,
-		BatchAdaptive:      o.BatchAdaptive,
+		Batch: batch.Config{
+			MaxCount:  o.BatchSize,
+			MaxBytes:  o.BatchBytes,
+			MaxLinger: o.BatchLinger,
+			Adaptive:  o.BatchAdaptive,
+		},
 		CheckpointInterval: o.CheckpointInterval,
 		ConfirmFlushEvery:  o.ConfirmFlushEvery,
 	})

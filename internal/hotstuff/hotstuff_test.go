@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"neobft/internal/crypto/auth"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/simnet"
 	"neobft/internal/transport"
@@ -51,14 +52,14 @@ func newCluster(t *testing.T, n int) *cluster {
 	for i := 0; i < n; i++ {
 		app := &counterApp{}
 		c.apps = append(c.apps, app)
-		r := New(Config{
+		r := New(Config{Config: replica.Config{
 			Self: i, N: n, F: c.f,
 			Members:    c.members,
 			Conn:       c.net.Join(c.members[i]),
 			Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
 			ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
 			App:        app,
-		})
+		}})
 		t.Cleanup(r.Close)
 		c.replicas = append(c.replicas, r)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"neobft/internal/crypto/auth"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/simnet"
 	"neobft/internal/transport"
@@ -55,13 +56,15 @@ func newCluster(t *testing.T, f int) *cluster {
 		app := &counterApp{}
 		c.apps = append(c.apps, app)
 		r := New(Config{
-			Self: i, N: n, F: f,
-			Members:    c.members,
-			Conn:       c.net.Join(c.members[i]),
-			Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
-			ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
-			App:        app,
-			USIG:       usig.New(uint32(i), []byte("sgx-master")),
+			Config: replica.Config{
+				Self: i, N: n, F: f,
+				Members:    c.members,
+				Conn:       c.net.Join(c.members[i]),
+				Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
+				ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
+				App:        app,
+			},
+			USIG: usig.New(uint32(i), []byte("sgx-master")),
 		})
 		t.Cleanup(r.Close)
 		c.replicas = append(c.replicas, r)

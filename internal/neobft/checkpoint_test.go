@@ -12,12 +12,12 @@ import (
 	"neobft/internal/wire"
 )
 
-// setSyncInterval shrinks every replica's checkpoint interval so tests
+// setCheckpointInterval shrinks every replica's checkpoint interval so tests
 // cross several boundaries with a handful of operations.
-func setSyncInterval(c *cluster, interval int) {
+func setCheckpointInterval(c *cluster, interval int) {
 	for _, r := range c.replicas {
 		r.mu.Lock()
-		r.cfg.SyncInterval = interval
+		r.cfg.CheckpointInterval = interval
 		r.mu.Unlock()
 	}
 }
@@ -29,7 +29,7 @@ func setSyncInterval(c *cluster, interval int) {
 // garbage-collect.
 func TestFarFutureSyncVotesRejected(t *testing.T) {
 	c := newCluster(t, clusterOpts{variant: wire.AuthHMAC})
-	setSyncInterval(c, 8)
+	setCheckpointInterval(c, 8)
 	cl := c.client(0)
 	if _, err := cl.Invoke([]byte{1}, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestPartitionedReplicaCatchesUpViaSnapshot(t *testing.T) {
 		stores[i] = kvstore.NewStore()
 		return stores[i]
 	}})
-	setSyncInterval(c, 8)
+	setCheckpointInterval(c, 8)
 	cl := c.client(0)
 	const victim = 3 // a follower; node ID 4
 	victimNode := transport.NodeID(victim + 1)

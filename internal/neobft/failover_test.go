@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"neobft/internal/metrics"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/sequencer"
 	"neobft/internal/transport"
@@ -85,7 +86,7 @@ func TestResubmitHeldRequests(t *testing.T) {
 
 	var mu sync.Mutex
 	senders := map[transport.NodeID]bool{}
-	var sent []clientReq
+	var sent []replica.ReqKey
 	newSeq := c.handles[1].ID
 	c.net.SetTap(func(from, to transport.NodeID, pkt []byte) bool {
 		if to != newSeq || from < 1 || int(from) > c.n {
@@ -101,7 +102,7 @@ func TestResubmitHeldRequests(t *testing.T) {
 		}
 		mu.Lock()
 		senders[from] = true
-		sent = append(sent, clientReq{req.Client, req.ReqID})
+		sent = append(sent, replica.KeyOf(req))
 		mu.Unlock()
 		return true
 	})
@@ -117,7 +118,7 @@ func TestResubmitHeldRequests(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	want := []clientReq{{single.ID(), 2}, {piped.ID(), 1}, {piped.ID(), 2}}
+	want := []replica.ReqKey{{Client: single.ID(), ReqID: 2}, {Client: piped.ID(), ReqID: 1}, {Client: piped.ID(), ReqID: 2}}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(senders) != 1 {

@@ -100,7 +100,7 @@ func (r *Replica) startGapResolutionLocked(slot uint64) {
 	w := wire.NewWriter(32)
 	w.U8(kindQuery)
 	w.Raw(queryBody(r.view, slot))
-	r.conn.Send(r.leaderNode(), w.Bytes())
+	r.Send(r.leaderNode(), w.Bytes())
 }
 
 func (r *Replica) resendGapFindLocked(slot uint64) {
@@ -109,7 +109,7 @@ func (r *Replica) resendGapFindLocked(slot uint64) {
 	w.U8(kindGapFind)
 	w.VarBytes(body)
 	w.VarBytes(r.cfg.Auth.TagVector(body))
-	r.broadcast(w.Bytes())
+	r.Broadcast(w.Bytes())
 }
 
 // certSlotLocked maps an ordering certificate to its log slot under the
@@ -163,7 +163,7 @@ func (r *Replica) onQuery(from transport.NodeID, body []byte) {
 	w.U64(view.Pack())
 	w.U64(slot)
 	w.VarBytes(e.cert.Marshal())
-	r.conn.Send(from, w.Bytes())
+	r.Send(from, w.Bytes())
 }
 
 func (r *Replica) onQueryReply(body []byte) {
@@ -269,7 +269,7 @@ func (r *Replica) onGapFind(pkt []byte) {
 			w.U64(view.Pack())
 			w.U64(slot)
 			w.VarBytes(e.cert.Marshal())
-			r.conn.Send(r.leaderNode(), w.Bytes())
+			r.Send(r.leaderNode(), w.Bytes())
 		}
 		return
 	}
@@ -282,7 +282,7 @@ func (r *Replica) onGapFind(pkt []byte) {
 		w.U32(uint32(r.cfg.Self))
 		w.VarBytes(dropB)
 		w.VarBytes(r.cfg.Auth.TagVector(dropB))
-		r.conn.Send(r.leaderNode(), w.Bytes())
+		r.Send(r.leaderNode(), w.Bytes())
 	}
 }
 
@@ -387,7 +387,7 @@ func (r *Replica) maybeDecideLocked(slot uint64, g *gapSlot) {
 		}
 		marshalParts(w, parts)
 	}
-	r.broadcast(w.Bytes())
+	r.Broadcast(w.Bytes())
 	// The leader adopts its own decision.
 	r.acceptDecisionLocked(&gapDecision{view: r.view, slot: slot, recv: recv, cert: g.recvCert})
 }
@@ -481,7 +481,7 @@ func (r *Replica) acceptDecisionLocked(dec *gapDecision) {
 		w.U64(dec.slot)
 		w.Bool(dec.recv)
 		w.VarBytes(tag)
-		r.broadcast(w.Bytes())
+		r.Broadcast(w.Bytes())
 	}
 	r.maybePrepareCommitLocked(dec.slot, g)
 }
@@ -533,7 +533,7 @@ func (r *Replica) maybePrepareCommitLocked(slot uint64, g *gapSlot) {
 	w.U64(slot)
 	w.Bool(recv)
 	w.VarBytes(tag)
-	r.broadcast(w.Bytes())
+	r.Broadcast(w.Bytes())
 	r.maybeCommitGapLocked(slot, g)
 }
 
@@ -602,7 +602,7 @@ func (r *Replica) maybeCommitGapLocked(slot uint64, g *gapSlot) {
 	if recv {
 		recvBit = 1
 	}
-	r.trace.Record(tkGapCommitted, slot, recvBit)
+	r.Trace().Record(tkGapCommitted, slot, recvBit)
 	r.applyCommittedGapLocked(slot, g)
 }
 

@@ -9,6 +9,7 @@ import (
 	"neobft/internal/crypto/auth"
 	"neobft/internal/crypto/secp256k1"
 	"neobft/internal/kvstore"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/transport"
 	"neobft/internal/transport/transporttest"
@@ -125,14 +126,17 @@ func TestSyncWireGolden(t *testing.T) {
 
 	rec := &transporttest.Recorder{Self: members[self]}
 	r := New(Config{
-		Self: self, N: n, F: 1, Members: members, Group: group, Conn: rec,
-		Auth:         auths[self],
-		ClientAuth:   auth.NewReplicaSide([]byte("golden-client"), self),
-		App:          kvstore.NewStore(),
-		Variant:      wire.AuthHMAC,
-		Svc:          svc,
-		SyncInterval: 4,
-		Restore:      blob.Bytes(),
+		Config: replica.Config{
+			Self: self, N: n, F: 1, Members: members, Conn: rec,
+			Auth:               auths[self],
+			ClientAuth:         auth.NewReplicaSide([]byte("golden-client"), self),
+			App:                kvstore.NewStore(),
+			CheckpointInterval: 4,
+			Restore:            blob.Bytes(),
+		},
+		Group:   group,
+		Variant: wire.AuthHMAC,
+		Svc:     svc,
 	})
 	defer r.Close()
 

@@ -8,6 +8,7 @@ import (
 
 	"neobft/internal/configsvc"
 	"neobft/internal/crypto/auth"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/sequencer"
 	"neobft/internal/simnet"
@@ -134,16 +135,18 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 			app = ca
 		}
 		cfg := Config{
-			Self: i, N: o.n, F: c.f,
-			Members:    members,
-			Group:      group,
-			Conn:       c.net.Join(members[i]),
-			Auth:       auth.NewHMACAuth([]byte("replica-master"), i, o.n),
-			ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
-			App:        app,
-			Variant:    o.variant,
-			Byzantine:  o.byzantine,
-			Svc:        c.svc,
+			Config: replica.Config{
+				Self: i, N: o.n, F: c.f,
+				Members:    members,
+				Conn:       c.net.Join(members[i]),
+				Auth:       auth.NewHMACAuth([]byte("replica-master"), i, o.n),
+				ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
+				App:        app,
+			},
+			Group:     group,
+			Variant:   o.variant,
+			Byzantine: o.byzantine,
+			Svc:       c.svc,
 		}
 		if o.fast {
 			cfg.QueryTimeout = 20 * time.Millisecond
@@ -515,11 +518,11 @@ func TestLeaderFailureDuringGap(t *testing.T) {
 
 func TestStateSyncAdvancesSyncPoint(t *testing.T) {
 	c := newCluster(t, clusterOpts{variant: wire.AuthHMAC})
-	// Default SyncInterval is 256; use a client to push past it quickly
+	// Default CheckpointInterval is 256; use a client to push past it quickly
 	// with a small interval instead.
 	for _, r := range c.replicas {
 		r.mu.Lock()
-		r.cfg.SyncInterval = 8
+		r.cfg.CheckpointInterval = 8
 		r.mu.Unlock()
 	}
 	cl := c.client(0)

@@ -7,12 +7,11 @@ import (
 
 	"neobft/internal/aom"
 	"neobft/internal/configsvc"
-	"neobft/internal/crypto/auth"
 	"neobft/internal/metrics"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/runtime"
 	"neobft/internal/seqlog"
-	"neobft/internal/tracing"
 	"neobft/internal/transport"
 	"neobft/internal/wire"
 )
@@ -26,23 +25,17 @@ const (
 	StatusViewChange
 )
 
-// Config configures a NeoBFT replica.
+// Config configures a NeoBFT replica. N = 3F+1 replicas tolerate F
+// faults, and Members are also the aom group members. CheckpointInterval
+// is the state-synchronization period in log slots (§B.2, default 256).
+// Restore boots from a Persist() blob: the stable checkpoint (certificate
+// + chain hash + snapshot) plus the view and epoch-start table. The blob
+// is honoured only if its epoch is still the group's current epoch;
+// otherwise the replica cold-starts and recovers from peers.
 type Config struct {
-	// Self is this replica's index; N = 3F+1 replicas tolerate F faults.
-	Self, N, F int
-	// Members are the replica node IDs, which are also the aom group
-	// members, in index order.
-	Members []transport.NodeID
+	replica.Config
 	// Group is the aom group ID.
 	Group uint32
-	// Conn is the replica's network attachment.
-	Conn transport.Conn
-	// Auth authenticates replica↔replica messages.
-	Auth auth.Authenticator
-	// ClientAuth verifies client request vectors and MACs replies.
-	ClientAuth *auth.ReplicaSide
-	// App is the replicated state machine.
-	App replication.App
 	// Variant selects the aom authenticator flavour.
 	Variant wire.AuthKind
 	// Byzantine enables the aom confirm exchange (untrusted network).
@@ -54,9 +47,6 @@ type Config struct {
 	// Svc is the configuration service (sequencer failover and epoch
 	// credentials). Required.
 	Svc *configsvc.Service
-	// SyncInterval is the state-synchronization period in log slots
-	// (§B.2). Default 256.
-	SyncInterval int
 	// QueryTimeout is how long a blocked replica waits for a query reply
 	// or gap decision before resending / suspecting the leader.
 	QueryTimeout time.Duration
@@ -70,18 +60,6 @@ type Config struct {
 	ViewChangeTimeout time.Duration
 	// TickInterval drives the replica's internal timers. Default 10ms.
 	TickInterval time.Duration
-	// Runtime hosts the replica's event loop and verification workers.
-	// If nil, New creates a default runtime over Conn.
-	Runtime *runtime.Runtime
-	// Metrics is the replica's shared registry (runtime stages, proto_*
-	// and aom_* series). If nil, the runtime's registry is used.
-	Metrics *metrics.Registry
-	// Restore, if non-nil, boots the replica from a Persist() blob: the
-	// stable checkpoint (certificate + chain hash + snapshot) plus the
-	// view and epoch-start table captured before a crash. The blob is
-	// honoured only if its epoch is still the group's current epoch;
-	// otherwise the replica cold-starts and recovers from peers.
-	Restore []byte
 }
 
 // logEntry is one slot of the replica's log.
@@ -105,8 +83,8 @@ type undoRec struct {
 
 // Replica is a NeoBFT replica.
 type Replica struct {
+	*replica.Core
 	cfg  Config
-	conn transport.Conn
 	recv *aom.Receiver
 
 	mu     sync.Mutex
@@ -127,7 +105,6 @@ type Replica struct {
 
 	specExecuted uint64 // highest slot executed (speculatively)
 	undoStack    []undoRec
-	clientTable  *replication.ClientTable
 	syncPoint    uint64
 
 	// ckpt runs state synchronisation: 2f+1 matching votes binding the
@@ -150,14 +127,13 @@ type Replica struct {
 	// pendingClientReqs holds requests received by unicast that have not
 	// yet appeared in the log (sequencer suspicion, §5.5); the leader of a
 	// new epoch re-submits them.
-	pendingClientReqs map[clientReq]*heldReq
+	pendingClientReqs map[replica.ReqKey]*heldReq
 	// aomApplied counts the aom packets applied on the loop. A held request
 	// that sees it stand still for a tick suspects the sequencer at once.
 	// Only the runtime loop (ApplyEvent, onTick) touches it, so it needs
 	// no lock.
 	aomApplied uint64
 
-	rt       *runtime.Runtime
 	stopOnce sync.Once
 
 	// preAuth caches client-MAC verdicts computed by verification
@@ -167,26 +143,17 @@ type Replica struct {
 	preAuthN atomic.Int64
 
 	// counters
-	committedOps uint64
-	gapAgreed    uint64
-	viewChanges  uint64
+	gapAgreed   uint64
+	viewChanges uint64
 
 	// metrics (nil-safe no-ops when unconfigured)
-	reg         *metrics.Registry
-	mCommits    *metrics.Counter
 	mGapAgree   *metrics.Counter
 	mViewChg    *metrics.Counter
 	mEpochChg   *metrics.Counter
 	mSyncAdv    *metrics.Counter
 	mStateXfer  *metrics.Counter
 	mSyncReject *metrics.Counter
-	gLow        *metrics.Gauge
-	gHigh       *metrics.Gauge
-	mAuthFail   *metrics.Counter
 	mMsgAOM     *metrics.Counter
-	mMsgClient  *metrics.Counter
-	msgCounters map[uint8]*metrics.Counter
-	trace       *metrics.Recorder
 }
 
 // Flight-recorder event kinds for the rare-path protocol machinery.
@@ -212,9 +179,7 @@ var neobftKindNames = map[uint8]string{
 // New creates and starts a NeoBFT replica. The initial view is epoch 1,
 // leader 0; the group must already exist at the configuration service.
 func New(cfg Config) *Replica {
-	if cfg.SyncInterval == 0 {
-		cfg.SyncInterval = 256
-	}
+	core := replica.NewCore(&cfg.Config, 256, neobftKindNames)
 	if cfg.QueryTimeout == 0 {
 		cfg.QueryTimeout = 50 * time.Millisecond
 	}
@@ -227,54 +192,31 @@ func New(cfg Config) *Replica {
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = 10 * time.Millisecond
 	}
+	reg := cfg.Metrics
 	r := &Replica{
+		Core:              core,
 		cfg:               cfg,
-		conn:              cfg.Conn,
 		view:              ViewID{Epoch: 1, Leader: 0},
 		epochStart:        map[uint32]uint64{1: 0},
 		epochCerts:        map[uint32]*EpochCert{},
 		verifiers:         map[uint32]*aom.CertVerifier{},
-		clientTable:       replication.NewClientTable(),
 		gaps:              map[uint64]*gapSlot{},
-		pendingClientReqs: map[clientReq]*heldReq{},
+		pendingClientReqs: map[replica.ReqKey]*heldReq{},
+		ckpt: seqlog.NewCheckpointer(seqlog.CheckpointConfig{
+			Domain: ckptDomain, Self: cfg.Self, N: cfg.N, Quorum: 2*cfg.F + 1, Extra: 1,
+			Auth: cfg.Auth, Metrics: reg,
+		}),
+		mGapAgree:   reg.Counter("proto_gap_agreements_total"),
+		mViewChg:    reg.Counter("proto_view_changes_total"),
+		mEpochChg:   reg.Counter("proto_epoch_changes_total"),
+		mSyncAdv:    reg.Counter("proto_sync_rounds_total"),
+		mStateXfer:  reg.Counter("proto_state_transfers_total"),
+		mSyncReject: reg.Counter("proto_sync_horizon_rejects_total"),
+		mMsgAOM:     reg.Counter("proto_msg_aom_total"),
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		if cfg.Runtime != nil {
-			reg = cfg.Runtime.Metrics()
-		} else {
-			reg = metrics.NewRegistry()
-		}
-	}
-	r.reg = reg
-	r.ckpt = seqlog.NewCheckpointer(seqlog.CheckpointConfig{
-		Domain: ckptDomain, Self: cfg.Self, N: cfg.N, Quorum: 2*cfg.F + 1, Extra: 1,
-		Auth: cfg.Auth, Metrics: reg,
-	})
-	r.mCommits = reg.Counter("proto_commits_total")
-	r.mGapAgree = reg.Counter("proto_gap_agreements_total")
-	r.mViewChg = reg.Counter("proto_view_changes_total")
-	r.mEpochChg = reg.Counter("proto_epoch_changes_total")
-	r.mSyncAdv = reg.Counter("proto_sync_rounds_total")
-	r.mStateXfer = reg.Counter("proto_state_transfers_total")
-	r.mSyncReject = reg.Counter("proto_sync_horizon_rejects_total")
-	r.gLow = reg.Gauge("proto_log_low_watermark")
-	r.gHigh = reg.Gauge("proto_log_high_watermark")
-	r.mAuthFail = reg.Counter("proto_auth_fail_total")
-	r.mMsgAOM = reg.Counter("proto_msg_aom_total")
-	r.mMsgClient = reg.Counter("proto_msg_client_request_total")
-	r.msgCounters = make(map[uint8]*metrics.Counter, len(neobftKindNames))
-	for k, name := range neobftKindNames {
-		r.msgCounters[k] = reg.Counter("proto_msg_" + name + "_total")
-	}
-	r.trace = reg.Recorder()
 	ep, err := cfg.Svc.ReceiverEpochConfig(cfg.Group, cfg.Self)
 	if err != nil {
 		panic("neobft: group not configured: " + err.Error())
-	}
-	var tr *tracing.Tracer
-	if cfg.Runtime != nil {
-		tr = cfg.Runtime.Tracer()
 	}
 	r.recv = aom.NewReceiver(aom.ReceiverConfig{
 		Group:             cfg.Group,
@@ -289,34 +231,24 @@ func New(cfg Config) *Replica {
 		ConfirmBatch:      cfg.ConfirmBatch,
 		ConfirmFlushEvery: cfg.ConfirmFlushEvery,
 		Metrics:           reg,
-		Tracer:            tr,
+		Tracer:            cfg.Runtime.Tracer(),
 	}, ep)
 	r.installVerifier(1, ep)
-	if cfg.Runtime == nil {
-		cfg.Runtime = runtime.New(runtime.Config{Conn: cfg.Conn, Metrics: reg})
-	}
-	r.rt = cfg.Runtime
 	if cfg.Restore != nil {
 		r.restoreFromPersist(cfg.Restore)
 	}
-	r.rt.ArmEvery(cfg.TickInterval, r.onTick)
-	r.rt.Start(r)
+	r.Runtime().ArmEvery(cfg.TickInterval, r.onTick)
+	r.Runtime().Start(r)
 	return r
 }
 
 // Close stops the replica's background machinery.
 func (r *Replica) Close() {
 	r.stopOnce.Do(func() {
-		r.rt.Close()
+		r.Core.Close()
 		r.recv.Close()
 	})
 }
-
-// Runtime returns the replica's runtime (for stats and draining).
-func (r *Replica) Runtime() *runtime.Runtime { return r.rt }
-
-// Metrics returns the replica's shared metrics registry.
-func (r *Replica) Metrics() *metrics.Registry { return r.reg }
 
 func (r *Replica) installVerifier(epoch uint32, ep aom.EpochConfig) {
 	v := &aom.CertVerifier{
@@ -410,11 +342,7 @@ func (r *Replica) SyncPoint() uint64 {
 }
 
 // Committed returns how many client operations this replica has executed.
-func (r *Replica) Committed() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.committedOps
-}
+func (r *Replica) Committed() uint64 { return r.Core.Executed() }
 
 // GapAgreements returns how many slots were resolved through the gap
 // agreement protocol.
@@ -435,15 +363,6 @@ func (r *Replica) isLeader() bool { return r.view.LeaderIndex(r.cfg.N) == r.cfg.
 
 func (r *Replica) leaderNode() transport.NodeID {
 	return r.cfg.Members[r.view.LeaderIndex(r.cfg.N)]
-}
-
-func (r *Replica) broadcast(pkt []byte) {
-	for i, m := range r.cfg.Members {
-		if i == r.cfg.Self {
-			continue
-		}
-		r.conn.Send(m, pkt)
-	}
 }
 
 // Events produced by VerifyPacket and consumed by ApplyEvent.
@@ -518,23 +437,15 @@ func (r *Replica) verifyOther(pkt []byte) runtime.Event {
 		return nil
 	}
 	if pkt[0] == replication.KindRequest {
-		req, err := replication.UnmarshalRequest(pkt[1:])
-		if err != nil {
+		req := r.VerifyRequest(pkt[1:])
+		if req == nil {
 			return nil
 		}
-		if !r.cfg.ClientAuth.VerifyClient(int64(req.Client), req.SignedBody(), req.Auth) {
-			r.mAuthFail.Inc()
-			return nil
-		}
-		r.mMsgClient.Inc()
+		r.CountMsg(pkt)
 		return evClientRequest{req: req}
 	}
-	switch pkt[0] {
-	case kindQuery, kindQueryReply, kindGapFind, kindGapRecv, kindGapDrop,
-		kindGapDecision, kindGapPrepare, kindGapCommit, kindViewChange,
-		kindViewStart, kindEpochStart, kindSync, kindStateRequest, kindStateReply,
-		kindStateSnapshot:
-		r.msgCounters[pkt[0]].Inc()
+	if _, ok := neobftKindNames[pkt[0]]; ok {
+		r.CountMsg(pkt)
 		return evProto{pkt: pkt}
 	}
 	return nil
@@ -551,10 +462,7 @@ func (r *Replica) preVerifyPayload(pre *aom.PreVerified) {
 	if r.preAuthN.Load() >= preAuthCap {
 		return // cache full; the loop falls back to inline verification
 	}
-	ok := r.cfg.ClientAuth.VerifyClient(int64(req.Client), req.SignedBody(), req.Auth)
-	if !ok {
-		r.mAuthFail.Inc()
-	}
+	ok := r.VerifyClient(req)
 	if _, loaded := r.preAuth.LoadOrStore(pre.Hdr.Digest, ok); !loaded {
 		r.preAuthN.Add(1)
 	}
@@ -659,10 +567,7 @@ func (r *Replica) appendRequestLocked(cert *aom.OrderingCert) {
 			r.preAuthN.Add(-1)
 			e.authOK = v.(bool)
 		} else {
-			e.authOK = r.cfg.ClientAuth.VerifyClient(int64(req.Client), req.SignedBody(), req.Auth)
-			if !e.authOK {
-				r.mAuthFail.Inc()
-			}
+			e.authOK = r.VerifyClient(req)
 		}
 	}
 	r.appendEntryLocked(e)
@@ -690,7 +595,7 @@ func (r *Replica) appendEntryNoSyncLocked(e *logEntry) {
 	}
 	e.logHash = replication.ChainHash(prev, e.digest)
 	r.log.Append(e)
-	r.gHigh.Set(int64(r.log.High()))
+	r.SetWindow(r.log.Low(), r.log.High())
 }
 
 // noOpDigest marks no-op slots in the hash chain.
@@ -708,7 +613,7 @@ func (r *Replica) executeReadyLocked() {
 		}
 		r.executeSlotLocked(slot, e)
 		r.specExecuted = slot
-		if r.cfg.SyncInterval > 0 && slot%uint64(r.cfg.SyncInterval) == 0 && slot > r.syncPoint {
+		if r.cfg.CheckpointInterval > 0 && slot%uint64(r.cfg.CheckpointInterval) == 0 && slot > r.syncPoint {
 			r.captureCheckpointLocked(slot)
 		}
 	}
@@ -719,33 +624,16 @@ func (r *Replica) executeSlotLocked(slot uint64, e *logEntry) {
 		return // no-ops and unauthenticated requests leave state unchanged
 	}
 	req := e.req
-	fresh, cached := r.clientTable.Check(req.Client, req.ReqID)
-	if !fresh {
-		if cached != nil {
-			r.conn.Send(req.Client, cached.Marshal())
-		}
+	rep, undo := r.ExecuteReply(req, replication.Reply{View: r.view.Pack(), Slot: slot, LogHash: e.logHash})
+	if rep == nil {
 		return
 	}
-	result, undo := r.cfg.App.Execute(req.Op)
 	if undo != nil {
 		r.undoStack = append(r.undoStack, undoRec{slot: slot, client: req.Client, reqID: req.ReqID, undo: undo})
 	}
-	r.committedOps++
-	r.mCommits.Inc()
-	rep := &replication.Reply{
-		View:    r.view.Pack(),
-		Replica: uint32(r.cfg.Self),
-		Slot:    slot,
-		LogHash: e.logHash,
-		ReqID:   req.ReqID,
-		Result:  result,
-	}
-	rep.Auth = r.cfg.ClientAuth.TagFor(int64(req.Client), rep.SignedBody())
-	r.clientTable.Store(req.Client, req.ReqID, rep)
 	if len(r.pendingClientReqs) > 0 {
-		delete(r.pendingClientReqs, clientReq{req.Client, req.ReqID})
+		delete(r.pendingClientReqs, replica.KeyOf(req))
 	}
-	r.conn.Send(req.Client, rep.Marshal())
 }
 
 // rollbackToLocked rolls application state back to just before slot
@@ -759,7 +647,7 @@ func (r *Replica) rollbackToLocked(slot uint64) {
 			break
 		}
 		top.undo()
-		r.clientTable.Forget(top.client)
+		r.Table.Forget(top.client)
 		r.undoStack = r.undoStack[:len(r.undoStack)-1]
 	}
 	if r.specExecuted >= slot {
@@ -801,23 +689,13 @@ func (r *Replica) recomputeHashesLocked(slot uint64) {
 func (r *Replica) onClientRequest(from transport.NodeID, req *replication.Request) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fresh, cached := r.clientTable.Check(req.Client, req.ReqID)
-	if !fresh {
-		if cached != nil {
-			r.conn.Send(req.Client, cached.Marshal())
-		}
+	if !r.Admit(req) {
 		return
 	}
-	key := clientReq{req.Client, req.ReqID}
+	key := replica.KeyOf(req)
 	if _, held := r.pendingClientReqs[key]; !held {
 		r.pendingClientReqs[key] = &heldReq{req: req, since: time.Now(), aomSeen: r.aomApplied}
 	}
-}
-
-// clientReq identifies one client request.
-type clientReq struct {
-	client transport.NodeID
-	reqID  uint64
 }
 
 // heldReq is a unicast request not yet delivered by aom.
@@ -862,7 +740,7 @@ func (r *Replica) onTick() {
 			w := wire.NewWriter(32)
 			w.U8(kindQuery)
 			w.Raw(queryBody(r.view, slot))
-			r.conn.Send(r.leaderNode(), w.Bytes())
+			r.Send(r.leaderNode(), w.Bytes())
 		}
 	}
 

@@ -10,7 +10,7 @@ import (
 )
 
 // State synchronization (§B.2), built on the shared seqlog checkpointer:
-// when execution crosses a SyncInterval boundary at slot s, the
+// when execution crosses a CheckpointInterval boundary at slot s, the
 // replica captures a snapshot of its application + client-table state,
 // folds H(s ‖ log-hash ‖ state-digest) into a checkpoint digest, and
 // broadcasts ⟨SYNC, s, log-hash, state-digest, drops⟩_σi (drops carries
@@ -28,7 +28,7 @@ import (
 // otherwise plant per-slot state that is never garbage-collected.
 // Caller holds r.mu.
 func (r *Replica) syncHorizonLocked() uint64 {
-	return r.log.High() + uint64(r.cfg.SyncInterval)
+	return r.log.High() + uint64(r.cfg.CheckpointInterval)
 }
 
 // captureCheckpointLocked runs when execution crosses an interval
@@ -41,7 +41,7 @@ func (r *Replica) captureCheckpointLocked(slot uint64) {
 	}
 	w := wire.NewWriter(192)
 	w.U8(kindSync)
-	step, ok := r.ckpt.Capture(w, slot, replication.CaptureSnapshot(r.cfg.App, r.clientTable), e.logHash)
+	step, ok := r.ckpt.Capture(w, slot, replication.CaptureSnapshot(r.cfg.App, r.Table), e.logHash)
 	if !ok {
 		return
 	}
@@ -60,7 +60,7 @@ func (r *Replica) captureCheckpointLocked(slot uint64) {
 	for _, g := range drops {
 		g.marshal(w)
 	}
-	r.broadcast(w.Bytes())
+	r.Broadcast(w.Bytes())
 	r.stepLocked(step)
 }
 
@@ -85,7 +85,7 @@ func (r *Replica) onSync(pkt []byte) {
 	if r.status != StatusNormal {
 		return
 	}
-	if v.Slot == 0 || v.Slot%uint64(r.cfg.SyncInterval) != 0 || v.Slot <= r.syncPoint {
+	if v.Slot == 0 || v.Slot%uint64(r.cfg.CheckpointInterval) != 0 || v.Slot <= r.syncPoint {
 		return
 	}
 	// Byzantine bounding: refuse votes for slots far beyond anything this
@@ -154,12 +154,11 @@ func (r *Replica) stepLocked(s seqlog.Step) {
 	if s.Stable != 0 {
 		r.syncPoint = s.Stable
 		r.mSyncAdv.Inc()
-		r.trace.Record(tkSyncPoint, s.Stable, 0)
+		r.Trace().Record(tkSyncPoint, s.Stable, 0)
 		r.pruneFinalizedLocked(s.Stable)
 		r.baseHash = r.ckpt.Stable().Extra[0]
 		seqlog.Truncate(r.ckpt, &r.log, s.Stable)
-		r.gLow.Set(int64(r.log.Low()))
-		r.gHigh.Set(int64(r.log.High()))
+		r.SetWindow(r.log.Low(), r.log.High())
 	}
 	if s.Fetch {
 		r.requestStateLocked()
@@ -264,7 +263,7 @@ func (r *Replica) restoreFromPersist(blob []byte) {
 // state transfer and crash-restart recovery. Caller holds r.mu.
 func (r *Replica) installLocked(cp *seqlog.Checkpoint) bool {
 	if !r.ckpt.Install(cp, func(snap []byte) error {
-		return replication.InstallSnapshot(r.cfg.App, r.clientTable, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
+		return replication.InstallSnapshot(r.cfg.App, r.Table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
 	}) {
 		return false
 	}
@@ -272,8 +271,7 @@ func (r *Replica) installLocked(cp *seqlog.Checkpoint) bool {
 	r.baseHash = cp.Extra[0]
 	r.specExecuted = cp.Slot
 	r.syncPoint = cp.Slot
-	r.gLow.Set(int64(r.log.Low()))
-	r.gHigh.Set(int64(r.log.High()))
+	r.SetWindow(r.log.Low(), r.log.High())
 	return true
 }
 
@@ -285,12 +283,12 @@ func (r *Replica) installLocked(cp *seqlog.Checkpoint) bool {
 // holds r.mu.
 func (r *Replica) requestStateLocked() {
 	r.mStateXfer.Inc()
-	r.trace.Record(tkStateXfer, r.log.High(), 0)
+	r.Trace().Record(tkStateXfer, r.log.High(), 0)
 	w := wire.NewWriter(24)
 	w.U8(kindStateRequest)
 	w.U64(r.view.Pack())
 	w.U64(r.log.High())
-	r.conn.Send(r.leaderNode(), w.Bytes())
+	r.Send(r.leaderNode(), w.Bytes())
 }
 
 func (r *Replica) onStateRequest(from transport.NodeID, body []byte) {
@@ -320,7 +318,7 @@ func (r *Replica) onStateRequest(from transport.NodeID, body []byte) {
 	w.U8(kindStateReply)
 	w.U64(r.view.Pack())
 	marshalEntries(w, entries)
-	r.conn.Send(from, w.Bytes())
+	r.Send(from, w.Bytes())
 }
 
 // serveSnapshotLocked ships the stable checkpoint snapshot to a replica
@@ -332,7 +330,7 @@ func (r *Replica) serveSnapshotLocked(to transport.NodeID, have uint64) {
 	w.U8(kindStateSnapshot)
 	w.U64(r.view.Pack())
 	if pkt := r.ckpt.Serve(w.Bytes(), have); pkt != nil {
-		r.conn.Send(to, pkt)
+		r.Send(to, pkt)
 	}
 }
 
@@ -405,7 +403,7 @@ func (r *Replica) onStateSnapshot(body []byte) {
 	// rolled back any more.
 	r.undoStack = nil
 	r.pruneFinalizedLocked(cp.Slot)
-	r.trace.Record(tkStateXfer, cp.Slot, 1)
+	r.Trace().Record(tkStateXfer, cp.Slot, 1)
 
 	// Resume: drop the blocked-slot marker (it referred to a slot now
 	// below the checkpoint or will be re-raised), re-process buffered

@@ -8,6 +8,7 @@ import (
 
 	"neobft/internal/configsvc"
 	"neobft/internal/crypto/auth"
+	"neobft/internal/replica"
 	"neobft/internal/sequencer"
 	"neobft/internal/transport"
 	"neobft/internal/transport/udpnet"
@@ -63,15 +64,17 @@ func TestEndToEndOverUDP(t *testing.T) {
 		defer conn.Close()
 		apps[i] = &counterApp{}
 		r := New(Config{
-			Self: i, N: n, F: f,
-			Members:    members,
-			Group:      1,
-			Conn:       conn,
-			Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
-			ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
-			App:        apps[i],
-			Variant:    wire.AuthHMAC,
-			Svc:        svc,
+			Config: replica.Config{
+				Self: i, N: n, F: f,
+				Members:    members,
+				Conn:       conn,
+				Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
+				ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
+				App:        apps[i],
+			},
+			Group:   1,
+			Variant: wire.AuthHMAC,
+			Svc:     svc,
 		})
 		defer r.Close()
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"neobft/internal/aom"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/tracing"
 	"neobft/internal/transport"
@@ -57,7 +58,7 @@ func (r *Replica) startViewChangeLocked(target ViewID) {
 		}
 	}
 	delete(r.pendingVC, target)
-	r.broadcast(msg.marshal())
+	r.Broadcast(msg.marshal())
 	r.maybeStartViewLocked()
 }
 
@@ -247,7 +248,7 @@ func (r *Replica) maybeStartViewLocked() {
 	}
 	vs := &viewStartMsg{NewView: vc.target, Msgs: raw}
 	vs.Tag = r.cfg.Auth.TagVector(vs.body())
-	r.broadcast(vs.marshal())
+	r.Broadcast(vs.marshal())
 	r.enterViewLocked(vc.target, msgs)
 }
 
@@ -326,7 +327,7 @@ func (r *Replica) enterViewLocked(target ViewID, msgs []*viewChangeMsg) {
 		w.U32(target.Epoch)
 		w.U64(slot)
 		w.VarBytes(tag)
-		r.broadcast(w.Bytes())
+		r.Broadcast(w.Bytes())
 		r.maybeFinishEpochStartLocked()
 		return
 	}
@@ -494,7 +495,7 @@ func (r *Replica) finishViewChangeLocked() {
 	r.gaps = map[uint64]*gapSlot{}
 	r.blockedOn = 0
 	r.queryAttempts = 0
-	r.pendingClientReqs = map[clientReq]*heldReq{}
+	r.pendingClientReqs = map[replica.ReqKey]*heldReq{}
 	for v := range r.pendingVC {
 		if !r.view.Less(v) {
 			delete(r.pendingVC, v)
@@ -502,11 +503,11 @@ func (r *Replica) finishViewChangeLocked() {
 	}
 	r.viewChanges++
 	r.mViewChg.Inc()
-	r.trace.Record(tkViewChange, uint64(r.view.Epoch), uint64(r.view.Leader))
+	r.Trace().Record(tkViewChange, uint64(r.view.Epoch), uint64(r.view.Leader))
 	if !vcStart.IsZero() {
 		// View changes are rare-path: recorded on the causal timeline
 		// regardless of sampling.
-		r.rt.Tracer().Always(tracing.PhaseViewChange, vcStart, time.Since(vcStart),
+		r.Runtime().Tracer().Always(tracing.PhaseViewChange, vcStart, time.Since(vcStart),
 			uint64(r.view.Epoch), uint64(r.view.Leader), "neobft view change")
 	}
 	// Re-process deliveries buffered across the view change and re-raise
@@ -600,7 +601,7 @@ func (r *Replica) maybeFinishEpochStartLocked() {
 	r.epochCerts[epoch] = cert
 	r.epochStart[epoch] = mySlot
 	r.mEpochChg.Inc()
-	r.trace.Record(tkEpochStart, uint64(epoch), mySlot)
+	r.Trace().Record(tkEpochStart, uint64(epoch), mySlot)
 
 	// Install the new epoch's aom credentials.
 	view, err := r.cfg.Svc.View(r.cfg.Group)
@@ -625,18 +626,18 @@ func (r *Replica) maybeFinishEpochStartLocked() {
 // Requests go in ascending (client, reqID) order: the client table keeps
 // one id per client, so a newer request sequenced first would make an
 // older one stale. Caller holds r.mu.
-func (r *Replica) resubmitLocked(held map[clientReq]*heldReq, seq transport.NodeID) {
-	keys := make([]clientReq, 0, len(held))
+func (r *Replica) resubmitLocked(held map[replica.ReqKey]*heldReq, seq transport.NodeID) {
+	keys := make([]replica.ReqKey, 0, len(held))
 	for k := range held {
-		if fresh, _ := r.clientTable.Check(k.client, k.reqID); fresh {
+		if fresh, _ := r.Table.Check(k.Client, k.ReqID); fresh {
 			keys = append(keys, k)
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
-		return a.client < b.client || a.client == b.client && a.reqID < b.reqID
+		return a.Client < b.Client || a.Client == b.Client && a.ReqID < b.ReqID
 	})
-	s := aom.NewSender(r.conn, r.cfg.Group, seq)
+	s := aom.NewSender(r.cfg.Conn, r.cfg.Group, seq)
 	for _, k := range keys {
 		s.Send(held[k].req.Marshal())
 	}

@@ -1,8 +1,6 @@
 package pbft
 
 import (
-	"time"
-
 	"neobft/internal/replication"
 	"neobft/internal/seqlog"
 	"neobft/internal/transport"
@@ -24,8 +22,8 @@ import (
 func (r *Replica) captureCheckpointLocked(seq uint64) {
 	w := wire.NewWriter(128)
 	w.U8(kindCheckpoint)
-	if step, ok := r.ckpt.Capture(w, seq, replication.CaptureSnapshot(r.cfg.App, r.table)); ok {
-		r.broadcast(w.Bytes())
+	if step, ok := r.ckpt.Capture(w, seq, replication.CaptureSnapshot(r.cfg.App, r.Table)); ok {
+		r.Broadcast(w.Bytes())
 		r.stepLocked(step)
 	}
 }
@@ -44,8 +42,7 @@ func (r *Replica) onCheckpoint(v seqlog.Vote) {
 func (r *Replica) stepLocked(s seqlog.Step) {
 	if s.Stable != 0 {
 		seqlog.Truncate(r.ckpt, &r.log, s.Stable)
-		r.gLow.Set(int64(r.log.Low()))
-		r.gHigh.Set(int64(r.log.High()))
+		r.SetWindow(r.log.Low(), r.log.High())
 		r.tryIssueLocked()
 	}
 	if s.Fetch {
@@ -59,14 +56,14 @@ func (r *Replica) sendStateFetchLocked(rep int) {
 	w := wire.NewWriter(16)
 	w.U8(kindStateFetch)
 	w.U64(r.lastExec)
-	r.conn.Send(r.cfg.Members[rep], w.Bytes())
+	r.Send(r.cfg.Members[rep], w.Bytes())
 }
 
 func (r *Replica) onStateFetch(from transport.NodeID, haveExec uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if pkt := r.ckpt.Serve([]byte{kindStateSnap}, haveExec); pkt != nil {
-		r.conn.Send(from, pkt)
+		r.Send(from, pkt)
 	}
 }
 
@@ -90,7 +87,7 @@ func (r *Replica) onStateSnap(body []byte) {
 // (Config.Restore). Caller holds r.mu.
 func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
 	if !r.ckpt.Install(cp, func(snap []byte) error {
-		return replication.InstallSnapshot(r.cfg.App, r.table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
+		return replication.InstallSnapshot(r.cfg.App, r.Table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
 	}) {
 		return
 	}
@@ -101,9 +98,8 @@ func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
 	}
 	// Requests pending suspicion timers may have been executed inside the
 	// snapshot; retransmissions are answered from the restored table.
-	r.pendingClientReqs = map[string]time.Time{}
-	r.gLow.Set(int64(r.log.Low()))
-	r.gHigh.Set(int64(r.log.High()))
+	clear(r.pendingClientReqs)
+	r.SetWindow(r.log.Low(), r.log.High())
 	r.tryIssueLocked()
 }
 

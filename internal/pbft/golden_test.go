@@ -8,6 +8,7 @@ import (
 	"neobft/internal/batch"
 	"neobft/internal/crypto/auth"
 	"neobft/internal/kvstore"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/transport"
 	"neobft/internal/transport/transporttest"
@@ -116,14 +117,14 @@ func TestCheckpointWireGolden(t *testing.T) {
 	blob.VarBytes(snap)
 
 	rec := &transporttest.Recorder{Self: members[self]}
-	r := New(Config{
+	r := New(Config{Config: replica.Config{
 		Self: self, N: n, F: 1, Members: members, Conn: rec,
 		Auth:               auths[self],
 		ClientAuth:         auth.NewReplicaSide([]byte("golden-client"), self),
 		App:                kvstore.NewStore(),
 		CheckpointInterval: 1,
 		Restore:            blob.Bytes(),
-	})
+	}})
 	defer r.Close()
 	deliver := func(from int, pkt []byte) {
 		if ev := r.VerifyPacket(members[from], pkt); ev != nil {

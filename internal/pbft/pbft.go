@@ -14,6 +14,7 @@ import (
 	"neobft/internal/batch"
 	"neobft/internal/crypto/auth"
 	"neobft/internal/metrics"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/runtime"
 	"neobft/internal/seqlog"
@@ -41,35 +42,19 @@ const (
 // protocols sharing the seqlog checkpoint wire format.
 const ckptDomain = "pbft-ckpt"
 
-// Config configures a PBFT replica.
+// window caps outstanding (uncommitted) batches. A small window is what
+// makes batching effective: requests arriving while the window is full
+// accumulate into the next batch.
+const window = 2
+
+// Config configures a PBFT replica. CheckpointInterval defaults to 128
+// sequence numbers. Restore boots from a Persist() blob (the stable
+// checkpoint certificate plus snapshot); the replica catches up on later
+// slots through the normal protocol.
 type Config struct {
-	Self, N, F int
-	Members    []transport.NodeID
-	Conn       transport.Conn
-	Auth       auth.Authenticator
-	ClientAuth *auth.ReplicaSide
-	App        replication.App
-	// BatchSize caps requests per pre-prepare (default 8).
-	BatchSize int
-	// BatchBytes caps the marshaled request payload per pre-prepare
-	// (default batch.DefaultMaxBytes).
-	BatchBytes int
-	// BatchLinger lets the primary defer a below-target batch for up to
-	// this long, trading a bounded latency hit for fuller batches. Zero
-	// preserves the cut-immediately behavior.
-	BatchLinger time.Duration
-	// BatchAdaptive scales the batch-size target with queue depth (see
-	// batch.Config.Adaptive). Requires BatchLinger > 0.
-	BatchAdaptive bool
-	// Window caps outstanding (uncommitted) batches (default 2). A small
-	// window is what makes batching effective: requests arriving while
-	// the window is full accumulate into the next batch.
-	Window int
-	// CheckpointInterval is the checkpoint period in sequence numbers
-	// (default 128): after executing a multiple of it, replicas exchange
-	// signed state digests, and 2f+1 matching ones form a stable
-	// checkpoint certificate that truncates the log below it.
-	CheckpointInterval int
+	replica.Config
+	// Batch configures the primary's batcher (batch defaults when zero).
+	Batch batch.Config
 	// RequestTimeout triggers primary suspicion for unexecuted client
 	// requests.
 	RequestTimeout time.Duration
@@ -77,17 +62,6 @@ type Config struct {
 	ViewChangeTimeout time.Duration
 	// TickInterval drives timers. Default 10ms.
 	TickInterval time.Duration
-	// Runtime hosts the replica's event loop and verification workers.
-	// If nil, New creates a default runtime over Conn.
-	Runtime *runtime.Runtime
-	// Metrics is the replica's shared registry (runtime stages plus
-	// proto_* series). If nil, the runtime's registry is used.
-	Metrics *metrics.Registry
-	// Restore, if non-nil, boots the replica from a Persist() blob: the
-	// stable checkpoint certificate plus snapshot captured before a
-	// crash. The replica resumes with its log window at the checkpoint
-	// slot and catches up on later slots through the normal protocol.
-	Restore []byte
 }
 
 type slot struct {
@@ -111,8 +85,8 @@ type part struct {
 
 // Replica is a PBFT replica.
 type Replica struct {
-	cfg  Config
-	conn transport.Conn
+	*replica.Core
+	cfg Config
 
 	mu       sync.Mutex
 	view     uint64
@@ -127,33 +101,21 @@ type Replica struct {
 	// checkpoint (the low watermark) is truncated away.
 	log      seqlog.Log[*slot]
 	lastExec uint64
-	// batcher queues client requests at the primary (with their trace
-	// refs) and cuts pre-prepare batches per the shared hybrid policy.
-	batcher *batch.Batcher
-	inQueue map[string]bool // dedupe queued requests by (client, reqID)
-	table   *replication.ClientTable
+	// queue holds client requests at the primary (with their trace refs)
+	// and cuts pre-prepare batches per the shared hybrid policy.
+	queue *replica.Queue
 
 	// ckpt runs checkpoints: 2f+1 matching votes over the snapshot
 	// digest make one stable.
 	ckpt *seqlog.Checkpointer
 
-	pendingClientReqs map[string]time.Time
+	pendingClientReqs map[replica.ReqKey]time.Time
 
-	rt *runtime.Runtime
-
-	executedOps uint64
 	viewChanges uint64
 
 	// metrics (nil-safe no-ops when unconfigured)
-	reg         *metrics.Registry
-	mCommits    *metrics.Counter
 	mViewChg    *metrics.Counter
-	mAuthFail   *metrics.Counter
 	mHorizonRej *metrics.Counter
-	gLow        *metrics.Gauge
-	gHigh       *metrics.Gauge
-	msgCounters map[uint8]*metrics.Counter
-	trace       *metrics.Recorder
 }
 
 var pbftKindNames = map[uint8]string{
@@ -166,15 +128,7 @@ var pbftKindNames = map[uint8]string{
 
 // New creates and starts a PBFT replica.
 func New(cfg Config) *Replica {
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 2
-	}
-	if cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = 128
-	}
+	core := replica.NewCore(&cfg.Config, 128, pbftKindNames)
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 300 * time.Millisecond
 	}
@@ -184,82 +138,35 @@ func New(cfg Config) *Replica {
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = 10 * time.Millisecond
 	}
-	if cfg.Runtime == nil {
-		cfg.Runtime = runtime.New(runtime.Config{Conn: cfg.Conn, Metrics: cfg.Metrics})
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = cfg.Runtime.Metrics()
-	}
+	reg := cfg.Metrics
 	r := &Replica{
-		cfg:     cfg,
-		conn:    cfg.Conn,
-		inQueue: map[string]bool{},
-		table:   replication.NewClientTable(),
+		Core: core,
+		cfg:  cfg,
 		ckpt: seqlog.NewCheckpointer(seqlog.CheckpointConfig{
 			Domain: ckptDomain, Self: cfg.Self, N: cfg.N, Quorum: 2*cfg.F + 1,
-			Auth: cfg.Auth, Metrics: cfg.Metrics,
+			Auth: cfg.Auth, Metrics: reg,
 		}),
 		vcMsgs:            map[uint64]map[uint32]*vcMsg{},
-		pendingClientReqs: map[string]time.Time{},
-		rt:                cfg.Runtime,
+		pendingClientReqs: map[replica.ReqKey]time.Time{},
+		mViewChg:          reg.Counter("proto_view_changes_total"),
+		mHorizonRej:       reg.Counter("proto_sync_horizon_rejects_total"),
 	}
-	reg := cfg.Metrics
-	r.reg = reg
-	r.mCommits = reg.Counter("proto_commits_total")
-	r.mViewChg = reg.Counter("proto_view_changes_total")
-	r.mAuthFail = reg.Counter("proto_auth_fail_total")
-	r.mHorizonRej = reg.Counter("proto_sync_horizon_rejects_total")
-	r.gLow = reg.Gauge("proto_log_low_watermark")
-	r.gHigh = reg.Gauge("proto_log_high_watermark")
-	r.msgCounters = make(map[uint8]*metrics.Counter, len(pbftKindNames)+1)
-	r.msgCounters[replication.KindRequest] = reg.Counter("proto_msg_client_request_total")
-	for k, name := range pbftKindNames {
-		r.msgCounters[k] = reg.Counter("proto_msg_" + name + "_total")
-	}
-	r.trace = reg.Recorder()
-	r.batcher = batch.New(batch.Config{
-		MaxCount:  cfg.BatchSize,
-		MaxBytes:  cfg.BatchBytes,
-		MaxLinger: cfg.BatchLinger,
-		Adaptive:  cfg.BatchAdaptive,
-		Metrics:   reg,
-	})
+	r.queue = core.NewQueue(cfg.Batch, &r.mu, r.tryIssueLocked)
 	if cp := r.ckpt.Read(wire.NewReader(cfg.Restore)); cp != nil {
 		r.mu.Lock()
 		r.installLocked(cp)
 		r.mu.Unlock()
 	}
-	if cfg.BatchLinger > 0 {
-		// Poll deferred batches well inside the linger bound; the 10ms
-		// protocol tick is far too coarse for sub-millisecond lingers.
-		r.rt.ArmEvery(flushPollInterval(cfg.BatchLinger), r.onBatchPoll)
-	}
-	r.rt.ArmEvery(cfg.TickInterval, r.onTick)
-	r.rt.Start(r)
+	r.Runtime().ArmEvery(cfg.TickInterval, r.onTick)
+	r.Runtime().Start(r)
 	return r
 }
-
-// Close stops the replica and its runtime.
-func (r *Replica) Close() { r.rt.Close() }
-
-// Runtime returns the replica's runtime (for stats and draining).
-func (r *Replica) Runtime() *runtime.Runtime { return r.rt }
-
-// Metrics returns the replica's shared metrics registry.
-func (r *Replica) Metrics() *metrics.Registry { return r.reg }
 
 // View returns the current view number.
 func (r *Replica) View() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.view
-}
-
-// Executed returns the number of executed client operations.
-func (r *Replica) Executed() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.executedOps
 }
 
 // ViewChanges returns how many view changes completed at this replica.
@@ -306,15 +213,6 @@ func (r *Replica) primaryNode() transport.NodeID {
 	return r.cfg.Members[r.primary()]
 }
 
-func (r *Replica) broadcast(pkt []byte) {
-	for i, m := range r.cfg.Members {
-		if i == r.cfg.Self {
-			continue
-		}
-		r.conn.Send(m, pkt)
-	}
-}
-
 // horizonLocked is the high watermark of the agreement window: two
 // checkpoint intervals above the stable checkpoint (PBFT's H = h + L).
 // Slots beyond it are refused, which both implements the watermark rule
@@ -339,7 +237,7 @@ func (r *Replica) slotFor(seq uint64) *slot {
 	for r.log.High() < seq {
 		r.log.Append(&slot{prepares: map[uint32][]byte{}, commits: map[uint32][]byte{}})
 	}
-	r.gHigh.Set(int64(r.log.High()))
+	r.SetWindow(r.log.Low(), r.log.High())
 	s, _ := r.log.Get(seq)
 	return s
 }
@@ -386,15 +284,6 @@ func batchDigest(batch []*replication.Request) [32]byte {
 	return out
 }
 
-// --- client requests -------------------------------------------------------
-
-func reqKey(c transport.NodeID, id uint64) string {
-	w := wire.NewWriter(12)
-	w.U32(uint32(c))
-	w.U64(id)
-	return string(w.Bytes())
-}
-
 // --- verify stage (worker goroutines) --------------------------------------
 //
 // VerifyPacket decodes and authenticates packets off the loop. Checks
@@ -437,21 +326,15 @@ type evStateSnap struct{ body []byte }
 // VerifyPacket implements runtime.Handler. It runs on verification
 // workers and must not touch loop-owned state.
 func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event {
-	if len(pkt) == 0 {
+	if !r.CountMsg(pkt) {
 		return nil
 	}
-	r.msgCounters[pkt[0]].Inc()
 	switch pkt[0] {
 	case replication.KindRequest, kindForward:
-		req, err := replication.UnmarshalRequest(pkt[1:])
-		if err != nil {
-			return nil
+		if req := r.VerifyRequest(pkt[1:]); req != nil {
+			return evRequest{req: req, forwarded: pkt[0] == kindForward}
 		}
-		if !r.cfg.ClientAuth.VerifyClient(int64(req.Client), req.SignedBody(), req.Auth) {
-			r.mAuthFail.Inc()
-			return nil
-		}
-		return evRequest{req: req, forwarded: pkt[0] == kindForward}
+		return nil
 	case kindPrePrepare:
 		rd := wire.NewReader(pkt[1:])
 		body := rd.VarBytes()
@@ -471,7 +354,7 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 			return nil
 		}
 		if !r.cfg.Auth.VerifyVector(int(view)%r.cfg.N, body, tag) {
-			r.mAuthFail.Inc()
+			r.AuthFail.Inc()
 			return nil
 		}
 		if batchDigest(reqs) != digest {
@@ -484,7 +367,7 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 			return nil
 		}
 		if !r.cfg.Auth.VerifyVector(int(replica), prepBody(view, seq, digest, replica), tag) {
-			r.mAuthFail.Inc()
+			r.AuthFail.Inc()
 			return nil
 		}
 		return evPrepare{replica: replica, view: view, seq: seq, digest: digest, tag: tag}
@@ -494,7 +377,7 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 			return nil
 		}
 		if !r.cfg.Auth.VerifyVector(int(replica), commitBody(view, seq, digest, replica), tag) {
-			r.mAuthFail.Inc()
+			r.AuthFail.Inc()
 			return nil
 		}
 		return evCommit{replica: replica, view: view, seq: seq, digest: digest, tag: tag}
@@ -509,7 +392,7 @@ func (r *Replica) VerifyPacket(from transport.NodeID, pkt []byte) runtime.Event 
 			return nil
 		}
 		if !r.ckpt.VerifyVote(v) {
-			r.mAuthFail.Inc()
+			r.AuthFail.Inc()
 			return nil
 		}
 		return v
@@ -596,27 +479,20 @@ func (r *Replica) ApplyEvent(from transport.NodeID, ev runtime.Event) {
 func (r *Replica) onRequest(req *replication.Request, forwarded bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fresh, cached := r.table.Check(req.Client, req.ReqID)
-	if !fresh {
-		if cached != nil {
-			r.conn.Send(req.Client, cached.Marshal())
-		}
+	if !r.Admit(req) {
 		return
 	}
-	key := reqKey(req.Client, req.ReqID)
 	if r.isPrimary() {
-		if !r.inQueue[key] {
-			r.inQueue[key] = true
-			r.batcher.Put(req, r.rt.Tracer().ActiveRef())
-		}
+		r.queue.Add(req)
 		r.tryIssueLocked()
 		return
 	}
 	// Backup: forward to the primary and start the suspicion timer.
 	if !forwarded {
 		fw := append([]byte{kindForward}, req.Marshal()[1:]...)
-		r.conn.Send(r.primaryNode(), fw)
+		r.Send(r.primaryNode(), fw)
 	}
+	key := replica.KeyOf(req)
 	if _, ok := r.pendingClientReqs[key]; !ok {
 		r.pendingClientReqs[key] = time.Now()
 	}
@@ -630,15 +506,15 @@ func (r *Replica) tryIssueLocked() {
 	}
 	now := time.Now()
 	outstanding := r.seq - r.lastExec
-	for r.batcher.Ready(now) && outstanding < uint64(r.cfg.Window) {
+	for r.queue.Ready(now) && outstanding < window {
 		s := r.slotFor(r.seq + 1)
 		if s == nil {
 			return // watermark window full: wait for the next stable checkpoint
 		}
-		cut, _ := r.batcher.Cut(now)
+		cut, _ := r.queue.Cut(now)
 		r.seq++
 		seq := r.seq
-		cut.EndOrder(r.rt.Tracer(), seq)
+		cut.EndOrder(r.Runtime().Tracer(), seq)
 		s.view = r.view
 		s.batch = cut.Reqs
 		s.digest = batchDigest(cut.Reqs)
@@ -649,7 +525,7 @@ func (r *Replica) tryIssueLocked() {
 		w.VarBytes(body)
 		w.VarBytes(r.cfg.Auth.TagVector(body))
 		batch.MarshalInto(w, cut.Reqs)
-		r.broadcast(w.Bytes())
+		r.Broadcast(w.Bytes())
 		outstanding = r.seq - r.lastExec
 	}
 }
@@ -684,7 +560,7 @@ func (r *Replica) onPrePrepare(e evPrePrepare) {
 	w.U64(seq)
 	w.Bytes32(digest)
 	w.VarBytes(ptag)
-	r.broadcast(w.Bytes())
+	r.Broadcast(w.Bytes())
 	r.maybePreparedLocked(seq, s)
 }
 
@@ -733,7 +609,7 @@ func (r *Replica) maybePreparedLocked(seq uint64, s *slot) {
 		w.U64(seq)
 		w.Bytes32(s.digest)
 		w.VarBytes(ctag)
-		r.broadcast(w.Bytes())
+		r.Broadcast(w.Bytes())
 	}
 	r.maybeCommittedLocked(seq, s)
 }
@@ -776,28 +652,10 @@ func (r *Replica) executeReadyLocked() {
 		s.executed = true
 		r.lastExec = seq
 		for _, req := range s.batch {
-			fresh, cached := r.table.Check(req.Client, req.ReqID)
-			if !fresh {
-				if cached != nil {
-					r.conn.Send(req.Client, cached.Marshal())
-				}
-				continue
+			if rep, _ := r.ExecuteReply(req, replication.Reply{View: r.view, Slot: seq}); rep != nil {
+				delete(r.pendingClientReqs, replica.KeyOf(req))
+				r.queue.Done(req)
 			}
-			result, _ := r.cfg.App.Execute(req.Op)
-			r.executedOps++
-			r.mCommits.Inc()
-			rep := &replication.Reply{
-				View:    r.view,
-				Replica: uint32(r.cfg.Self),
-				Slot:    seq,
-				ReqID:   req.ReqID,
-				Result:  result,
-			}
-			rep.Auth = r.cfg.ClientAuth.TagFor(int64(req.Client), rep.SignedBody())
-			r.table.Store(req.Client, req.ReqID, rep)
-			delete(r.pendingClientReqs, reqKey(req.Client, req.ReqID))
-			delete(r.inQueue, reqKey(req.Client, req.ReqID))
-			r.conn.Send(req.Client, rep.Marshal())
 		}
 		if seq%uint64(r.cfg.CheckpointInterval) == 0 {
 			r.captureCheckpointLocked(seq)
@@ -807,26 +665,6 @@ func (r *Replica) executeReadyLocked() {
 }
 
 // --- timers ---------------------------------------------------------------
-
-// flushPollInterval picks how often to poll a lingering batcher: half
-// the linger bound, floored at 500µs so tiny lingers do not spin the
-// loop.
-func flushPollInterval(linger time.Duration) time.Duration {
-	d := linger / 2
-	if d < 500*time.Microsecond {
-		d = 500 * time.Microsecond
-	}
-	return d
-}
-
-// onBatchPoll runs on the runtime loop when a linger bound is set: it
-// cuts batches whose oldest request has waited out the linger even if
-// no new request arrives to trigger tryIssueLocked.
-func (r *Replica) onBatchPoll() {
-	r.mu.Lock()
-	r.tryIssueLocked()
-	r.mu.Unlock()
-}
 
 // onTick runs on the runtime loop via ArmEvery.
 func (r *Replica) onTick() {

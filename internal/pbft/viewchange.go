@@ -150,7 +150,7 @@ func (r *Replica) startViewChangeLocked(target uint64) {
 	})
 	m.Tag = r.cfg.Auth.TagVector(m.body())
 	r.storeVCLocked(m)
-	r.broadcast(m.marshal())
+	r.Broadcast(m.marshal())
 	r.maybeNewViewLocked(target)
 }
 
@@ -277,7 +277,7 @@ func (r *Replica) maybeNewViewLocked(target uint64) {
 	w.U8(kindNewView)
 	w.VarBytes(nv.body())
 	w.VarBytes(nv.Tag)
-	r.broadcast(w.Bytes())
+	r.Broadcast(w.Bytes())
 	r.enterNewViewLocked(target, msgs)
 }
 
@@ -375,9 +375,9 @@ func (r *Replica) enterNewViewLocked(view uint64, msgs []*vcMsg) {
 	r.inVC = false
 	r.viewChanges++
 	r.mViewChg.Inc()
-	r.trace.Record(tkPBFTViewChange, view, 0)
-	r.rt.Tracer().Always(tracing.PhaseViewChange, time.Now(), 0, view, 0, "pbft view change")
-	r.pendingClientReqs = map[string]time.Time{}
+	r.Trace().Record(tkPBFTViewChange, view, 0)
+	r.Runtime().Tracer().Always(tracing.PhaseViewChange, time.Now(), 0, view, 0, "pbft view change")
+	clear(r.pendingClientReqs)
 	for t := range r.vcMsgs {
 		if t <= view {
 			delete(r.vcMsgs, t)
@@ -419,7 +419,7 @@ func (r *Replica) enterNewViewLocked(view uint64, msgs []*vcMsg) {
 			w.VarBytes(body)
 			w.VarBytes(r.cfg.Auth.TagVector(body))
 			batch.MarshalInto(w, reqs)
-			r.broadcast(w.Bytes())
+			r.Broadcast(w.Bytes())
 		} else {
 			// Backups prepare the re-issued slot immediately.
 			pb := prepBody(view, seq, digest, uint32(r.cfg.Self))
@@ -432,7 +432,7 @@ func (r *Replica) enterNewViewLocked(view uint64, msgs []*vcMsg) {
 			w.U64(seq)
 			w.Bytes32(digest)
 			w.VarBytes(ptag)
-			r.broadcast(w.Bytes())
+			r.Broadcast(w.Bytes())
 		}
 	}
 	if r.lastExec < base {

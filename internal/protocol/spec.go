@@ -14,11 +14,13 @@ import (
 	"strings"
 	"time"
 
+	"neobft/internal/batch"
 	"neobft/internal/configsvc"
 	"neobft/internal/hotstuff"
 	"neobft/internal/minbft"
 	"neobft/internal/neobft"
 	"neobft/internal/pbft"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/transport"
 	"neobft/internal/unreplicated"
@@ -70,12 +72,8 @@ type Client interface {
 // Params are the per-build knobs the replica factories read. Zero values
 // keep each protocol's default.
 type Params struct {
-	// BatchSize, BatchBytes, BatchLinger and BatchAdaptive configure the
-	// leader batcher of the batching baselines.
-	BatchSize     int
-	BatchBytes    int
-	BatchLinger   time.Duration
-	BatchAdaptive bool
+	// Batch configures the leader batcher of the batching baselines.
+	Batch batch.Config
 	// CheckpointInterval is the slot interval between checkpoints
 	// (NeoBFT sync points, stable checkpoints, compaction).
 	CheckpointInterval int
@@ -187,25 +185,37 @@ func (c *Cluster) NewClient(conn transport.Conn, tune replication.Tuning) (Clien
 	return c.Spec.client(c, conn, tune)
 }
 
+// replicaConfig fills the configuration every protocol shares from the
+// host and its cluster.
+func (h *Host) replicaConfig(restore []byte) replica.Config {
+	c := h.cfg.Cluster
+	cfg := replica.Config{
+		Self: h.cfg.Index, N: c.N, F: c.F,
+		Members:            c.Members,
+		Conn:               h.conn,
+		ClientAuth:         h.clientAuth,
+		App:                h.app,
+		CheckpointInterval: c.CheckpointInterval,
+		Runtime:            h.rt,
+		Metrics:            h.cfg.Metrics,
+		Restore:            restore,
+	}
+	if h.auth != nil { // a fleet of one has no peers to authenticate
+		cfg.Auth = h.auth
+	}
+	return cfg
+}
+
 func newNeo(h *Host, restore []byte) Replica {
 	c := h.cfg.Cluster
 	return neobft.New(neobft.Config{
-		Self: h.cfg.Index, N: c.N, F: c.F,
-		Members:           c.Members,
+		Config:            h.replicaConfig(restore),
 		Group:             Group,
-		Conn:              h.conn,
-		Auth:              h.auth,
-		ClientAuth:        h.clientAuth,
-		App:               h.app,
 		Variant:           c.Spec.Variant,
 		Byzantine:         c.Spec.Byzantine,
-		SyncInterval:      c.CheckpointInterval,
 		ConfirmFlushEvery: c.ConfirmFlushEvery,
 		ConfirmBatch:      16,
 		Svc:               c.Svc,
-		Runtime:           h.rt,
-		Metrics:           h.cfg.Metrics,
-		Restore:           restore,
 	})
 }
 
@@ -223,23 +233,7 @@ func newNeoClient(c *Cluster, conn transport.Conn, tune replication.Tuning) (Cli
 }
 
 func newPBFT(h *Host, restore []byte) Replica {
-	c := h.cfg.Cluster
-	return pbft.New(pbft.Config{
-		Self: h.cfg.Index, N: c.N, F: c.F,
-		Members:            c.Members,
-		Conn:               h.conn,
-		Auth:               h.auth,
-		ClientAuth:         h.clientAuth,
-		App:                h.app,
-		BatchSize:          c.BatchSize,
-		BatchBytes:         c.BatchBytes,
-		BatchLinger:        c.BatchLinger,
-		BatchAdaptive:      c.BatchAdaptive,
-		CheckpointInterval: c.CheckpointInterval,
-		Runtime:            h.rt,
-		Metrics:            h.cfg.Metrics,
-		Restore:            restore,
-	})
+	return pbft.New(pbft.Config{Config: h.replicaConfig(restore), Batch: h.cfg.Cluster.Batch})
 }
 
 func newPBFTClient(c *Cluster, conn transport.Conn, tune replication.Tuning) (Client, error) {
@@ -249,21 +243,9 @@ func newPBFTClient(c *Cluster, conn transport.Conn, tune replication.Tuning) (Cl
 func newZyzzyva(h *Host, restore []byte) Replica {
 	c := h.cfg.Cluster
 	return zyzzyva.New(zyzzyva.Config{
-		Self: h.cfg.Index, N: c.N, F: c.F,
-		Members:            c.Members,
-		Conn:               h.conn,
-		Auth:               h.auth,
-		ClientAuth:         h.clientAuth,
-		App:                h.app,
-		BatchSize:          c.BatchSize,
-		BatchBytes:         c.BatchBytes,
-		BatchLinger:        c.BatchLinger,
-		BatchAdaptive:      c.BatchAdaptive,
-		CheckpointInterval: c.CheckpointInterval,
-		Silent:             c.Spec.SilentLast && h.cfg.Index == c.N-1,
-		Runtime:            h.rt,
-		Metrics:            h.cfg.Metrics,
-		Restore:            restore,
+		Config: h.replicaConfig(restore),
+		Batch:  c.Batch,
+		Silent: c.Spec.SilentLast && h.cfg.Index == c.N-1,
 	})
 }
 
@@ -272,23 +254,7 @@ func newZyzzyvaClient(c *Cluster, conn transport.Conn, tune replication.Tuning) 
 }
 
 func newHotStuff(h *Host, restore []byte) Replica {
-	c := h.cfg.Cluster
-	return hotstuff.New(hotstuff.Config{
-		Self: h.cfg.Index, N: c.N, F: c.F,
-		Members:            c.Members,
-		Conn:               h.conn,
-		Auth:               h.auth,
-		ClientAuth:         h.clientAuth,
-		App:                h.app,
-		BatchSize:          c.BatchSize,
-		BatchBytes:         c.BatchBytes,
-		BatchLinger:        c.BatchLinger,
-		BatchAdaptive:      c.BatchAdaptive,
-		CheckpointInterval: c.CheckpointInterval,
-		Runtime:            h.rt,
-		Metrics:            h.cfg.Metrics,
-		Restore:            restore,
-	})
+	return hotstuff.New(hotstuff.Config{Config: h.replicaConfig(restore), Batch: h.cfg.Cluster.Batch})
 }
 
 func newHotStuffClient(c *Cluster, conn transport.Conn, tune replication.Tuning) (Client, error) {
@@ -296,30 +262,13 @@ func newHotStuffClient(c *Cluster, conn transport.Conn, tune replication.Tuning)
 }
 
 func newMinBFT(h *Host, restore []byte) Replica {
-	c := h.cfg.Cluster
 	if h.usig == nil {
 		// Created at first boot and kept across restarts: it models a
 		// trusted counter in an enclave, whose monotonic state outlives
 		// crashes of the untrusted replica process around it.
 		h.usig = usig.New(uint32(h.cfg.Index), []byte(usigMaster)).WithEnclaveDelay(usigDelay)
 	}
-	return minbft.New(minbft.Config{
-		Self: h.cfg.Index, N: c.N, F: c.F,
-		Members:            c.Members,
-		Conn:               h.conn,
-		Auth:               h.auth,
-		ClientAuth:         h.clientAuth,
-		App:                h.app,
-		USIG:               h.usig,
-		BatchSize:          c.BatchSize,
-		BatchBytes:         c.BatchBytes,
-		BatchLinger:        c.BatchLinger,
-		BatchAdaptive:      c.BatchAdaptive,
-		CheckpointInterval: c.CheckpointInterval,
-		Runtime:            h.rt,
-		Metrics:            h.cfg.Metrics,
-		Restore:            restore,
-	})
+	return minbft.New(minbft.Config{Config: h.replicaConfig(restore), USIG: h.usig, Batch: h.cfg.Cluster.Batch})
 }
 
 func newMinBFTClient(c *Cluster, conn transport.Conn, tune replication.Tuning) (Client, error) {
@@ -327,15 +276,7 @@ func newMinBFTClient(c *Cluster, conn transport.Conn, tune replication.Tuning) (
 }
 
 func newUnreplicated(h *Host, restore []byte) Replica {
-	return unreplicated.New(unreplicated.Config{
-		Conn:               h.conn,
-		App:                h.app,
-		ClientAuth:         h.clientAuth,
-		Runtime:            h.rt,
-		CheckpointInterval: h.cfg.Cluster.CheckpointInterval,
-		Metrics:            h.cfg.Metrics,
-		Restore:            restore,
-	})
+	return unreplicated.New(unreplicated.Config{Config: h.replicaConfig(restore)})
 }
 
 func newUnreplicatedClient(c *Cluster, conn transport.Conn, tune replication.Tuning) (Client, error) {

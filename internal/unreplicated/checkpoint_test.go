@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"neobft/internal/crypto/auth"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/simnet"
 )
@@ -16,12 +17,12 @@ func TestCheckpointBoundsLogWindow(t *testing.T) {
 	net := simnet.New(simnet.Options{})
 	t.Cleanup(net.Close)
 	const interval = 4
-	srv := New(Config{
+	srv := New(Config{replica.Config{
 		Conn:               net.Join(1),
 		App:                replication.EchoApp{},
 		ClientAuth:         auth.NewReplicaSide([]byte("m"), 0),
 		CheckpointInterval: interval,
-	})
+	}})
 	t.Cleanup(srv.Close)
 	cl := NewClient(net.Join(100), 1, []byte("m"), replication.Tuning{Timeout: 50 * time.Millisecond})
 

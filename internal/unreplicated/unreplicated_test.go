@@ -6,15 +6,27 @@ import (
 	"time"
 
 	"neobft/internal/crypto/auth"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/simnet"
 )
+
+// echoServer starts an echo server as node 1 of net.
+func echoServer(t *testing.T, net *simnet.Network) *Server {
+	srv := New(Config{replica.Config{
+		Conn:       net.Join(1),
+		App:        replication.EchoApp{},
+		ClientAuth: auth.NewReplicaSide([]byte("m"), 0),
+	}})
+	t.Cleanup(srv.Close)
+	return srv
+}
 
 func rig(t *testing.T) (*Server, *replication.Client) {
 	t.Helper()
 	net := simnet.New(simnet.Options{})
 	t.Cleanup(net.Close)
-	srv := NewServer(net.Join(1), replication.EchoApp{}, auth.NewReplicaSide([]byte("m"), 0))
+	srv := echoServer(t, net)
 	cl := NewClient(net.Join(100), 1, []byte("m"), replication.Tuning{Timeout: 50 * time.Millisecond})
 	return srv, cl
 }
@@ -38,7 +50,7 @@ func TestEchoRoundTrip(t *testing.T) {
 func TestDuplicateSuppressed(t *testing.T) {
 	net := simnet.New(simnet.Options{})
 	t.Cleanup(net.Close)
-	srv := NewServer(net.Join(1), replication.EchoApp{}, auth.NewReplicaSide([]byte("m"), 0))
+	srv := echoServer(t, net)
 	conn := net.Join(100)
 	cl := NewClient(conn, 1, []byte("m"), replication.Tuning{Timeout: 50 * time.Millisecond})
 	if _, err := cl.Invoke([]byte("once"), 5*time.Second); err != nil {
@@ -59,7 +71,7 @@ func TestDuplicateSuppressed(t *testing.T) {
 func TestForgedRequestRejected(t *testing.T) {
 	net := simnet.New(simnet.Options{})
 	t.Cleanup(net.Close)
-	srv := NewServer(net.Join(1), replication.EchoApp{}, auth.NewReplicaSide([]byte("m"), 0))
+	srv := echoServer(t, net)
 	evil := net.Join(200)
 	req := &replication.Request{Client: 200, ReqID: 1, Op: []byte("x"), Auth: make([]byte, 8)}
 	evil.Send(1, req.Marshal())

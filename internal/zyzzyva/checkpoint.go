@@ -23,8 +23,8 @@ import (
 func (r *Replica) captureCheckpointLocked(seq uint64) {
 	w := wire.NewWriter(160)
 	w.U8(kindCheckpoint)
-	if step, ok := r.ckpt.Capture(w, seq, replication.CaptureSnapshot(r.cfg.App, r.table), r.history); ok {
-		r.broadcast(w.Bytes())
+	if step, ok := r.ckpt.Capture(w, seq, replication.CaptureSnapshot(r.cfg.App, r.Table), r.history); ok {
+		r.Broadcast(w.Bytes())
 		r.stepLocked(step)
 	}
 }
@@ -43,8 +43,7 @@ func (r *Replica) stepLocked(s seqlog.Step) {
 	if s.Stable != 0 {
 		seqlog.Truncate(r.ckpt, &r.log, s.Stable)
 		r.dropBufferedLocked(s.Stable)
-		r.gLow.Set(int64(r.log.Low()))
-		r.gHigh.Set(int64(r.log.High()))
+		r.SetWindow(r.log.Low(), r.log.High())
 	}
 	if s.Fetch {
 		r.sendStateFetchLocked(s.From)
@@ -67,14 +66,14 @@ func (r *Replica) sendStateFetchLocked(rep int) {
 	w := wire.NewWriter(16)
 	w.U8(kindStateFetch)
 	w.U64(r.lastExec)
-	r.conn.Send(r.cfg.Members[rep], w.Bytes())
+	r.Send(r.cfg.Members[rep], w.Bytes())
 }
 
 func (r *Replica) onStateFetch(from transport.NodeID, haveExec uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if pkt := r.ckpt.Serve([]byte{kindStateSnap}, haveExec); pkt != nil {
-		r.conn.Send(from, pkt)
+		r.Send(from, pkt)
 	}
 }
 
@@ -98,7 +97,7 @@ func (r *Replica) onStateSnap(body []byte) {
 // (Config.Restore). Caller holds r.mu.
 func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
 	if !r.ckpt.Install(cp, func(snap []byte) error {
-		return replication.InstallSnapshot(r.cfg.App, r.table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
+		return replication.InstallSnapshot(r.cfg.App, r.Table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
 	}) {
 		return
 	}
@@ -109,8 +108,7 @@ func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
 	}
 	r.history = cp.Extra[0]
 	r.dropBufferedLocked(cp.Slot)
-	r.gLow.Set(int64(r.log.Low()))
-	r.gHigh.Set(int64(r.log.High()))
+	r.SetWindow(r.log.Low(), r.log.High())
 	// Buffered order-reqs above the checkpoint may now be executable.
 	for {
 		next, ok := r.buffered[r.lastExec+1]

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"neobft/internal/crypto/auth"
+	"neobft/internal/replica"
 	"neobft/internal/replication"
 	"neobft/internal/simnet"
 	"neobft/internal/transport"
@@ -43,13 +44,15 @@ func newCluster(t *testing.T, n int, silentReplica int) *cluster {
 	}
 	for i := 0; i < n; i++ {
 		r := New(Config{
-			Self: i, N: n, F: c.f,
-			Members:    c.members,
-			Conn:       c.net.Join(c.members[i]),
-			Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
-			ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
-			App:        &counterApp{},
-			Silent:     i == silentReplica,
+			Config: replica.Config{
+				Self: i, N: n, F: c.f,
+				Members:    c.members,
+				Conn:       c.net.Join(c.members[i]),
+				Auth:       auth.NewHMACAuth([]byte("replica-master"), i, n),
+				ClientAuth: auth.NewReplicaSide([]byte("client-master"), i),
+				App:        &counterApp{},
+			},
+			Silent: i == silentReplica,
 		})
 		t.Cleanup(r.Close)
 		c.replicas = append(c.replicas, r)
