@@ -69,10 +69,6 @@ type Config struct {
 	// latency, deep queues grow batches toward MaxCount for throughput.
 	// Requires MaxLinger > 0 to bound the wait when load stops.
 	Adaptive bool
-	// Metrics, when non-nil, receives the proto_batch_* series: size and
-	// byte histograms per cut, one counter per cut reason, and the queue
-	// depth gauge. Nil disables instrumentation (all no-ops).
-	Metrics *metrics.Registry
 }
 
 // Defaults.
@@ -121,8 +117,14 @@ type Batcher struct {
 	cutCtrs [numReasons]*metrics.Counter
 }
 
-// New creates a batcher.
-func New(cfg Config) *Batcher {
+// New creates an uninstrumented batcher.
+func New(cfg Config) *Batcher { return NewMetered(cfg, nil) }
+
+// NewMetered creates a batcher that reports into reg the proto_batch_*
+// series: size and byte histograms per cut, one counter per cut reason,
+// and the queue depth gauge. A nil reg disables instrumentation (all
+// no-ops).
+func NewMetered(cfg Config, reg *metrics.Registry) *Batcher {
 	if cfg.MaxCount <= 0 {
 		cfg.MaxCount = DefaultMaxCount
 	}
@@ -130,7 +132,7 @@ func New(cfg Config) *Batcher {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
 	b := &Batcher{cfg: cfg}
-	if reg := cfg.Metrics; reg != nil {
+	if reg != nil {
 		b.hSize = reg.Histogram("proto_batch_size")
 		b.hBytes = reg.Histogram("proto_batch_bytes")
 		b.gDepth = reg.Gauge("proto_batch_queue_depth")

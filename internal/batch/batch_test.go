@@ -191,7 +191,7 @@ func TestFilterDropsAndKeepsAccounting(t *testing.T) {
 
 func TestMetricsRecordCutsAndSizes(t *testing.T) {
 	reg := metrics.NewRegistry()
-	b := New(Config{MaxCount: 4, MaxLinger: time.Hour, Metrics: reg})
+	b := NewMetered(Config{MaxCount: 4, MaxLinger: time.Hour}, reg)
 	now := time.Now()
 	fill(b, 4)
 	b.Cut(now) // count

@@ -40,6 +40,16 @@ func Unmarshal(rd *wire.Reader) ([]*replication.Request, bool) {
 	return reqs, true
 }
 
+// Digest chains the request digests of a batch: the batch digest that
+// Zyzzyva, HotStuff and MinBFT ordering messages commit to.
+func Digest(reqs []*replication.Request) [32]byte {
+	var acc [32]byte
+	for _, req := range reqs {
+		acc = replication.ChainHash(acc, replication.RequestDigest(req))
+	}
+	return acc
+}
+
 // requestWireSize is the bytes MarshalInto spends on one request: the
 // uint32 length prefix plus the body (client, reqID, var Op, var Auth).
 func requestWireSize(r *replication.Request) int {
