@@ -2,8 +2,11 @@ package chaos
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
+
+	"neobft/internal/replication"
 )
 
 // Same seed must yield byte-identical schedules for every scenario;
@@ -159,9 +162,10 @@ func TestRecordingAppSnapshotRoundTrip(t *testing.T) {
 	a := NewRecordingApp(nopApp{})
 	mkHist(t, a, [2]uint64{1, 1}, [2]uint64{2, 1}, [2]uint64{1, 2})
 	b := NewRecordingApp(nopApp{})
-	snap := a.AppendSnapshot(nil)
-	if len(snap) != a.SnapshotSize() {
-		t.Fatalf("snapshot is %d bytes, SnapshotSize says %d", len(snap), a.SnapshotSize())
+	f := a.Freeze()
+	snap := f.AppendTo(nil)
+	if len(snap) != f.Size() {
+		t.Fatalf("snapshot is %d bytes, Size says %d", len(snap), f.Size())
 	}
 	if err := b.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -177,5 +181,60 @@ func TestRecordingAppSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := b.Restore([]byte{0xff}); err == nil {
 		t.Fatal("restored malformed snapshot")
+	}
+}
+
+// TestRecordingAppDigestProperty: through random executes, rollback pops
+// (also right after a capture), dropped tails and restores, the digest
+// the app keeps current equals the one recomputed from the bytes of a
+// capture taken then, and every earlier capture still encodes the bytes
+// it had when it was taken.
+func TestRecordingAppDigestProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a := NewRecordingApp(replication.EchoApp{})
+	type capture struct {
+		f     replication.Frozen
+		bytes []byte
+	}
+	var caps []capture
+	var undos []func()
+	seq := uint64(0)
+	for step := 0; step < 3000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 50:
+			seq++
+			_, undo := a.Execute(EncodeOp(uint32(rng.Intn(4)), seq, 16))
+			undos = append(undos, undo)
+		case r < 75 && len(undos) > 0:
+			undos[len(undos)-1]()
+			undos = undos[:len(undos)-1]
+		case r < 80:
+			a.DropTail(rng.Intn(4))
+			undos = nil
+		case r < 83 && len(caps) > 0:
+			if err := a.Restore(caps[rng.Intn(len(caps))].bytes); err != nil {
+				t.Fatal(err)
+			}
+			undos = nil
+		default:
+			f := a.Freeze()
+			caps = append(caps, capture{f, f.AppendTo(nil)})
+		}
+		f := a.Freeze()
+		b := f.AppendTo(nil)
+		if d, err := a.Digest(b); err != nil || d != f.Digest() {
+			t.Fatalf("step %d: kept digest %x, recomputed %x (%v)", step, f.Digest(), d, err)
+		}
+		if len(b) != f.Size() {
+			t.Fatalf("step %d: %d bytes, Size %d", step, len(b), f.Size())
+		}
+		for i, c := range caps {
+			if !bytes.Equal(c.f.AppendTo(nil), c.bytes) {
+				t.Fatalf("step %d: capture %d changed after it was taken", step, i)
+			}
+		}
+		if len(caps) > 20 {
+			caps = caps[len(caps)-20:]
+		}
 	}
 }

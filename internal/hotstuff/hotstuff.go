@@ -145,15 +145,16 @@ func New(cfg Config) *Replica {
 
 // Persist captures the replica's durable recovery state: the executed
 // height and a state snapshot. Commits are locally final in HotStuff, so
-// unlike the quorum-checkpoint protocols no certificate is needed.
+// unlike the quorum-checkpoint protocols no certificate is needed. The
+// state is frozen under r.mu and encoded after releasing it.
 func (r *Replica) Persist() []byte {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	snap := replication.CaptureSnapshot(r.cfg.App, r.Table)
-	w := wire.NewWriter(64 + len(snap))
-	w.U64(r.lastExec)
-	w.U64(r.Executed())
-	w.VarBytes(snap)
+	height, ops, state := r.lastExec, r.Executed(), r.Capture()
+	r.mu.Unlock()
+	w := wire.NewWriter(64 + state.Size())
+	w.U64(height)
+	w.U64(ops)
+	w.VarAppend(state.AppendTo)
 	return w.Bytes()
 }
 
@@ -169,7 +170,7 @@ func (r *Replica) restoreFromPersist(blob []byte) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if replication.InstallSnapshot(r.cfg.App, r.Table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth) != nil {
+	if r.InstallSnapshot(snap) != nil {
 		return
 	}
 	r.lastExec = height

@@ -17,15 +17,51 @@ type item struct {
 }
 
 type node struct {
+	// gen is the tree generation that may modify the node in place; a
+	// node of an earlier generation may be shared with a frozen root.
+	gen      uint64
 	items    []item
 	children []*node // nil for leaves
 }
 
 func (n *node) leaf() bool { return n.children == nil }
 
-// BTree is an in-memory B-Tree mapping string keys to byte values.
+// writable returns n if generation gen may modify it, else a copy that
+// it may.
+func (n *node) writable(gen uint64) *node {
+	if n.gen == gen {
+		return n
+	}
+	return n.clone(gen)
+}
+
+func (n *node) clone(gen uint64) *node {
+	c := &node{gen: gen, items: append([]item(nil), n.items...)}
+	if n.children != nil {
+		c.children = append([]*node(nil), n.children...)
+	}
+	return c
+}
+
+// child makes n's child i writable by gen and returns it. n must
+// already be writable by gen.
+func (n *node) child(i int, gen uint64) *node {
+	c := n.children[i]
+	if c.gen != gen {
+		c = c.clone(gen)
+		n.children[i] = c
+	}
+	return c
+}
+
+// BTree is an in-memory, copy-on-write B-Tree mapping string keys to
+// byte values. freeze keeps the current root as a read-only view: every
+// later write copies the nodes on its path that the view shares instead
+// of modifying them, so a frozen root may be read on any goroutine while
+// the tree moves on.
 type BTree struct {
 	root  *node
+	gen   uint64
 	size  int
 	bytes int // Σ len(key)+len(value) over every item
 }
@@ -33,6 +69,13 @@ type BTree struct {
 // NewBTree creates an empty tree.
 func NewBTree() *BTree {
 	return &BTree{root: &node{}}
+}
+
+// freeze returns the root as it is now and starts a new generation, so
+// no write modifies a node reachable from it again.
+func (t *BTree) freeze() *node {
+	t.gen++
+	return t.root
 }
 
 // Len returns the number of keys stored.
@@ -75,11 +118,12 @@ func (t *BTree) Get(key string) ([]byte, bool) {
 // Put inserts or replaces a key, returning the previous value if any.
 func (t *BTree) Put(key string, value []byte) (old []byte, existed bool) {
 	if len(t.root.items) == 2*degree-1 {
-		oldRoot := t.root
-		t.root = &node{children: []*node{oldRoot}}
-		t.root.splitChild(0)
+		t.root = &node{gen: t.gen, children: []*node{t.root}}
+		t.root.splitChild(0, t.gen)
+	} else {
+		t.root = t.root.writable(t.gen)
 	}
-	old, existed = t.root.insert(key, value)
+	old, existed = t.root.insert(key, value, t.gen)
 	if existed {
 		t.bytes += len(value) - len(old)
 	} else {
@@ -89,12 +133,14 @@ func (t *BTree) Put(key string, value []byte) (old []byte, existed bool) {
 	return old, existed
 }
 
-// splitChild splits the full child at index i.
-func (n *node) splitChild(i int) {
-	child := n.children[i]
+// splitChild splits the full child at index i. Like every node method
+// that modifies, it needs n writable by gen and makes writable every
+// node below n that it changes.
+func (n *node) splitChild(i int, gen uint64) {
+	child := n.child(i, gen)
 	mid := degree - 1
 	median := child.items[mid]
-	right := &node{items: append([]item(nil), child.items[mid+1:]...)}
+	right := &node{gen: gen, items: append([]item(nil), child.items[mid+1:]...)}
 	if !child.leaf() {
 		right.children = append([]*node(nil), child.children[mid+1:]...)
 		child.children = child.children[:mid+1]
@@ -108,7 +154,7 @@ func (n *node) splitChild(i int) {
 	n.children[i+1] = right
 }
 
-func (n *node) insert(key string, value []byte) (old []byte, existed bool) {
+func (n *node) insert(key string, value []byte, gen uint64) (old []byte, existed bool) {
 	i, found := search(n.items, key)
 	if found {
 		old = n.items[i].value
@@ -122,7 +168,7 @@ func (n *node) insert(key string, value []byte) (old []byte, existed bool) {
 		return nil, false
 	}
 	if len(n.children[i].items) == 2*degree-1 {
-		n.splitChild(i)
+		n.splitChild(i, gen)
 		if c := strings.Compare(n.items[i].key, key); c < 0 {
 			i++
 		} else if c == 0 {
@@ -131,12 +177,13 @@ func (n *node) insert(key string, value []byte) (old []byte, existed bool) {
 			return old, true
 		}
 	}
-	return n.children[i].insert(key, value)
+	return n.child(i, gen).insert(key, value, gen)
 }
 
 // Delete removes a key, returning its value if it was present.
 func (t *BTree) Delete(key string) ([]byte, bool) {
-	old, existed := t.root.delete(key)
+	t.root = t.root.writable(t.gen)
+	old, existed := t.root.delete(key, t.gen)
 	if existed {
 		t.size--
 		t.bytes -= len(key) + len(old)
@@ -150,7 +197,7 @@ func (t *BTree) Delete(key string) ([]byte, bool) {
 // delete implements CLRS B-Tree deletion: every recursive descent happens
 // into a child with at least `degree` items, so underflow never needs to
 // propagate upward.
-func (n *node) delete(key string) ([]byte, bool) {
+func (n *node) delete(key string, gen uint64) ([]byte, bool) {
 	i, found := search(n.items, key)
 	if n.leaf() {
 		if !found {
@@ -166,33 +213,33 @@ func (n *node) delete(key string) ([]byte, bool) {
 		case len(n.children[i].items) >= degree:
 			pk, pv := n.children[i].maxItem()
 			n.items[i] = item{key: pk, value: pv}
-			n.children[i].delete(pk)
+			n.child(i, gen).delete(pk, gen)
 		case len(n.children[i+1].items) >= degree:
 			sk, sv := n.children[i+1].minItem()
 			n.items[i] = item{key: sk, value: sv}
-			n.children[i+1].delete(sk)
+			n.child(i+1, gen).delete(sk, gen)
 		default:
-			n.mergeChildren(i)
-			n.children[i].delete(key)
+			n.mergeChildren(i, gen)
+			n.children[i].delete(key, gen)
 		}
 		return old, true
 	}
 	if len(n.children[i].items) < degree {
-		n.fill(i)
+		n.fill(i, gen)
 		// The structure changed (rotation may even have lifted the key
 		// into this node); re-dispatch once.
-		return n.delete(key)
+		return n.delete(key, gen)
 	}
-	return n.children[i].delete(key)
+	return n.child(i, gen).delete(key, gen)
 }
 
 // fill gives child i at least `degree` items by borrowing from a sibling
 // or merging with one.
-func (n *node) fill(i int) {
+func (n *node) fill(i int, gen uint64) {
 	if i > 0 && len(n.children[i-1].items) >= degree {
 		// Rotate right: left sibling's last item moves up, separator
 		// moves down.
-		left, child := n.children[i-1], n.children[i]
+		left, child := n.child(i-1, gen), n.child(i, gen)
 		child.items = append([]item{n.items[i-1]}, child.items...)
 		n.items[i-1] = left.items[len(left.items)-1]
 		left.items = left.items[:len(left.items)-1]
@@ -204,7 +251,7 @@ func (n *node) fill(i int) {
 	}
 	if i < len(n.children)-1 && len(n.children[i+1].items) >= degree {
 		// Rotate left.
-		child, right := n.children[i], n.children[i+1]
+		child, right := n.child(i, gen), n.child(i+1, gen)
 		child.items = append(child.items, n.items[i])
 		n.items[i] = right.items[0]
 		right.items = right.items[1:]
@@ -217,12 +264,13 @@ func (n *node) fill(i int) {
 	if i == len(n.children)-1 {
 		i--
 	}
-	n.mergeChildren(i)
+	n.mergeChildren(i, gen)
 }
 
-// mergeChildren merges child i, separator item i, and child i+1.
-func (n *node) mergeChildren(i int) {
-	left, right := n.children[i], n.children[i+1]
+// mergeChildren merges child i, separator item i, and child i+1. Only
+// the left child is modified.
+func (n *node) mergeChildren(i int, gen uint64) {
+	left, right := n.child(i, gen), n.children[i+1]
 	left.items = append(left.items, n.items[i])
 	left.items = append(left.items, right.items...)
 	if !left.leaf() {

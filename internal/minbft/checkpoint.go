@@ -1,7 +1,6 @@
 package minbft
 
 import (
-	"neobft/internal/replication"
 	"neobft/internal/seqlog"
 	"neobft/internal/transport"
 	"neobft/internal/wire"
@@ -22,7 +21,7 @@ import (
 func (r *Replica) captureCheckpointLocked(seq uint64) {
 	w := wire.NewWriter(128)
 	w.U8(kindCheckpoint)
-	if step, ok := r.ckpt.Capture(w, seq, replication.CaptureSnapshot(r.cfg.App, r.Table)); ok {
+	if step, ok := r.ckpt.Capture(w, seq, r.Capture()); ok {
 		r.Broadcast(w.Bytes())
 		r.stepLocked(step)
 	}
@@ -79,9 +78,7 @@ func (r *Replica) onStateSnap(body []byte) {
 // shared tail of snapshot state transfer and crash-restart recovery
 // (Config.Restore). Caller holds r.mu.
 func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
-	if !r.ckpt.Install(cp, func(snap []byte) error {
-		return replication.InstallSnapshot(r.cfg.App, r.Table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
-	}) {
+	if !r.ckpt.Install(cp, r.Core) {
 		return
 	}
 	r.log.Reset(cp.Slot)

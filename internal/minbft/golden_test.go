@@ -20,12 +20,12 @@ import (
 // a fixed snapshot and a hand-ordered certificate. Regenerate only for
 // a deliberate wire-format change.
 const (
-	goldenPersist = "6a00000008000000000000000d7e9170d04475ea06f9edf7dc246158d2fbf622899a79443cb43d7160d1d5ee02000200" +
-		"0000180000008833068cd41e7dedf19ee911d2d55244c235877350d1a2c500000000180000004c7e7c8494e53a9b5944" +
-		"448fb6d6089fe246d4ffdb65d7e31a0000000e00000001000000010000006b01000000760400000000000000"
+	goldenPersist = "6a0000000800000000000000586477d0f85eb594522a9ddcef1ef615efbb93684ed325986f836314eb38a0bd02000200" +
+		"000018000000ad2a7b996f12e186d0a1349b74dc74438fa28b2ea82d0564000000001800000012fd6ab2f384b7ac0081" +
+		"952305e743786f382c79a22798f91a0000000e00000001000000010000006b01000000760400000000000000"
 	goldenSnap = "14" + goldenPersist
-	goldenVote = "12010000000900000000000000f5bdbb206e40b1687057e86b4bea57508875211b9fd134273db20a1f760f9799180000" +
-		"00c8e7e93242f70dcd4e632bd04b512a5f8adeef0a2613ce74"
+	goldenVote = "12010000000900000000000000254268ae4efa8def2aa329151bda51823ed7a09b82c07b1beecefeace54ce3a6180000" +
+		"007b1180cb5d5179276a187b2d953ad2bbbd09f7078b847f92"
 	goldenFetch = "130900000000000000"
 )
 
@@ -103,8 +103,8 @@ func TestCheckpointWireGolden(t *testing.T) {
 	}
 	app := kvstore.NewStore()
 	app.Execute(kvstore.EncodePut("k", []byte("v")))
-	snap := replication.CaptureSnapshot(app, replication.NewClientTable())
-	stateD := sha256.Sum256(snap)
+	state := replication.Capture(app, replication.NewClientTable())
+	snap, stateD := state.AppendTo(nil), state.Digest()
 	blob := wire.NewWriter(0)
 	blob.VarBytes(goldenCert(auths, domain, 8, goldenDigest(domain, 8, stateD), 2, 0))
 	blob.VarBytes(snap)

@@ -20,20 +20,20 @@ import (
 // keys, a fixed snapshot and a hand-ordered certificate. Regenerate only
 // for a deliberate wire-format change.
 const (
-	goldenPersist = "000000000100000001000000010000000000000000000000a20000000400000000000000079b97df2c22db47180f5a74" +
-		"327383ea5bf5dd1ce9ca503b0fa05ea2d33691540300000000002000000096521cd98e6ccc50708a6aa61e22869a4b7f" +
-		"47d7c56774f5ddf7511e09049bac0300000020000000349624a94673daad8267505c27eb011cfbda625c1800e2e5fc22" +
-		"b57384f6673702000000200000005dc0936ce326bd5973def869e39a399c8a2e192543e8cd731be44471e2542fdad83f" +
+	goldenPersist = "000000000100000001000000010000000000000000000000a20000000400000000000000d2d227f8bb8d9175c03d6cc1" +
+		"2b28c8a2d98b63ba157af43157eb81403c465fcc030000000000200000001f9df247a99a86c8e102264bba602ec3cc3f" +
+		"637fecde028217ee288863c114b50300000020000000321cf4cb49f04b8dc7bc55445b7277f072250f878a02e3b9efc8" +
+		"bffaf530ca680200000020000000e6368ba383061f396b7a19c00c27c3c4ac259677330fe37a6d8634803624f8fbd83f" +
 		"f0ec71fdd586e60759f7cdc713a354d6841391a6fde019b99a180a5e58971a0000000e00000001000000010000006b01" +
 		"000000760400000000000000"
-	goldenSnap = "1e0000000001000000a20000000400000000000000079b97df2c22db47180f5a74327383ea5bf5dd1ce9ca503b0fa05e" +
-		"a2d33691540300000000002000000096521cd98e6ccc50708a6aa61e22869a4b7f47d7c56774f5ddf7511e09049bac03" +
-		"00000020000000349624a94673daad8267505c27eb011cfbda625c1800e2e5fc22b57384f6673702000000200000005d" +
-		"c0936ce326bd5973def869e39a399c8a2e192543e8cd731be44471e2542fdad83ff0ec71fdd586e60759f7cdc713a354" +
+	goldenSnap = "1e0000000001000000a20000000400000000000000d2d227f8bb8d9175c03d6cc12b28c8a2d98b63ba157af43157eb81" +
+		"403c465fcc030000000000200000001f9df247a99a86c8e102264bba602ec3cc3f637fecde028217ee288863c114b503" +
+		"00000020000000321cf4cb49f04b8dc7bc55445b7277f072250f878a02e3b9efc8bffaf530ca680200000020000000e6" +
+		"368ba383061f396b7a19c00c27c3c4ac259677330fe37a6d8634803624f8fbd83ff0ec71fdd586e60759f7cdc713a354" +
 		"d6841391a6fde019b99a180a5e58971a0000000e00000001000000010000006b01000000760400000000000000"
-	goldenSync = "1b0100000008000000000000002038ebd54e85d92235b39dbda88148319211d847a801f181b8998ec8e61db337f5bdbb" +
-		"206e40b1687057e86b4bea57508875211b9fd134273db20a1f760f979920000000f9d530d0a0816b572f9554c520a76c" +
-		"44070ca8f89817ce1f241ade05f5d6e30101000000000000000100000006000000000000000300000002000000200000" +
+	goldenSync = "1b0100000008000000000000002038ebd54e85d92235b39dbda88148319211d847a801f181b8998ec8e61db337254268" +
+		"ae4efa8def2aa329151bda51823ed7a09b82c07b1beecefeace54ce3a6200000001d679205cadec9b9d986f831a14783" +
+		"8babfd8c4bf8a193da5425ff028fe7317901000000000000000100000006000000000000000300000002000000200000" +
 		"0046071fd945b973055617b7872d1530f0060e48ca67c4dbb808e1c7492a1b4e4d0000000020000000abd529362a80da" +
 		"312d63a2ade268f8a15078e0202888622dfc02e7c2ec73df15030000002000000075a8fe9c4d2def042f1fcfa6a9f70a" +
 		"3a7260c4970d0e85940f13c43fd5ac8613"
@@ -112,7 +112,8 @@ func TestSyncWireGolden(t *testing.T) {
 	}
 	app := kvstore.NewStore()
 	app.Execute(kvstore.EncodePut("k", []byte("v")))
-	snap := replication.CaptureSnapshot(app, replication.NewClientTable())
+	state := replication.Capture(app, replication.NewClientTable())
+	snap := state.AppendTo(nil)
 	view := ViewID{Epoch: 1, Leader: 0}
 	logHash := sha256.Sum256([]byte("log hash at 4"))
 	blob := wire.NewWriter(0)
@@ -120,7 +121,7 @@ func TestSyncWireGolden(t *testing.T) {
 	blob.U32(1) // epoch table: epoch 1 starts at slot 0
 	blob.U32(1)
 	blob.U64(0)
-	blob.VarBytes(goldenCert(auths, domain, 4, goldenDigest(domain, 4, logHash, sha256.Sum256(snap)), 0, 3, 2))
+	blob.VarBytes(goldenCert(auths, domain, 4, goldenDigest(domain, 4, logHash, state.Digest()), 0, 3, 2))
 	blob.Bytes32(logHash)
 	blob.VarBytes(snap)
 

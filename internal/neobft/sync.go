@@ -41,7 +41,7 @@ func (r *Replica) captureCheckpointLocked(slot uint64) {
 	}
 	w := wire.NewWriter(192)
 	w.U8(kindSync)
-	step, ok := r.ckpt.Capture(w, slot, replication.CaptureSnapshot(r.cfg.App, r.Table), e.logHash)
+	step, ok := r.ckpt.Capture(w, slot, r.Capture(), e.logHash)
 	if !ok {
 		return
 	}
@@ -262,9 +262,7 @@ func (r *Replica) restoreFromPersist(blob []byte) {
 // snapshot replaces the executed state. The shared tail of snapshot
 // state transfer and crash-restart recovery. Caller holds r.mu.
 func (r *Replica) installLocked(cp *seqlog.Checkpoint) bool {
-	if !r.ckpt.Install(cp, func(snap []byte) error {
-		return replication.InstallSnapshot(r.cfg.App, r.Table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
-	}) {
+	if !r.ckpt.Install(cp, r.Core) {
 		return false
 	}
 	r.log.Reset(cp.Slot)

@@ -19,14 +19,14 @@ import (
 // a fixed snapshot and a hand-ordered certificate. Regenerate only for
 // a deliberate wire-format change.
 const (
-	goldenPersist = "a2000000080000000000000051be0ad90dc358760e008aa65312585935eca65b473631b11b93550a5a281c4203000000" +
-		"000020000000b35f79d8cd70a8739ccee02206ef7b7fcfe7fcbbeb70cfe954f7ad359d9f55a40200000020000000300b" +
-		"a8555a4e5ea3bdc83c68ec931d904581ffac01159cafa1b2b35debd089fb03000000200000008e93e8261ef6c8d31aab" +
-		"2a3750bedd2342822f5e4a82c64643c84f9570c3e8031a0000000e00000001000000010000006b010000007604000000" +
+	goldenPersist = "a200000008000000000000000e94c4d27e2a39f7472f6f4c84d9a68495980047752719c15832633bc534efe303000000" +
+		"000020000000fa14598bd32a9cc52512cf94198cc2bde676cce3109d59863aaffde3d5d42e2d02000000200000009f49" +
+		"f9dbfd093bed3cdebcb5ff61562b2aff855fa3daa40b39106108a6ec78a60300000020000000c770a019842301882877" +
+		"3cfec3eae3a8b6d25c862743d4f94421fcf3702e382a1a0000000e00000001000000010000006b010000007604000000" +
 		"00000000"
 	goldenSnap = "18" + goldenPersist
-	goldenVote = "16010000000900000000000000f5bdbb206e40b1687057e86b4bea57508875211b9fd134273db20a1f760f9799200000" +
-		"00bcc3d07eb86cbd478b805679c6c7a6349d4e766be8eb5fee4fd81bd1aa4c80c6"
+	goldenVote = "16010000000900000000000000254268ae4efa8def2aa329151bda51823ed7a09b82c07b1beecefeace54ce3a6200000" +
+		"0055ea640f633573f943c74775809e95b75ff28bce678059a23c1ef85f2fc15f69"
 	goldenFetch = "170900000000000000"
 )
 
@@ -67,12 +67,12 @@ func goldenCert(auths []auth.Authenticator, domain string, slot uint64, d [32]by
 	return w.Bytes()
 }
 
-// goldenSnapshot is a snapshot bundle of a one-key store and an empty
-// client table.
-func goldenSnapshot() []byte {
+// goldenSnapshot is the state of a one-key store and an empty client
+// table.
+func goldenSnapshot() replication.Frozen {
 	app := kvstore.NewStore()
 	app.Execute(kvstore.EncodePut("k", []byte("v")))
-	return replication.CaptureSnapshot(app, replication.NewClientTable())
+	return replication.Capture(app, replication.NewClientTable())
 }
 
 func checkGolden(t *testing.T, what string, got []byte, want string) {
@@ -109,8 +109,8 @@ func TestCheckpointWireGolden(t *testing.T) {
 	for i := range auths {
 		auths[i] = auth.NewHMACAuth([]byte("golden"), i, n)
 	}
-	snap := goldenSnapshot()
-	stateD := sha256.Sum256(snap)
+	state := goldenSnapshot()
+	snap, stateD := state.AppendTo(nil), state.Digest()
 	d8 := goldenDigest(domain, 8, stateD)
 	blob := wire.NewWriter(0)
 	blob.VarBytes(goldenCert(auths, domain, 8, d8, 0, 2, 3))

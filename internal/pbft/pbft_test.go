@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,17 +35,32 @@ func (a *counterApp) value() int64 {
 	return a.sum
 }
 
-// Snapshot/Restore implement replication.Snapshotter so state-transfer
-// tests can verify application state travels with checkpoints.
-func (a *counterApp) SnapshotSize() int { return 8 }
-
-func (a *counterApp) AppendSnapshot(buf []byte) []byte {
+// Freeze/Restore/Digest implement replication.Snapshotter so
+// state-transfer tests can verify application state travels with
+// checkpoints. The snapshot is the sum as a u64, its digest the
+// snapshot's SHA-256.
+func (a *counterApp) Freeze() replication.Frozen {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	w := wire.AppendTo(buf)
+	w := wire.NewWriter(8)
 	w.U64(uint64(a.sum))
-	return w.Bytes()
+	return counterState(w.Bytes())
 }
+
+func (a *counterApp) Digest(data []byte) ([32]byte, error) {
+	if len(data) != 8 {
+		return [32]byte{}, wire.ErrTruncated
+	}
+	return sha256.Sum256(data), nil
+}
+
+var _ replication.Snapshotter = (*counterApp)(nil)
+
+type counterState []byte
+
+func (s counterState) Digest() [32]byte           { return sha256.Sum256(s) }
+func (s counterState) Size() int                  { return len(s) }
+func (s counterState) AppendTo(buf []byte) []byte { return append(buf, s...) }
 
 func (a *counterApp) Restore(data []byte) error {
 	r := wire.NewReader(data)

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
@@ -56,6 +57,13 @@ func (f *fakeSaver) set(t *testing.T, sv seqlog.Saved) {
 	}
 }
 
+// rawState is a checkpoint state whose snapshot is its bytes.
+type rawState []byte
+
+func (s rawState) Digest() [32]byte           { return sha256.Sum256(s) }
+func (s rawState) Size() int                  { return len(s) }
+func (s rawState) AppendTo(buf []byte) []byte { return append(buf, s...) }
+
 // TestPersisterDedupesBySlotAndPrefix: the persister journals a
 // checkpoint record when the stable checkpoint's slot or the protocol's
 // prefix changes, and only then, and a reboot restores the last one.
@@ -81,7 +89,7 @@ func TestPersisterDedupesBySlotAndPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkpoint := func(slot uint64) *seqlog.Checkpoint {
-		return &seqlog.Checkpoint{Slot: slot, Cert: &seqlog.Cert{Slot: slot}, Snapshot: []byte(fmt.Sprint("state@", slot))}
+		return &seqlog.Checkpoint{Slot: slot, Cert: &seqlog.Cert{Slot: slot}, State: rawState(fmt.Sprint("state@", slot))}
 	}
 	at8 := checkpoint(8)
 	steps := []struct {

@@ -202,6 +202,23 @@ func (c *Core) Execute(req *replication.Request, rep replication.Reply) (*replic
 	return out, undo
 }
 
+// Capture freezes the replica's state, the App's and the client
+// table's, for a checkpoint or a Persist blob. It produces no snapshot
+// bytes: the view is encoded only when it is served or persisted.
+func (c *Core) Capture() replication.Frozen { return replication.Capture(c.cfg.App, c.Table) }
+
+// StateDigest is the digest of a Capture's snapshot bytes received over
+// the network or read from disk.
+func (c *Core) StateDigest(snap []byte) ([32]byte, error) {
+	return replication.BundleDigest(c.cfg.App, snap)
+}
+
+// InstallSnapshot replaces the App's state and the client table with a
+// Capture's snapshot bytes.
+func (c *Core) InstallSnapshot(snap []byte) error {
+	return replication.InstallSnapshot(c.cfg.App, c.Table, snap, uint32(c.cfg.Self), c.cfg.ClientAuth)
+}
+
 // ExecuteReply is Execute followed by sending the reply to the client.
 func (c *Core) ExecuteReply(req *replication.Request, rep replication.Reply) (*replication.Reply, func()) {
 	out, undo := c.Execute(req, rep)

@@ -7,13 +7,13 @@
 package seqlog
 
 import (
-	"crypto/sha256"
 	"errors"
 	"sort"
 	"time"
 
 	"neobft/internal/crypto/auth"
 	"neobft/internal/metrics"
+	"neobft/internal/replication"
 	"neobft/internal/wire"
 )
 
@@ -231,12 +231,36 @@ type CheckpointConfig struct {
 
 // Checkpoint is a snapshot this replica captured or installed.
 type Checkpoint struct {
-	Slot     uint64
-	Extra    [][32]byte // the protocol's extra digest parts, in order
-	Snapshot []byte
-	Digest   [32]byte // Digest(domain, Slot, Extra…, sha256(Snapshot))
-	Cert     *Cert    // the quorum certificate once stable, else nil
+	Slot  uint64
+	Extra [][32]byte // the protocol's extra digest parts, in order
+	// State is the checkpointed state: the replica's frozen view when
+	// captured, the checked snapshot bytes once a received checkpoint
+	// passes Check. It is encoded only when served or persisted.
+	State  replication.Frozen
+	Digest [32]byte // Digest(domain, Slot, Extra…, State.Digest())
+	Cert   *Cert    // the quorum certificate once stable, else nil
+
+	data []byte // a received checkpoint's snapshot, unchecked until Check
 }
+
+// Machine is the replica state a received checkpoint installs into.
+type Machine interface {
+	// StateDigest computes the state digest of snapshot bytes, the
+	// digest a capture of the state they encode would vote for.
+	StateDigest(snapshot []byte) ([32]byte, error)
+	// InstallSnapshot replaces the replica's state with the snapshot's.
+	InstallSnapshot(snapshot []byte) error
+}
+
+// received is a checked snapshot that arrived as bytes.
+type received struct {
+	data   []byte
+	digest [32]byte
+}
+
+func (r received) Digest() [32]byte           { return r.digest }
+func (r received) Size() int                  { return len(r.data) }
+func (r received) AppendTo(buf []byte) []byte { return append(buf, r.data...) }
 
 // Vote is one replica's decoded checkpoint vote.
 type Vote struct {
@@ -305,17 +329,17 @@ func (c *Checkpointer) floor() uint64 {
 	return 0
 }
 
-// Capture records snap as this replica's checkpoint at slot and appends
-// its vote, replica u32 | slot u64 | extra… | state digest | tag, to w.
-// It declines (false) a slot at or below the highest certificate. The
-// step is what the replica's own vote completed: act on it after sending
-// w.
-func (c *Checkpointer) Capture(w *wire.Writer, slot uint64, snap []byte, extra ...[32]byte) (Step, bool) {
+// Capture records state as this replica's checkpoint at slot and
+// appends its vote, replica u32 | slot u64 | extra… | state digest |
+// tag, to w. It declines (false) a slot at or below the highest
+// certificate. The step is what the replica's own vote completed: act on
+// it after sending w.
+func (c *Checkpointer) Capture(w *wire.Writer, slot uint64, state replication.Frozen, extra ...[32]byte) (Step, bool) {
 	if slot <= c.floor() {
 		return Step{}, false
 	}
-	stateD := sha256.Sum256(snap)
-	cp := &Checkpoint{Slot: slot, Extra: extra, Snapshot: snap, Digest: c.digest(slot, extra, stateD)}
+	stateD := state.Digest()
+	cp := &Checkpoint{Slot: slot, Extra: extra, State: state, Digest: c.digest(slot, extra, stateD)}
 	c.pending[slot] = cp
 	c.mCaptured.Inc()
 	self := uint32(c.cfg.Self)
@@ -473,8 +497,9 @@ func (c *Checkpointer) Serve(prefix []byte, have uint64) []byte {
 
 // Saved is the state a restarted replica boots from, captured but not yet
 // encoded: the protocol's prefix and the stable checkpoint. A stable
-// checkpoint is never modified once adopted, so a replica captures a
-// Saved under its lock and encodes it with Blob after releasing it.
+// checkpoint and its frozen state never change once adopted, so a
+// replica captures a Saved under its lock and encodes it with Blob after
+// releasing it, on any goroutine.
 type Saved struct {
 	Prefix []byte
 	Stable *Checkpoint // nil before the first stable checkpoint
@@ -495,13 +520,13 @@ func (s Saved) Blob() []byte {
 }
 
 func encode(prefix []byte, cp *Checkpoint) []byte {
-	w := wire.NewWriter(len(prefix) + 256 + len(cp.Snapshot))
+	w := wire.NewWriter(len(prefix) + 256 + cp.State.Size())
 	w.Raw(prefix)
 	w.VarBytes(cp.Cert.Marshal())
 	for _, e := range cp.Extra {
 		w.Bytes32(e)
 	}
-	w.VarBytes(cp.Snapshot)
+	w.VarAppend(cp.State.AppendTo)
 	return w.Bytes()
 }
 
@@ -513,7 +538,7 @@ func (c *Checkpointer) Read(rd *wire.Reader) *Checkpoint {
 	for i := range cp.Extra {
 		cp.Extra[i] = rd.Bytes32()
 	}
-	cp.Snapshot = append([]byte(nil), rd.VarBytes()...)
+	cp.data = append([]byte(nil), rd.VarBytes()...)
 	if rd.Done() != nil {
 		return nil
 	}
@@ -534,18 +559,34 @@ func (c *Checkpointer) CheckCert(cert *Cert) bool {
 }
 
 // Check reports whether cp is what its certificate certifies: a valid
-// quorum certificate whose digest binds cp's extra parts and snapshot.
-func (c *Checkpointer) Check(cp *Checkpoint) bool {
-	return cp.Cert != nil && cp.Cert.Slot == cp.Slot && c.CheckCert(cp.Cert) &&
-		cp.Cert.Digest == c.digest(cp.Slot, cp.Extra, sha256.Sum256(cp.Snapshot))
+// quorum certificate whose digest binds cp's extra parts and state
+// digest. For a checkpoint Read decoded, m computes that digest from the
+// snapshot bytes, and on success cp's State is those bytes.
+func (c *Checkpointer) Check(cp *Checkpoint, m Machine) bool {
+	if cp.Cert == nil || cp.Cert.Slot != cp.Slot || !c.CheckCert(cp.Cert) {
+		return false
+	}
+	state := cp.State
+	if state == nil {
+		d, err := m.StateDigest(cp.data)
+		if err != nil {
+			return false
+		}
+		state = received{data: cp.data, digest: d}
+	}
+	if cp.Cert.Digest != c.digest(cp.Slot, cp.Extra, state.Digest()) {
+		return false
+	}
+	cp.State = state
+	return true
 }
 
 // Install adopts a checkpoint received in state transfer or read back
-// after a restart: if Check passes and apply accepts its snapshot, cp
-// becomes the stable checkpoint. The protocol then moves its own state
-// to cp.Slot.
-func (c *Checkpointer) Install(cp *Checkpoint, apply func(snapshot []byte) error) bool {
-	if !c.Check(cp) || apply(cp.Snapshot) != nil {
+// after a restart: if Check passes and m installs its snapshot, cp
+// becomes the stable checkpoint. Nothing in m changes unless Check
+// passes. The protocol then moves its own state to cp.Slot.
+func (c *Checkpointer) Install(cp *Checkpoint, m Machine) bool {
+	if !c.Check(cp, m) || m.InstallSnapshot(cp.data) != nil {
 		return false
 	}
 	c.adopt(cp)

@@ -2,10 +2,13 @@ package seqlog
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"neobft/internal/crypto/auth"
+	"neobft/internal/kvstore"
 	"neobft/internal/metrics"
+	"neobft/internal/replication"
 	"neobft/internal/wire"
 )
 
@@ -25,12 +28,27 @@ func newGroup(extra int) ([]*Checkpointer, []*metrics.Registry) {
 	return cps, regs
 }
 
+// rawState is a state whose snapshot is its bytes and whose digest is
+// their SHA-256.
+type rawState []byte
+
+func (s rawState) Digest() [32]byte           { return sha256.Sum256(s) }
+func (s rawState) Size() int                  { return len(s) }
+func (s rawState) AppendTo(buf []byte) []byte { return append(buf, s...) }
+
+// rawMachine checks rawState snapshots and records the last one it
+// installed.
+type rawMachine struct{ installed []byte }
+
+func (m *rawMachine) StateDigest(b []byte) ([32]byte, error) { return sha256.Sum256(b), nil }
+func (m *rawMachine) InstallSnapshot(b []byte) error         { m.installed = b; return nil }
+
 // capture has c checkpoint snap at slot and returns its vote bytes and
 // the step its own vote caused.
 func capture(t *testing.T, c *Checkpointer, slot uint64, snap []byte, extra ...[32]byte) ([]byte, Step) {
 	t.Helper()
 	w := wire.NewWriter(0)
-	step, ok := c.Capture(w, slot, snap, extra...)
+	step, ok := c.Capture(w, slot, rawState(snap), extra...)
 	if !ok {
 		t.Fatalf("replica %d declined to capture slot %d", c.cfg.Self, slot)
 	}
@@ -101,7 +119,7 @@ func TestCheckpointerStableAndTruncate(t *testing.T) {
 			t.Fatalf("replica %d saw %d stability steps, want 1", i, stable)
 		}
 		st := cps[i].Stable()
-		if st == nil || st.Slot != 8 || st.Extra[0] != extra || !cps[i].Check(st) {
+		if st == nil || st.Slot != 8 || st.Extra[0] != extra || !cps[i].Check(st, &rawMachine{}) {
 			t.Fatalf("replica %d: stable checkpoint %+v does not check out", i, st)
 		}
 		if n := regs[i].Counter("proto_checkpoints_total").Load(); n != 1 {
@@ -166,7 +184,7 @@ func TestCheckpointerIgnoresVotesAtOrBelowStable(t *testing.T) {
 		t.Fatalf("%d slots of votes pooled below the stable checkpoint", cps[0].Votes())
 	}
 	w := wire.NewWriter(0)
-	if _, ok := cps[0].Capture(w, 8, []byte("again")); ok || w.Len() != 0 {
+	if _, ok := cps[0].Capture(w, 8, rawState("again")); ok || w.Len() != 0 {
 		t.Fatal("captured a slot already stable")
 	}
 }
@@ -208,7 +226,7 @@ func TestCheckpointerCheckRejects(t *testing.T) {
 	cps, _ := newGroup(1)
 	stabilize(t, cps, 8, sameSnaps(4, "state@8"), [32]byte{7})
 	good := cps[0].Read(wire.NewReader(cps[0].Save(nil).Blob()))
-	if good == nil || !cps[1].Check(good) {
+	if good == nil || !cps[1].Check(good, &rawMachine{}) {
 		t.Fatal("an honest checkpoint failed Check")
 	}
 	cases := map[string]func(cp *Checkpoint){
@@ -217,23 +235,96 @@ func TestCheckpointerCheckRejects(t *testing.T) {
 		"duplicate voter": func(cp *Checkpoint) {
 			cp.Cert.Parts = append(cp.Cert.Parts[:2:2], cp.Cert.Parts[0])
 		},
-		"tampered snapshot": func(cp *Checkpoint) { cp.Snapshot = []byte("state@9") },
+		"tampered snapshot": func(cp *Checkpoint) { cp.data = []byte("state@9") },
 		"wrong extra part":  func(cp *Checkpoint) { cp.Extra[0][0] ^= 1 },
 		"wrong slot":        func(cp *Checkpoint) { cp.Slot++ },
 	}
 	for name, tamper := range cases {
 		cp := cps[0].Read(wire.NewReader(cps[0].Save(nil).Blob()))
 		tamper(cp)
-		if cps[1].Check(cp) {
+		if cps[1].Check(cp, &rawMachine{}) {
 			t.Errorf("%s: Check accepted it", name)
 		}
-		if cps[1].Install(cp, func([]byte) error { return nil }) {
+		if cps[1].Install(cp, &rawMachine{}) {
 			t.Errorf("%s: Install adopted it", name)
 		}
 	}
 	if cps[1].Installs() != 0 {
 		t.Fatal("a rejected checkpoint counted as installed")
 	}
+
+	// A key-value store's snapshot, tampered record by record. The state
+	// digest the certificate binds is recomputed from the received bytes,
+	// and Install refuses each change before the store changes.
+	kv, _ := newGroup(0)
+	votes := make([][]byte, len(kv))
+	for i, c := range kv {
+		app := kvstore.NewStore()
+		for _, k := range []string{"a", "b", "c"} {
+			app.Execute(kvstore.EncodePut(k, []byte(k+"-value")))
+		}
+		w := wire.NewWriter(0)
+		if _, ok := c.Capture(w, 8, replication.Capture(app, replication.NewClientTable())); !ok {
+			t.Fatal("kv capture declined")
+		}
+		votes[i] = w.Bytes()
+	}
+	for i, c := range kv {
+		for j, v := range votes {
+			if i != j {
+				deliver(t, c, v, 8)
+			}
+		}
+	}
+	blob := kv[0].Save(nil).Blob()
+	bundle := func(records ...string) []byte {
+		app := wire.NewWriter(0)
+		app.U32(uint32(len(records) / 2))
+		for i := 0; i < len(records); i += 2 {
+			app.VarBytes([]byte(records[i]))
+			app.VarBytes([]byte(records[i+1]))
+		}
+		w := wire.NewWriter(0)
+		w.VarBytes(app.Bytes())
+		w.VarBytes(replication.NewClientTable().Snapshot())
+		return w.Bytes()
+	}
+	honest := kv[1].Read(wire.NewReader(blob))
+	if !bytes.Equal(honest.data, bundle("a", "a-value", "b", "b-value", "c", "c-value")) {
+		t.Fatal("hand-built kv snapshot differs from the captured one")
+	}
+	kvCases := map[string][]byte{
+		"value byte flipped": bundle("a", "a-value", "b", "b-valuf", "c", "c-value"),
+		"record dropped":     bundle("a", "a-value", "c", "c-value"),
+		"record moved":       bundle("b", "b-value", "a", "a-value", "c", "c-value"),
+	}
+	for name, data := range kvCases {
+		cp := kv[1].Read(wire.NewReader(blob))
+		cp.data = data
+		m := newKVMachine()
+		if kv[1].Install(cp, m) || m.app.Len() != 0 {
+			t.Errorf("kv %s: Install adopted it or changed the store", name)
+		}
+	}
+	if m := newKVMachine(); !kv[1].Install(honest, m) || m.app.Len() != 3 {
+		t.Fatal("the honest kv checkpoint did not install")
+	}
+}
+
+// kvMachine installs bundles into a key-value store.
+type kvMachine struct {
+	app   *kvstore.Store
+	table *replication.ClientTable
+}
+
+func newKVMachine() kvMachine {
+	return kvMachine{app: kvstore.NewStore(), table: replication.NewClientTable()}
+}
+
+func (m kvMachine) StateDigest(b []byte) ([32]byte, error) { return replication.BundleDigest(m.app, b) }
+
+func (m kvMachine) InstallSnapshot(b []byte) error {
+	return replication.InstallSnapshot(m.app, m.table, b, 0, auth.NewReplicaSide([]byte("kv"), 0))
 }
 
 // TestCheckpointerPersistRoundTrip: a stable checkpoint read back from
@@ -245,11 +336,12 @@ func TestCheckpointerPersistRoundTrip(t *testing.T) {
 		stabilize(t, cps, 8, sameSnaps(4, "state@8"), extra...)
 		blob := cps[0].Save(nil).Blob()
 		fresh, regs := newGroup(len(extra))
-		var applied []byte
+		m := &rawMachine{}
 		cp := fresh[3].Read(wire.NewReader(blob))
-		if cp == nil || !fresh[3].Install(cp, func(s []byte) error { applied = s; return nil }) {
+		if cp == nil || !fresh[3].Install(cp, m) {
 			t.Fatalf("extra=%d: persisted checkpoint did not install", len(extra))
 		}
+		applied := m.installed
 		if string(applied) != "state@8" || fresh[3].Stable().Slot != 8 || fresh[3].Installs() != 1 {
 			t.Fatalf("extra=%d: installed %q at %d", len(extra), applied, fresh[3].Stable().Slot)
 		}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"neobft/internal/replication"
@@ -20,17 +19,15 @@ import (
 // records the persist loop appends, not from this journal (see the
 // package comment).
 //
-// The wrapper always implements replication.Snapshotter, delegating
-// to the inner application when it does; CaptureSnapshot and
-// InstallSnapshot therefore see the same shape whether or not the
-// inner app supports snapshots (an empty section either way).
+// The wrapper always implements replication.Snapshotter, forwarding to
+// the inner application's (a stateless one's when it has none), so
+// checkpoints see the same state whether or not the store is attached.
 func Durable(app replication.App, st *Store) replication.App {
-	return &durableApp{inner: app, st: st}
+	return &durableApp{Snapshotter: replication.AsSnapshotter(app), inner: app, st: st}
 }
 
-var errRestoreOpaque = errors.New("store: snapshot for a non-snapshot application")
-
 type durableApp struct {
+	replication.Snapshotter
 	inner replication.App
 	st    *Store
 	seq   atomic.Uint64
@@ -41,20 +38,4 @@ func (d *durableApp) Execute(op []byte) ([]byte, func()) {
 	// under a concurrent snapshot.
 	d.st.AppendOp(d.seq.Add(1), op)
 	return d.inner.Execute(op)
-}
-
-func (d *durableApp) SnapshotSize() int { return replication.SnapshotSize(d.inner) }
-
-func (d *durableApp) AppendSnapshot(buf []byte) []byte {
-	return replication.AppendSnapshot(d.inner, buf)
-}
-
-func (d *durableApp) Restore(data []byte) error {
-	if s, ok := d.inner.(replication.Snapshotter); ok {
-		return s.Restore(data)
-	}
-	if len(data) != 0 {
-		return errRestoreOpaque
-	}
-	return nil
 }

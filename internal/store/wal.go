@@ -1,6 +1,6 @@
 // Package store is the durable replica-state subsystem: a segmented,
 // CRC-framed append-only write-ahead log with group commit, plus
-// atomic-rename snapshot files holding replication.CaptureSnapshot
+// atomic-rename snapshot files holding replication.Capture
 // bundles. A replica killed mid-run reboots from its data directory:
 // recovery loads the newest valid snapshot and replays the WAL suffix
 // on top of it, truncating a torn tail at the first invalid record.

@@ -5,7 +5,6 @@
 package unreplicated
 
 import (
-	"crypto/sha256"
 	"sync"
 
 	"neobft/internal/metrics"
@@ -68,14 +67,15 @@ func New(cfg Config) *Server {
 }
 
 // Persist captures the server's durable recovery state: the operation
-// count and a state snapshot.
+// count and a state snapshot, frozen under s.mu and encoded after
+// releasing it.
 func (s *Server) Persist() []byte {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := replication.CaptureSnapshot(s.cfg.App, s.Table)
-	w := wire.NewWriter(32 + len(snap))
-	w.U64(s.Executed())
-	w.VarBytes(snap)
+	ops, state := s.Executed(), s.Capture()
+	s.mu.Unlock()
+	w := wire.NewWriter(32 + state.Size())
+	w.U64(ops)
+	w.VarAppend(state.AppendTo)
 	return w.Bytes()
 }
 
@@ -90,7 +90,7 @@ func (s *Server) restoreFromPersist(blob []byte) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if replication.InstallSnapshot(s.cfg.App, s.Table, snap, 0, s.cfg.ClientAuth) != nil {
+	if s.InstallSnapshot(snap) != nil {
 		return
 	}
 	s.SetExecuted(ops)
@@ -147,7 +147,7 @@ func (s *Server) ApplyEvent(from transport.NodeID, ev runtime.Event) {
 // immediately and the window truncates on the spot. Nothing leaves the
 // server, so the vote is the bare state digest. Caller holds s.mu.
 func (s *Server) checkpointLocked(slot uint64) {
-	stateD := sha256.Sum256(replication.CaptureSnapshot(s.cfg.App, s.Table))
+	stateD := s.Capture().Digest()
 	s.mCkpt.Inc()
 	if cert := s.ckpt.Add(slot, 0, stateD, nil); cert != nil {
 		dropped := s.log.TruncateTo(cert.Slot)

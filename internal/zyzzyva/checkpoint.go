@@ -1,7 +1,6 @@
 package zyzzyva
 
 import (
-	"neobft/internal/replication"
 	"neobft/internal/seqlog"
 	"neobft/internal/transport"
 	"neobft/internal/wire"
@@ -23,7 +22,7 @@ import (
 func (r *Replica) captureCheckpointLocked(seq uint64) {
 	w := wire.NewWriter(160)
 	w.U8(kindCheckpoint)
-	if step, ok := r.ckpt.Capture(w, seq, replication.CaptureSnapshot(r.cfg.App, r.Table), r.history); ok {
+	if step, ok := r.ckpt.Capture(w, seq, r.Capture(), r.history); ok {
 		r.Broadcast(w.Bytes())
 		r.stepLocked(step)
 	}
@@ -96,9 +95,7 @@ func (r *Replica) onStateSnap(body []byte) {
 // shared tail of snapshot state transfer and crash-restart recovery
 // (Config.Restore). Caller holds r.mu.
 func (r *Replica) installLocked(cp *seqlog.Checkpoint) {
-	if !r.ckpt.Install(cp, func(snap []byte) error {
-		return replication.InstallSnapshot(r.cfg.App, r.Table, snap, uint32(r.cfg.Self), r.cfg.ClientAuth)
-	}) {
+	if !r.ckpt.Install(cp, r.Core) {
 		return
 	}
 	r.log.Reset(cp.Slot)

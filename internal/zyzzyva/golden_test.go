@@ -19,15 +19,15 @@ import (
 // a fixed snapshot and a hand-ordered certificate. Regenerate only for
 // a deliberate wire-format change.
 const (
-	goldenPersist = "a200000008000000000000002d576edb44a88814e917a7e3a94b28acf6c98332c4c0c3d17a15e73e5990fb1603000300" +
-		"000020000000c7b5313e6e8af7b47889e7660bffce5dc6d3180448f02e5ba19059e8de07a2ed0000000020000000de7b" +
-		"dcdff4e1f2c022bf7fa28e877bd4ef1fd8ec06914db96fa01561be89f2670200000020000000a80afb61e5e110d26586" +
-		"edf36b8a2052bc13bc9cd6331a9b106a282e8d33d163161fbd3f2e0db98943bd61fd1591a08217e1f87a9977bbcd90f9" +
+	goldenPersist = "a200000008000000000000002c1b64723868cb81dbfd53d788d3f1b7ce01aee60acc6e098ec9f3690545ca9a03000300" +
+		"000020000000460c497a02a8b5904bf355184cf7d2b179d40ba314b28eb319f0de599dbc8e0c0000000020000000c8b3" +
+		"1a4449079a68ab24aababd4bbb7102afda6c4da269e5c96d8944369446c0020000002000000065151a6b53f3aabad051" +
+		"b3410ce8d8f87522e68ea4116f9ad86f91cc906b8943161fbd3f2e0db98943bd61fd1591a08217e1f87a9977bbcd90f9" +
 		"da97961931231a0000000e00000001000000010000006b01000000760400000000000000"
 	goldenSnap = "16" + goldenPersist
-	goldenVote = "14010000000900000000000000cb4d9671ad2315e3b0f1df261206a3a96a5ea16302e998a58710f4af26a8e6f7f5bdbb" +
-		"206e40b1687057e86b4bea57508875211b9fd134273db20a1f760f97992000000057848cb93df0d417f332576a28827c" +
-		"20880bc98bdef2ffa3b3af1f11998e09d6"
+	goldenVote = "14010000000900000000000000cb4d9671ad2315e3b0f1df261206a3a96a5ea16302e998a58710f4af26a8e6f7254268" +
+		"ae4efa8def2aa329151bda51823ed7a09b82c07b1beecefeace54ce3a620000000b6a2aac3280b54b45ac8fe413a53ff" +
+		"8f15bf15fecf72378b39e660e7cd28c142"
 	goldenFetch = "150900000000000000"
 )
 
@@ -105,10 +105,11 @@ func TestCheckpointWireGolden(t *testing.T) {
 	}
 	app := kvstore.NewStore()
 	app.Execute(kvstore.EncodePut("k", []byte("v")))
-	snap := replication.CaptureSnapshot(app, replication.NewClientTable())
+	state := replication.Capture(app, replication.NewClientTable())
+	snap := state.AppendTo(nil)
 	history := sha256.Sum256([]byte("history at 8"))
 	blob := wire.NewWriter(0)
-	blob.VarBytes(goldenCert(auths, domain, 8, goldenDigest(domain, 8, history, sha256.Sum256(snap)), 3, 0, 2))
+	blob.VarBytes(goldenCert(auths, domain, 8, goldenDigest(domain, 8, history, state.Digest()), 3, 0, 2))
 	blob.Bytes32(history)
 	blob.VarBytes(snap)
 
