@@ -30,6 +30,18 @@ func NewWriter(capacity int) *Writer {
 // writes into its caller's buffer.
 func AppendTo(buf []byte) *Writer { return &Writer{buf: buf} }
 
+// Grow returns buf with room for n more bytes. When buf is too small it
+// copies buf into one new buffer of exactly len(buf)+n, so an encoder
+// that knows its size allocates once and leaves no spare capacity.
+func Grow(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	grown := make([]byte, len(buf), len(buf)+n)
+	copy(grown, buf)
+	return grown
+}
+
 // Bytes returns the encoded buffer. The buffer is owned by the Writer
 // until Reset is called.
 func (w *Writer) Bytes() []byte { return w.buf }

@@ -71,6 +71,17 @@ func TestVarAppendMatchesVarBytes(t *testing.T) {
 	}
 }
 
+func TestGrow(t *testing.T) {
+	roomy := make([]byte, 2, 16)
+	if got := Grow(roomy, 10); &got[:1][0] != &roomy[:1][0] {
+		t.Fatal("Grow reallocated a buffer with room")
+	}
+	got := Grow([]byte("ab"), 10)
+	if string(got) != "ab" || cap(got) != 12 {
+		t.Fatalf("Grow = %q cap %d, want \"ab\" cap 12", got, cap(got))
+	}
+}
+
 func TestReaderTruncation(t *testing.T) {
 	r := NewReader([]byte{1, 2})
 	_ = r.U32()
