@@ -235,9 +235,9 @@ func (o *options) bootReplica(cl *protocol.Cluster, idx int, fab transport.Fabri
 		log.Fatal(err)
 	}
 	if st := h.Store(); st != nil {
-		if rec := st.Recovered(); rec.Checkpoint != nil {
-			log.Printf("replica %d recovered from %s: checkpoint slot %d, %d WAL records, torn-tail=%v",
-				idx, h.Dir(), rec.Slot, rec.Records, rec.Torn)
+		if rec := h.Recovered(); rec.Checkpoint != nil {
+			log.Printf("replica %d recovered from %s: checkpoint slot %d (full record + %d delta records applied), %d WAL records, torn-tail=%v",
+				idx, h.Dir(), rec.Slot, len(rec.Deltas), rec.Records, rec.Torn)
 		} else {
 			log.Printf("replica %d starting fresh in %s", idx, h.Dir())
 		}

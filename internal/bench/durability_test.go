@@ -2,12 +2,17 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"neobft/internal/chaos"
+	"neobft/internal/kvstore"
+	"neobft/internal/replication"
+	"neobft/internal/seqlog"
+	"neobft/internal/wire"
 )
 
 // The kill-recover chaos scenario against a durable Neo-HM fleet: a
@@ -156,5 +161,95 @@ func TestRunChaosKillRecoverDefaultsDurable(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "durable state under") {
 		t.Fatalf("run did not arm durable state:\n%s", out.String())
+	}
+}
+
+// Kill -9 a durable Neo-HM replica running the kv store after its
+// persister has appended deltas: the warm boot folds the delta chain
+// onto the last full record and lands on the last persisted stable
+// checkpoint, whose state equals a live peer's at that slot.
+func TestKillRecoverThroughDeltas(t *testing.T) {
+	var mu sync.Mutex
+	stores := make([]*kvstore.Store, 4)
+	sys := Build(Options{
+		Protocol:           NeoHM,
+		CheckpointInterval: 16,
+		ClientTimeout:      200 * time.Millisecond,
+		DataDir:            t.TempDir(),
+		PersistEvery:       5 * time.Millisecond,
+		AppFactory: func(i int) replication.App {
+			s := kvstore.NewStore()
+			for k := 0; k < 2000; k++ {
+				s.Load(fmt.Sprintf("user%010d", k), bytes.Repeat([]byte("v"), 128))
+			}
+			mu.Lock()
+			stores[i] = s
+			mu.Unlock()
+			return s
+		},
+	})
+	defer sys.Close()
+
+	// Updates until well past the first persisted checkpoint: the ones
+	// after it persist as deltas, a full only when the deltas add up to
+	// its size (about 300 KB here).
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		cl := sys.NewClient(c)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				key := fmt.Sprintf("user%010d", (c*7919+i*104729)%2500)
+				if _, err := cl.Invoke(kvstore.EncodePut(key, []byte(fmt.Sprint(c, i))), 2*time.Second); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	saved := func(i int) seqlog.Saved {
+		return sys.hosts[i].Replica().(interface{ Save() seqlog.Saved }).Save()
+	}
+	// Quiesce: every replica settles on one stable checkpoint and the
+	// victim's persister gets to it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		a, b := saved(0).Stable, saved(3).Stable
+		if a != nil && b != nil && a.Slot == b.Slot && a.Slot > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replicas did not settle on one stable checkpoint")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond)
+	peer := saved(0).Stable
+	if err := sys.Kill(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Restart(3, false); err != nil {
+		t.Fatal(err)
+	}
+	rec := sys.hosts[3].Recovered()
+	if len(rec.Deltas) < 2 {
+		t.Fatalf("recovered %d delta records, want at least 2", len(rec.Deltas))
+	}
+	if rec.Slot != peer.Slot {
+		t.Fatalf("recovered slot %d, last stable slot %d", rec.Slot, peer.Slot)
+	}
+	got := saved(3).Stable
+	if got == nil || got.Slot != peer.Slot || got.Digest != peer.Digest {
+		t.Fatalf("restored stable checkpoint %+v, peer's at slot %d digest %x", got, peer.Slot, peer.Digest)
+	}
+	// The restored store holds exactly the peer's checkpointed records.
+	bundle := wire.NewReader(peer.State.AppendTo(nil))
+	mu.Lock()
+	restored := stores[3].Snapshot()
+	mu.Unlock()
+	if !bytes.Equal(restored, bundle.VarBytes()) {
+		t.Fatal("restored kv store differs from the peer's at the stable slot")
 	}
 }

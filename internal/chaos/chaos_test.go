@@ -238,3 +238,77 @@ func TestRecordingAppDigestProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordingAppDeltaProperty: through random executes, rollback pops
+// (also right after a freeze), dropped tails and restores, a view has a
+// delta from an earlier view exactly when the earlier history is a
+// prefix of its own, and the delta patches the earlier view's bytes into
+// its own, digest included.
+func TestRecordingAppDeltaProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := NewRecordingApp(replication.EchoApp{})
+	type capture struct {
+		f     replication.Frozen
+		bytes []byte
+		hist  []Entry
+	}
+	var caps []capture
+	var undos []func()
+	seq := uint64(0)
+	deltas, refused := 0, 0
+	for step := 0; step < 2000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 50:
+			seq++
+			_, undo := a.Execute(EncodeOp(uint32(rng.Intn(4)), seq, 16))
+			undos = append(undos, undo)
+		case r < 75 && len(undos) > 0:
+			undos[len(undos)-1]()
+			undos = undos[:len(undos)-1]
+		case r < 78:
+			a.DropTail(rng.Intn(4))
+			undos = nil
+		case r < 80 && len(caps) > 0:
+			if err := a.Restore(caps[rng.Intn(len(caps))].bytes); err != nil {
+				t.Fatal(err)
+			}
+			undos = nil
+		default:
+			f := a.Freeze()
+			caps = append(caps, capture{f, f.AppendTo(nil), a.History()})
+		}
+		cur := a.Freeze()
+		b, hist := cur.AppendTo(nil), a.History()
+		for i, c := range caps {
+			prefix := len(c.hist) <= len(hist)
+			for j := 0; prefix && j < len(c.hist); j++ {
+				prefix = c.hist[j] == hist[j]
+			}
+			d, ok := cur.AppendDelta(nil, c.f)
+			if ok != prefix {
+				t.Fatalf("step %d, capture %d: delta %t, history prefix %t", step, i, ok, prefix)
+			}
+			if !ok {
+				refused++
+				continue
+			}
+			deltas++
+			got, err := a.Patch(c.bytes, d)
+			if err != nil || !bytes.Equal(got, b) {
+				t.Fatalf("step %d, capture %d: patched bytes differ (%v)", step, i, err)
+			}
+			if dg, err := a.Digest(got); err != nil || dg != cur.Digest() {
+				t.Fatalf("step %d, capture %d: patched digest %x, view %x (%v)", step, i, dg, cur.Digest(), err)
+			}
+		}
+		if len(caps) > 10 {
+			caps = caps[len(caps)-10:]
+		}
+	}
+	if deltas == 0 || refused == 0 {
+		t.Fatalf("%d deltas, %d refused: the walk missed a case", deltas, refused)
+	}
+	if _, err := a.Patch(caps[0].bytes, []byte{1, 2, 3}); err == nil {
+		t.Fatal("Patch accepted a malformed delta")
+	}
+}

@@ -101,9 +101,9 @@ func (a *RecordingApp) Execute(op []byte) ([]byte, func()) {
 // push appends e to the history and extends the chain. Caller holds a.mu.
 func (a *RecordingApp) push(e Entry) {
 	if n := len(a.hist); n < a.frozen {
-		// A frozen view still reads hist[n:]: capping the slice makes
-		// append move the history to an array of its own.
-		a.hist = a.hist[:n:n]
+		// A frozen view still reads hist[n:] and heads[n:]: capping the
+		// slices makes append move them to arrays of their own.
+		a.hist, a.heads = a.hist[:n:n], a.heads[:n:n]
 		a.frozen = 0
 	}
 	a.hist = append(a.hist, e)
@@ -160,7 +160,7 @@ func (a *RecordingApp) DropTail(n int) {
 }
 
 // Freeze implements replication.Snapshotter. The view shares the
-// history's backing array up to its length.
+// history's and the chain heads' backing arrays up to their length.
 func (a *RecordingApp) Freeze() replication.Frozen {
 	inner := a.snap.Freeze()
 	a.mu.Lock()
@@ -170,6 +170,7 @@ func (a *RecordingApp) Freeze() replication.Frozen {
 	return &recording{
 		inner:  inner,
 		hist:   a.hist[:n:n],
+		heads:  a.heads[:n:n],
 		digest: recordingDigest(inner.Digest(), a.head(), n),
 	}
 }
@@ -178,6 +179,7 @@ func (a *RecordingApp) Freeze() replication.Frozen {
 type recording struct {
 	inner  replication.Frozen
 	hist   []Entry
+	heads  [][32]byte
 	digest [32]byte
 }
 
@@ -190,8 +192,33 @@ func (r *recording) Size() int { return 8 + r.inner.Size() + 44*len(r.hist) }
 func (r *recording) AppendTo(buf []byte) []byte {
 	w := wire.AppendTo(wire.Grow(buf, r.Size()))
 	w.VarAppend(r.inner.AppendTo)
-	w.U32(uint32(len(r.hist)))
-	for _, e := range r.hist {
+	return appendEntries(w.Bytes(), r.hist)
+}
+
+// AppendDelta writes varbytes inner delta | u32 count | the entries
+// appended since since, encoded as in the snapshot. It reports false
+// when since's history is not a prefix of this one: a rollback went
+// below it.
+func (r *recording) AppendDelta(buf []byte, since replication.Frozen) ([]byte, bool) {
+	s, ok := since.(*recording)
+	if !ok {
+		return buf, false
+	}
+	n := len(s.hist)
+	if n > len(r.hist) || n > 0 && r.heads[n-1] != s.heads[n-1] {
+		return buf, false
+	}
+	w := wire.AppendTo(buf)
+	if !w.VarAppendIf(func(buf []byte) ([]byte, bool) { return r.inner.AppendDelta(buf, s.inner) }) {
+		return buf, false
+	}
+	return appendEntries(w.Bytes(), r.hist[n:]), true
+}
+
+func appendEntries(buf []byte, hist []Entry) []byte {
+	w := wire.AppendTo(buf)
+	w.U32(uint32(len(hist)))
+	for _, e := range hist {
 		w.U32(e.Client)
 		w.U64(e.Seq)
 		w.Bytes32(e.OpDigest)
@@ -235,6 +262,25 @@ func (a *RecordingApp) Digest(data []byte) ([32]byte, error) {
 		head = chain(head, e)
 	}
 	return recordingDigest(inner, head, len(hist)), nil
+}
+
+// Patch implements replication.Snapshotter: the inner snapshot patched
+// with the inner delta, and the history extended by the delta's entries.
+func (a *RecordingApp) Patch(snapshot, delta []byte) ([]byte, error) {
+	innerB, hist, err := decodeRecording(snapshot)
+	if err != nil {
+		return nil, err
+	}
+	innerD, more, err := decodeRecording(delta)
+	if err != nil {
+		return nil, err
+	}
+	if innerB, err = a.snap.Patch(innerB, innerD); err != nil {
+		return nil, err
+	}
+	w := wire.NewWriter(8 + len(innerB) + 44*(len(hist)+len(more)))
+	w.VarBytes(innerB)
+	return appendEntries(w.Bytes(), append(hist, more...)), nil
 }
 
 // Restore implements replication.Snapshotter.

@@ -93,7 +93,11 @@ func checkCapture(t testing.TB, s *Store, m map[string]string, caps []captured) 
 // picks how many of the 256 keys are preloaded, so the tree has one to
 // three levels and writes split, merge and rotate nodes that captures
 // share.
-func runOps(t testing.TB, prog []byte) {
+func runOps(t testing.TB, prog []byte) { runOpsWith(t, prog, nil) }
+
+// runOpsWith is runOps calling after with each capture and the captures
+// kept before it.
+func runOpsWith(t testing.TB, prog []byte, after func(c captured, caps []captured)) {
 	s, m := NewStore(), map[string]string{}
 	if len(prog) > 0 {
 		for i := 0; i < int(prog[0]%4)*64; i++ {
@@ -156,6 +160,9 @@ func runOps(t testing.TB, prog []byte) {
 			}
 		}
 		c := checkCapture(t, s, m, caps)
+		if after != nil {
+			after(c, caps)
+		}
 		if op >= 5 {
 			caps = append(caps, c)
 			if len(caps) > 8 {

@@ -62,6 +62,19 @@ func (s counterState) Digest() [32]byte           { return sha256.Sum256(s) }
 func (s counterState) Size() int                  { return len(s) }
 func (s counterState) AppendTo(buf []byte) []byte { return append(buf, s...) }
 
+// AppendDelta writes the whole sum: the counter is as small as any delta.
+func (s counterState) AppendDelta(buf []byte, _ replication.Frozen) ([]byte, bool) {
+	return append(buf, s...), true
+}
+
+// Patch implements replication.Snapshotter: the delta is the new sum.
+func (a *counterApp) Patch(_, delta []byte) ([]byte, error) {
+	if _, err := a.Digest(delta); err != nil {
+		return nil, err
+	}
+	return delta, nil
+}
+
 func (a *counterApp) Restore(data []byte) error {
 	r := wire.NewReader(data)
 	sum := int64(r.U64())

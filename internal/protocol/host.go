@@ -53,6 +53,11 @@ type Host struct {
 	clientAuth *auth.ReplicaSide
 	usig       *usig.USIG // MinBFT only
 
+	// persistMu orders each persist append after the one before it, the
+	// graceful final one included, so a delta never lands behind a full
+	// record it was not taken against. It is taken before mu.
+	persistMu sync.Mutex
+
 	mu      sync.Mutex
 	alive   bool
 	conn    transport.Conn // joined conn, wrapped for tracing when traced
@@ -63,6 +68,9 @@ type Host struct {
 	// blob is the in-memory restart blob of the last graceful stop (nil
 	// in durable mode, where the store holds it).
 	blob []byte
+	// recovered is the on-disk chain this incarnation booted from,
+	// trimmed to the delta records it applied.
+	recovered store.Recovered
 	// busyBase is the runtime busy time of earlier incarnations.
 	busyBase time.Duration
 	// persisted identifies the blob the persister last appended, so the
@@ -88,23 +96,51 @@ type persistKey struct {
 // Zyzzyva, MinBFT).
 type saver interface{ Save() seqlog.Saved }
 
-// persistState returns the key of rep's current Persist blob and a
-// function that encodes it, or a nil encoder when there is nothing to
-// persist yet. For a saver the encoder may run after every lock is
-// released.
-func persistState(rep Replica) (persistKey, func() []byte) {
+// persistState returns what rep would persist now: its key, the slot
+// to record it at (the stable checkpoint's for a saver, Executed()
+// otherwise), the saver's Saved (nil Stable otherwise) and a function
+// that encodes the full blob, nil when there is nothing to persist yet.
+// For a saver the encoder may run after every lock is released.
+func persistState(rep Replica) (key persistKey, slot uint64, sv seqlog.Saved, encode func() []byte) {
 	if s, ok := rep.(saver); ok {
 		sv := s.Save()
 		if sv.Stable == nil {
-			return persistKey{}, nil
+			return persistKey{}, 0, sv, nil
 		}
-		return persistKey{slot: sv.Stable.Slot, prefix: string(sv.Prefix)}, sv.Blob
+		return persistKey{slot: sv.Stable.Slot, prefix: string(sv.Prefix)}, sv.Stable.Slot, sv, sv.Blob
 	}
 	blob := rep.Persist()
 	if blob == nil {
-		return persistKey{}, nil
+		return persistKey{}, 0, seqlog.Saved{}, nil
 	}
-	return persistKey{hash: sha256.Sum256(blob)}, func() []byte { return blob }
+	return persistKey{hash: sha256.Sum256(blob)}, rep.Executed(), seqlog.Saved{}, func() []byte { return blob }
+}
+
+// persister is one incarnation's persist state: the Saved it last
+// appended, the size of the last full record and the delta bytes
+// appended since.
+type persister struct {
+	base   seqlog.Saved
+	full   int
+	deltas int
+}
+
+// write appends sv to st: as a delta from the Saved appended last when
+// one can be formed and the deltas since the last full stay smaller
+// than it, else as a full record.
+func (p *persister) write(st *store.Store, slot uint64, sv seqlog.Saved, encode func() []byte) {
+	if sv.Stable != nil && p.base.Stable != nil {
+		if delta, ok := sv.Delta(p.base); ok && p.deltas+len(delta) < p.full {
+			if st.AppendDelta(p.base.Stable.Slot, slot, delta) == nil {
+				p.base, p.deltas = sv, p.deltas+len(delta)
+			}
+			return
+		}
+	}
+	blob := encode()
+	if st.AppendCheckpoint(slot, blob) == nil {
+		p.base, p.full, p.deltas = sv, len(blob), 0
+	}
 }
 
 // NewHost prepares a replica node; Boot starts it.
@@ -155,7 +191,6 @@ func (h *Host) Boot(cold bool) error {
 		if err != nil {
 			return fmt.Errorf("protocol: open store for replica %d: %w", h.cfg.Index, err)
 		}
-		restore = st.Recovered().Checkpoint
 	}
 	conn, err := h.cfg.Fabric.Join(h.cfg.Cluster.Members[h.cfg.Index])
 	if err != nil {
@@ -174,6 +209,7 @@ func (h *Host) Boot(cold bool) error {
 	h.app = h.cfg.App()
 	if st != nil {
 		h.app = store.Durable(h.app, st)
+		restore, h.recovered = foldChain(h.app, st.Recovered())
 	}
 	h.st = st
 	h.replica = h.cfg.Cluster.Spec.replica(h, restore)
@@ -191,6 +227,25 @@ func (h *Host) Boot(cold bool) error {
 	return nil
 }
 
+// foldChain rebuilds the newest full blob a recovered chain describes by
+// applying its delta records to its full checkpoint in order, with
+// app's Patch for the state. It stops at the first delta that does not
+// apply and reports the chain it folded. The replica's restore path
+// checks the result against its certificate as it would any blob.
+func foldChain(app replication.App, rec store.Recovered) ([]byte, store.Recovered) {
+	blob := rec.Checkpoint
+	patch := func(state, delta []byte) ([]byte, error) { return replication.PatchBundle(app, state, delta) }
+	for i, d := range rec.Deltas {
+		next, err := seqlog.PatchBlob(blob, d.Payload, patch)
+		if err != nil {
+			rec.Deltas = rec.Deltas[:i]
+			break
+		}
+		blob, rec.Slot, rec.Index = next, d.Slot, d.Index
+	}
+	return blob, rec
+}
+
 // Stop persists the replica's stable checkpoint, stops it and detaches
 // it from the network.
 func (h *Host) Stop() error { return h.halt(true) }
@@ -203,21 +258,27 @@ func (h *Host) Stop() error { return h.halt(true) }
 func (h *Host) Kill() error { return h.halt(false) }
 
 func (h *Host) halt(graceful bool) error {
+	h.persistMu.Lock()
 	h.mu.Lock()
 	if !h.alive {
 		h.mu.Unlock()
+		h.persistMu.Unlock()
 		return fmt.Errorf("protocol: replica %d already down", h.cfg.Index)
 	}
 	// A nil blob — a kill, or no stable checkpoint yet — makes the next
 	// boot effectively cold in memory mode.
 	var blob []byte
+	var slot uint64
 	if graceful {
-		blob = h.replica.Persist()
+		var encode func() []byte
+		if _, slot, _, encode = persistState(h.replica); encode != nil {
+			blob = encode()
+		}
 	}
 	if h.st == nil {
 		h.blob = blob
 	} else if blob != nil {
-		h.st.AppendCheckpoint(h.replica.Executed(), blob)
+		h.st.AppendCheckpoint(slot, blob)
 	}
 	h.replica.Close()
 	if h.st != nil {
@@ -232,6 +293,7 @@ func (h *Host) halt(graceful bool) error {
 	stop, done := h.persistStop, h.persistDone
 	h.persistStop = nil
 	h.mu.Unlock()
+	h.persistMu.Unlock()
 	if stop != nil {
 		close(stop)
 		<-done
@@ -239,39 +301,61 @@ func (h *Host) halt(graceful bool) error {
 	return nil
 }
 
-// persistLoop periodically captures the replica's Persist() blob into
-// its store as a checkpoint record, for the lifetime of one incarnation.
+// persistLoop periodically captures the replica's Persist() state into
+// its store, as a full checkpoint record or a delta from the one it
+// appended last, for the lifetime of one incarnation.
 func (h *Host) persistLoop(every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	tick := time.NewTicker(every)
 	defer tick.Stop()
+	var p persister
 	for {
 		select {
 		case <-stop:
 			return
 		case <-tick.C:
 		}
-		// The capture reads protocol state under h.mu, the way Stop does;
-		// encoding the blob and the group-commit append happen outside it,
-		// so neither a large snapshot nor a slow fsync blocks lifecycle
-		// transitions.
-		h.mu.Lock()
-		if !h.alive {
-			h.mu.Unlock()
+		if !h.persist(&p) {
 			return
 		}
-		key, encode := persistState(h.replica)
-		if encode == nil || key == h.persisted {
-			h.mu.Unlock()
-			continue
-		}
-		h.persisted = key
-		slot, st := h.replica.Executed(), h.st
-		h.mu.Unlock()
-		// The store may race a concurrent kill and be closed — exactly
-		// what a real process losing a write race sees.
-		st.AppendCheckpoint(slot, encode())
 	}
+}
+
+// persist appends the replica's state if it changed since the last
+// append, and reports false once the incarnation is over. The capture
+// reads protocol state under h.mu, the way Stop does; encoding and the
+// group-commit append happen outside it, so neither a large snapshot nor
+// a slow fsync blocks lifecycle transitions.
+func (h *Host) persist(p *persister) bool {
+	h.persistMu.Lock()
+	defer h.persistMu.Unlock()
+	h.mu.Lock()
+	if !h.alive {
+		h.mu.Unlock()
+		return false
+	}
+	key, slot, sv, encode := persistState(h.replica)
+	if encode == nil || key == h.persisted {
+		h.mu.Unlock()
+		return true
+	}
+	h.persisted = key
+	st := h.st
+	h.mu.Unlock()
+	// A kill waits on persistMu for this append, like a SIGKILL that
+	// lands just after it.
+	p.write(st, slot, sv, encode)
+	return true
+}
+
+// Recovered reports the on-disk checkpoint chain the current
+// incarnation booted from, trimmed to the delta records it applied:
+// Slot and Index are those of the last record applied. Zero in memory
+// mode.
+func (h *Host) Recovered() store.Recovered {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.recovered
 }
 
 // Alive reports whether the replica is running.

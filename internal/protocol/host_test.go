@@ -64,6 +64,9 @@ func (s rawState) Digest() [32]byte           { return sha256.Sum256(s) }
 func (s rawState) Size() int                  { return len(s) }
 func (s rawState) AppendTo(buf []byte) []byte { return append(buf, s...) }
 
+// AppendDelta reports false: the persister writes every rawState whole.
+func (s rawState) AppendDelta(buf []byte, _ replication.Frozen) ([]byte, bool) { return buf, false }
+
 // TestPersisterDedupesBySlotAndPrefix: the persister journals a
 // checkpoint record when the stable checkpoint's slot or the protocol's
 // prefix changes, and only then, and a reboot restores the last one.
@@ -175,14 +178,16 @@ func TestHostKillRebootsFromPersistedCheckpoint(t *testing.T) {
 	victim := hosts[cl.N-1]
 	// Commit until the victim's persister has captured two different
 	// checkpoints: it appends them one after the other, each append
-	// returning once fsynced, so by then the first is on disk.
+	// returning once fsynced, so by then the first is on disk. Five ops
+	// at a time against an interval of 8 keep the executed count off the
+	// checkpoint slots, so a record carrying it would show below.
 	var first, zero persistKey
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("persister never journaled a checkpoint")
 		}
-		invoke(8)
+		invoke(5)
 		victim.mu.Lock()
 		captured := victim.persisted
 		victim.mu.Unlock()
@@ -195,6 +200,11 @@ func TestHostKillRebootsFromPersistedCheckpoint(t *testing.T) {
 	if err := victim.Kill(); err != nil {
 		t.Fatal(err)
 	}
+	// Kill waits out a persist in flight, so the last key captured is
+	// the last record on disk.
+	victim.mu.Lock()
+	last := victim.persisted
+	victim.mu.Unlock()
 	if victim.Alive() || victim.Progress() != 0 {
 		t.Fatalf("after Kill: alive=%v progress=%d", victim.Alive(), victim.Progress())
 	}
@@ -209,6 +219,14 @@ func TestHostKillRebootsFromPersistedCheckpoint(t *testing.T) {
 	rec := victim.Store().Recovered()
 	if rec.Checkpoint == nil || rec.Slot == 0 {
 		t.Fatalf("warm boot after kill recovered checkpoint=%v slot=%d from disk", rec.Checkpoint != nil, rec.Slot)
+	}
+	// Records carry the stable checkpoint's slot, not the executed count.
+	if rec.Slot != last.slot {
+		t.Fatalf("recovered slot %d, last persisted stable slot %d", rec.Slot, last.slot)
+	}
+	if got := victim.Recovered(); got.Slot != rec.Slot || len(got.Deltas) != len(rec.Deltas) {
+		t.Fatalf("host applied %d deltas up to slot %d, store holds %d up to %d",
+			len(got.Deltas), got.Slot, len(rec.Deltas), rec.Slot)
 	}
 	// The checkpoint came from disk: the new incarnation's log window
 	// starts at it before any peer traffic could have reached the replica

@@ -49,6 +49,12 @@ type Snapshotter interface {
 	// network or read from disk: the Digest of the view Freeze returns
 	// in the state Restore(data) builds. It touches no state.
 	Digest(data []byte) ([32]byte, error)
+	// Patch returns the snapshot of the view a delta was taken from,
+	// given the snapshot of the view it was taken against
+	// (cur.AppendDelta(nil, since) applied to since's AppendTo bytes).
+	// Deltas are read back from disk, so Patch refuses malformed ones.
+	// It touches no state.
+	Patch(snapshot, delta []byte) ([]byte, error)
 }
 
 // Frozen is a state captured by Freeze. It never changes, so it may be
@@ -60,6 +66,12 @@ type Frozen interface {
 	Size() int
 	// AppendTo appends the snapshot bytes to buf.
 	AppendTo(buf []byte) []byte
+	// AppendDelta appends the changes from since, an earlier view of the
+	// same application, to this one, in the encoding the Snapshotter's
+	// Patch reads, and reports false (buf unchanged) when it cannot
+	// describe itself that way. Its cost should grow with what changed
+	// between the views, not with the state.
+	AppendDelta(buf []byte, since Frozen) ([]byte, bool)
 }
 
 // AsSnapshotter returns app's Snapshotter. An application without state
@@ -113,7 +125,42 @@ func (b *bundle) AppendTo(buf []byte) []byte {
 	return w.Bytes()
 }
 
-// splitBundle returns a bundle's application and client-table sections.
+// AppendDelta writes varbytes app delta | varbytes table: the client
+// table is small and travels whole.
+func (b *bundle) AppendDelta(buf []byte, since Frozen) ([]byte, bool) {
+	s, ok := since.(*bundle)
+	w := wire.AppendTo(buf)
+	if !ok || !w.VarAppendIf(func(buf []byte) ([]byte, bool) { return b.app.AppendDelta(buf, s.app) }) {
+		return buf, false
+	}
+	w.VarBytes(b.table)
+	return w.Bytes(), true
+}
+
+// PatchBundle applies a bundle's AppendDelta bytes to the Capture bundle
+// snapshot it was taken against, with app's Patch, and returns the
+// bundle snapshot of the newer view.
+func PatchBundle(app App, snapshot, delta []byte) ([]byte, error) {
+	appB, _, err := splitBundle(snapshot)
+	if err != nil {
+		return nil, err
+	}
+	appD, tableB, err := splitBundle(delta)
+	if err != nil {
+		return nil, err
+	}
+	appB, err = AsSnapshotter(app).Patch(appB, appD)
+	if err != nil {
+		return nil, err
+	}
+	w := wire.NewWriter(8 + len(appB) + len(tableB))
+	w.VarBytes(appB)
+	w.VarBytes(tableB)
+	return w.Bytes(), nil
+}
+
+// splitBundle returns a bundle's (or a bundle delta's) application and
+// client-table sections.
 func splitBundle(data []byte) (appB, tableB []byte, err error) {
 	rd := wire.NewReader(data)
 	appB = rd.VarBytes()
@@ -190,6 +237,14 @@ func (EchoApp) Digest(data []byte) ([32]byte, error) {
 	return emptyDigest, nil
 }
 
+// Patch implements Snapshotter: the empty state's delta is empty.
+func (EchoApp) Patch(snapshot, delta []byte) ([]byte, error) {
+	if len(snapshot) != 0 || len(delta) != 0 {
+		return nil, errSnapshotBundle
+	}
+	return nil, nil
+}
+
 // emptyDigest is the digest of a stateless application: SHA-256 of its
 // empty snapshot.
 var emptyDigest = sha256.Sum256(nil)
@@ -199,6 +254,11 @@ type emptyState struct{}
 func (emptyState) Digest() [32]byte           { return emptyDigest }
 func (emptyState) Size() int                  { return 0 }
 func (emptyState) AppendTo(buf []byte) []byte { return buf }
+
+func (emptyState) AppendDelta(buf []byte, since Frozen) ([]byte, bool) {
+	_, ok := since.(emptyState)
+	return buf, ok
+}
 
 // Message kinds shared by all protocols. Protocol-specific kinds start at
 // KindProtocolBase.

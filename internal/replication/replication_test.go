@@ -213,3 +213,33 @@ func TestEchoApp(t *testing.T) {
 		t.Fatalf("echo = %q, undo non-nil: %t", res, undo != nil)
 	}
 }
+
+// TestBundleDelta: a bundle's delta from an earlier one carries the
+// application's delta and the whole client table, and PatchBundle turns
+// the earlier bundle's bytes into the newer one's; a bundle has no delta
+// from a state that is not a bundle.
+func TestBundleDelta(t *testing.T) {
+	table := NewClientTable()
+	old := Capture(EchoApp{}, table)
+	table.Store(7, 1, &Reply{ReqID: 1, Result: []byte("r")})
+	cur := Capture(EchoApp{}, table)
+	delta, ok := cur.AppendDelta(nil, old)
+	if !ok {
+		t.Fatal("no delta between two bundles")
+	}
+	got, err := PatchBundle(EchoApp{}, old.AppendTo(nil), delta)
+	if err != nil || !bytes.Equal(got, cur.AppendTo(nil)) {
+		t.Fatalf("patched bundle differs (%v)", err)
+	}
+	if d, err := BundleDigest(EchoApp{}, got); err != nil || d != cur.Digest() {
+		t.Fatalf("patched digest %x, want %x (%v)", d, cur.Digest(), err)
+	}
+	if _, ok := cur.AppendDelta(nil, emptyState{}); ok {
+		t.Fatal("delta from a state that is not a bundle")
+	}
+	for name, d := range map[string][]byte{"truncated": delta[:len(delta)-1], "trailing": append(delta, 0), "app delta": {1, 0, 0, 0, 9, 0, 0, 0, 0}} {
+		if _, err := PatchBundle(EchoApp{}, old.AppendTo(nil), d); err == nil {
+			t.Errorf("%s: PatchBundle accepted it", name)
+		}
+	}
+}

@@ -262,6 +262,10 @@ func (r received) Digest() [32]byte           { return r.digest }
 func (r received) Size() int                  { return len(r.data) }
 func (r received) AppendTo(buf []byte) []byte { return append(buf, r.data...) }
 
+// AppendDelta implements replication.Frozen: bytes carry no history to
+// describe a change from.
+func (r received) AppendDelta(buf []byte, _ replication.Frozen) ([]byte, bool) { return buf, false }
+
 // Vote is one replica's decoded checkpoint vote.
 type Vote struct {
 	Replica uint32
@@ -517,6 +521,84 @@ func (s Saved) Blob() []byte {
 		return nil
 	}
 	return encode(s.Prefix, s.Stable)
+}
+
+// A delta record describes a Saved as changes to base, an earlier Saved
+// of the same replica:
+//
+//	u64 base slot | base digest | u32 base prefix length |
+//	varbytes prefix | varbytes cert | u8 k | k × extra | varbytes state delta
+//
+// It names its base by the stable slot and the certified digest, which
+// binds the base's state digest, and carries the new head (prefix,
+// certificate, extra parts) whole: only the state travels as a delta.
+// PatchBlob turns the base's Blob and the delta into the newer Blob.
+
+// Delta encodes s as changes to base, or reports false when it cannot:
+// either has no stable checkpoint, or s's state cannot describe itself
+// as changes to base's.
+func (s Saved) Delta(base Saved) ([]byte, bool) {
+	if s.Stable == nil || base.Stable == nil {
+		return nil, false
+	}
+	cert := s.Stable.Cert.Marshal()
+	w := wire.NewWriter(128 + len(s.Prefix) + len(cert) + 32*len(s.Stable.Extra))
+	w.U64(base.Stable.Slot)
+	w.Bytes32(base.Stable.Digest)
+	w.U32(uint32(len(base.Prefix)))
+	w.VarBytes(s.Prefix)
+	w.VarBytes(cert)
+	w.U8(uint8(len(s.Stable.Extra)))
+	for _, e := range s.Stable.Extra {
+		w.Bytes32(e)
+	}
+	if !w.VarAppendIf(func(buf []byte) ([]byte, bool) { return s.Stable.State.AppendDelta(buf, base.Stable.State) }) {
+		return nil, false
+	}
+	return w.Bytes(), true
+}
+
+var errDelta = errors.New("seqlog: delta does not apply to this blob")
+
+// PatchBlob returns the Blob of the Saved a delta encodes, given the
+// Blob of its base. patch applies the state delta to the base's state
+// snapshot (the application's Patch). It checks that blob is the base the
+// delta names, not that the result is certified: installing it does.
+func PatchBlob(blob, delta []byte, patch func(state, delta []byte) ([]byte, error)) ([]byte, error) {
+	rd := wire.NewReader(delta)
+	baseSlot := rd.U64()
+	baseDigest := rd.Bytes32()
+	basePrefix := rd.U32()
+	prefix := rd.VarBytes()
+	certB := rd.VarBytes()
+	k := int(rd.U8())
+	extra := make([]byte, 0, 32*k)
+	for range k {
+		e := rd.Bytes32()
+		extra = append(extra, e[:]...)
+	}
+	stateD := rd.VarBytes()
+	if rd.Done() != nil || uint64(basePrefix) > uint64(len(blob)) {
+		return nil, errDelta
+	}
+	br := wire.NewReader(blob[basePrefix:])
+	base, err := UnmarshalCert(br.VarBytes())
+	for range k {
+		br.Bytes32()
+	}
+	state := br.VarBytes()
+	if err != nil || br.Done() != nil || base.Slot != baseSlot || base.Digest != baseDigest {
+		return nil, errDelta
+	}
+	if state, err = patch(state, stateD); err != nil {
+		return nil, err
+	}
+	w := wire.NewWriter(len(prefix) + len(certB) + len(extra) + len(state) + 8)
+	w.Raw(prefix)
+	w.VarBytes(certB)
+	w.Raw(extra)
+	w.VarBytes(state)
+	return w.Bytes(), nil
 }
 
 func encode(prefix []byte, cp *Checkpoint) []byte {

@@ -29,12 +29,23 @@ func newGroup(extra int) ([]*Checkpointer, []*metrics.Registry) {
 }
 
 // rawState is a state whose snapshot is its bytes and whose digest is
-// their SHA-256.
+// their SHA-256. Its delta from any other rawState is its bytes, which
+// patchRaw applies.
 type rawState []byte
 
 func (s rawState) Digest() [32]byte           { return sha256.Sum256(s) }
 func (s rawState) Size() int                  { return len(s) }
 func (s rawState) AppendTo(buf []byte) []byte { return append(buf, s...) }
+
+func (s rawState) AppendDelta(buf []byte, since replication.Frozen) ([]byte, bool) {
+	_, ok := since.(rawState)
+	if !ok {
+		return buf, false
+	}
+	return append(buf, s...), true
+}
+
+func patchRaw(_, delta []byte) ([]byte, error) { return delta, nil }
 
 // rawMachine checks rawState snapshots and records the last one it
 // installed.
@@ -390,6 +401,61 @@ func TestEngineCertIndependentOfVoteOrder(t *testing.T) {
 			} else if !bytes.Equal(cert.Marshal(), want) {
 				t.Fatalf("order %v: certificate bytes differ", perm)
 			}
+		}
+	}
+}
+
+// TestSavedDeltaPatchesBlob: a Saved's delta from an earlier one, with a
+// new prefix and a new checkpoint or the same one, patches the earlier
+// Blob into its own, with no extra parts and with one; a delta refuses
+// any other base.
+func TestSavedDeltaPatchesBlob(t *testing.T) {
+	for _, extra := range [][][32]byte{nil, {{0xAB}}} {
+		cps, _ := newGroup(len(extra))
+		stabilize(t, cps, 8, sameSnaps(4, "state@8"), extra...)
+		at8 := cps[0].Save([]byte("view 0"))
+		viewChange := cps[0].Save([]byte("view 1, longer"))
+		stabilize(t, cps, 16, sameSnaps(4, "state@16"), extra...)
+		at16 := cps[0].Save(nil)
+		other, _ := newGroup(len(extra))
+		stabilize(t, other, 8, sameSnaps(4, "other@8"), extra...)
+		for _, step := range []struct {
+			name      string
+			base, cur Saved
+		}{{"view change", at8, viewChange}, {"new checkpoint", viewChange, at16}, {"both", at8, at16}} {
+			delta, ok := step.cur.Delta(step.base)
+			if !ok {
+				t.Fatalf("extra=%d %s: no delta", len(extra), step.name)
+			}
+			got, err := PatchBlob(step.base.Blob(), delta, patchRaw)
+			if err != nil || !bytes.Equal(got, step.cur.Blob()) {
+				t.Fatalf("extra=%d %s: patched blob differs (%v)", len(extra), step.name, err)
+			}
+			for name, blob := range map[string][]byte{
+				"another base":   at16.Blob(),
+				"another state":  other[0].Save([]byte("view 0")).Blob(),
+				"another prefix": cps[0].Save([]byte("longer prefix")).Blob(),
+				"truncated":      step.base.Blob()[:len(step.base.Blob())-1],
+			} {
+				if step.name != "new checkpoint" || name != "another base" {
+					if _, err := PatchBlob(blob, delta, patchRaw); err == nil {
+						t.Errorf("extra=%d %s: applied to %s", len(extra), step.name, name)
+					}
+				}
+			}
+			if _, err := PatchBlob(step.base.Blob(), delta[:len(delta)-1], patchRaw); err == nil {
+				t.Errorf("extra=%d %s: truncated delta applied", len(extra), step.name)
+			}
+		}
+		if _, ok := at16.Delta(Saved{}); ok {
+			t.Fatal("delta from no checkpoint")
+		}
+		received := other[0].Read(wire.NewReader(at16.Blob()))
+		if received == nil || !other[0].Check(received, &rawMachine{}) {
+			t.Fatal("blob did not check")
+		}
+		if _, ok := at16.Delta(Saved{Stable: received}); ok {
+			t.Fatal("delta from a checkpoint received as bytes")
 		}
 	}
 }

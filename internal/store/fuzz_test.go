@@ -13,6 +13,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, Record{Index: 1, Slot: 7, Kind: RecordOp, Payload: []byte("hello")}))
 	f.Add(appendFrame(nil, Record{Index: 2, Slot: 0, Kind: RecordCheckpoint, Payload: nil}))
+	f.Add(appendFrame(nil, Record{Index: 4, Slot: 30, Kind: RecordDelta, Base: 20, Payload: []byte("delta")}))
 	long := appendFrame(nil, Record{Index: 3, Slot: 9, Kind: RecordOp, Payload: bytes.Repeat([]byte{0x5a}, 300)})
 	f.Add(long)
 	f.Add(long[:len(long)-1]) // torn tail
@@ -23,7 +24,7 @@ func FuzzWALRecord(f *testing.F) {
 			if n <= 0 || n > len(data) {
 				t.Fatalf("consumed %d of %d", n, len(data))
 			}
-			if rec.Kind != RecordOp && rec.Kind != RecordCheckpoint {
+			if rec.Kind != RecordOp && rec.Kind != RecordCheckpoint && rec.Kind != RecordDelta {
 				t.Fatalf("invalid kind %d accepted", rec.Kind)
 			}
 			// Canonical: re-encoding the decoded record reproduces

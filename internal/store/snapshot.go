@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 )
 
 // Snapshot files hold one promoted checkpoint blob each and are named
@@ -141,19 +143,22 @@ func listSnapshots(dir string, cleanTmp bool) ([]snapFile, error) {
 	return snaps, nil
 }
 
+// dirSync is (*os.File).Sync on a directory; a test swaps it to fail.
+var dirSync = (*os.File).Sync
+
 // syncDir fsyncs a directory so renames and unlinks inside it are
-// durable. Some platforms refuse to fsync directories; that is not a
-// correctness problem for recovery, so those errors are ignored.
+// durable. Some filesystems refuse to fsync directories (EINVAL,
+// ENOTSUP); rename ordering is still preserved by the journal on
+// anything targeted, so those two are ignored. Every other error is
+// returned.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		// EINVAL/ENOTSUP on exotic filesystems: rename ordering is
-		// still preserved by the journal on anything we target.
-		return nil
+	if err := dirSync(d); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+		return err
 	}
 	return nil
 }

@@ -69,21 +69,28 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Recovered is what Open found on disk: the newest durable checkpoint
-// (snapshot file or WAL checkpoint record, whichever is newer) plus
-// the op journal suffix above it.
+// Recovered is what Open found on disk: the newest durable full
+// checkpoint (snapshot file or WAL checkpoint record, whichever is
+// newer), the chain of delta records after it, and the op journal
+// suffix above the chain.
 type Recovered struct {
-	// Checkpoint is the Persist() blob to hand the replica's Restore
-	// path, nil if the directory held no usable checkpoint.
+	// Checkpoint is the newest full Persist() blob, nil if the
+	// directory held no usable checkpoint.
 	Checkpoint []byte
-	// Slot is the protocol watermark the checkpoint was taken at.
+	// Deltas are the delta records after Checkpoint, oldest first,
+	// each applying to the one before it (the first to Checkpoint).
+	// The chain stops at the first delta whose Base is not the Slot of
+	// the record before it.
+	Deltas []Record
+	// Slot is the protocol watermark of the chain's last record: the
+	// last delta's, else the checkpoint's.
 	Slot uint64
-	// Index is the WAL index of the checkpoint record (0 if none).
+	// Index is the WAL index of the chain's last record (0 if none).
 	Index uint64
 	// Ops are the journaled op payloads with WAL index above the
-	// checkpoint, oldest first. They are not replayed into the
-	// protocol (see the package comment); they are exposed for
-	// tooling and tests.
+	// chain, oldest first. They are not replayed into the protocol
+	// (see the package comment); they are exposed for tooling and
+	// tests.
 	Ops [][]byte
 	// Records is the total number of valid WAL records scanned.
 	Records int
@@ -140,8 +147,7 @@ type Store struct {
 	buf       []byte   // frame staging, reused
 	err       error    // sticky write-path failure
 	closed    bool
-	ckptCount int    // checkpoint records since last promotion
-	lastCkpt  Record // most recent checkpoint record (Payload retained)
+	ckptCount int // full checkpoint records since last promotion
 	walBytes  int64
 
 	promoteMu sync.Mutex // serialises snapshot promotion + retention
@@ -235,28 +241,41 @@ func (s *Store) recover() error {
 	}
 
 	// The recovery checkpoint is the newest of (snapshot, any WAL
-	// checkpoint record at or above it). WAL records below the
-	// snapshot are retained only because retention works in whole
-	// segments; they are superseded and skipped.
-	s.lastCkpt = base
-	rec := Recovered{Torn: scan.torn, Records: len(scan.records)}
-	var tail []Record
+	// checkpoint record at or above it), followed by the delta records
+	// that chain onto it. WAL records below the snapshot are retained
+	// only because retention works in whole segments; they are
+	// superseded and skipped.
+	full := base
+	var deltas, tail []Record
+	link, chained := base.Slot, base.Payload != nil
 	for _, r := range scan.records {
 		if r.Index <= base.Index {
 			continue
 		}
-		if r.Kind == RecordCheckpoint {
-			s.lastCkpt = r
+		switch {
+		case r.Kind == RecordCheckpoint:
+			full, deltas, tail = r, nil, nil
+			link, chained = r.Slot, true
 			s.ckptCount++
-			tail = tail[:0]
-			continue
+		case r.Kind == RecordDelta:
+			// A delta whose base is not the record before it (one that
+			// lost a race with a full, or whose full is gone) ends the
+			// chain until the next full.
+			if chained = chained && r.Base == link; chained {
+				deltas, tail = append(deltas, r), nil
+				link = r.Slot
+			}
+		default:
+			tail = append(tail, r)
 		}
-		tail = append(tail, r)
 	}
-	if s.lastCkpt.Index != 0 || s.lastCkpt.Payload != nil {
-		rec.Checkpoint = s.lastCkpt.Payload
-		rec.Slot = s.lastCkpt.Slot
-		rec.Index = s.lastCkpt.Index
+	rec := Recovered{Torn: scan.torn, Records: len(scan.records), Deltas: deltas}
+	if full.Index != 0 || full.Payload != nil {
+		last := full
+		if len(deltas) > 0 {
+			last = deltas[len(deltas)-1]
+		}
+		rec.Checkpoint, rec.Slot, rec.Index = full.Payload, last.Slot, last.Index
 	}
 	for _, r := range tail {
 		rec.Ops = append(rec.Ops, r.Payload)
@@ -344,7 +363,6 @@ func (s *Store) AppendCheckpoint(slot uint64, blob []byte) error {
 	}
 
 	s.mu.Lock()
-	s.lastCkpt = Record{Index: idx, Slot: slot, Kind: RecordCheckpoint, Payload: blob}
 	s.ckptCount++
 	promote := s.ckptCount >= s.o.SnapshotEvery
 	if promote {
@@ -355,6 +373,20 @@ func (s *Store) AppendCheckpoint(slot uint64, blob []byte) error {
 		return s.promote(idx, slot, blob)
 	}
 	return nil
+}
+
+// AppendDelta durably records a delta taken from the checkpoint at
+// watermark base to the one at slot. It is group-committed and
+// acknowledged like AppendCheckpoint, but never promoted to a snapshot:
+// recovery applies it to the full checkpoint before it.
+func (s *Store) AppendDelta(base, slot uint64, delta []byte) error {
+	start := time.Now()
+	_, err := s.append(Record{Slot: slot, Kind: RecordDelta, Base: base, Payload: delta}, true)
+	if err == nil && s.tracer != nil {
+		s.tracer.Always(tracing.PhasePersist, start, time.Since(start), slot, uint64(RecordDelta),
+			fmt.Sprintf("delta base=%d slot=%d bytes=%d", base, slot, len(delta)))
+	}
+	return err
 }
 
 // append frames rec, writes it to the active segment, and either

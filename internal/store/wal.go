@@ -14,6 +14,13 @@
 // records exist for forensics and write-path measurement, not for
 // protocol recovery. Anything above the recovered checkpoint is
 // re-fetched from peers through the ordinary state-transfer path.
+//
+// A checkpoint is written either whole (RecordCheckpoint, a full) or as
+// a delta from the one written before it (RecordDelta), whose encoding
+// belongs to the replica: a delta names the watermark of its base, and
+// recovery returns the newest full plus the chain of deltas after it
+// that each apply to the record before them. Only fulls are promoted
+// to snapshot files.
 package store
 
 import (
@@ -38,6 +45,10 @@ const (
 	// watermark. Appends of this kind are acknowledged only after
 	// the fsync batch containing them completes.
 	RecordCheckpoint uint8 = 2
+	// RecordDelta holds the changes from the checkpoint at watermark
+	// Base to the one at Slot, in the replica's own encoding. Appends
+	// are acknowledged like RecordCheckpoint's.
+	RecordDelta uint8 = 3
 )
 
 // Record is one framed WAL entry.
@@ -45,13 +56,14 @@ type Record struct {
 	Index   uint64 // monotonically increasing WAL position (1-based)
 	Slot    uint64 // protocol sequence watermark (checkpoints) or op seq
 	Kind    uint8
+	Base    uint64 // the watermark a delta applies to (deltas only)
 	Payload []byte
 }
 
 // Frame layout, little-endian:
 //
 //	u32 bodyLen | u32 crc32(body) | body
-//	body = u64 index | u64 slot | u8 kind | payload
+//	body = u64 index | u64 slot | u8 kind | [u64 base, deltas only] | payload
 //
 // A record is valid iff bodyLen is in range, the CRC matches, and the
 // kind is known. Recovery stops at the first invalid frame and
@@ -66,14 +78,21 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFrame serialises rec into buf and returns the extended slice.
 func appendFrame(buf []byte, rec Record) []byte {
-	bodyLen := bodyHeader + len(rec.Payload)
+	head := bodyHeader
+	if rec.Kind == RecordDelta {
+		head += 8
+	}
+	bodyLen := head + len(rec.Payload)
 	off := len(buf)
 	buf = append(buf, make([]byte, frameHeader+bodyLen)...)
 	body := buf[off+frameHeader:]
 	binary.LittleEndian.PutUint64(body[0:], rec.Index)
 	binary.LittleEndian.PutUint64(body[8:], rec.Slot)
 	body[16] = rec.Kind
-	copy(body[bodyHeader:], rec.Payload)
+	if rec.Kind == RecordDelta {
+		binary.LittleEndian.PutUint64(body[bodyHeader:], rec.Base)
+	}
+	copy(body[head:], rec.Payload)
 	binary.LittleEndian.PutUint32(buf[off:], uint32(bodyLen))
 	binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(body, crcTable))
 	return buf
@@ -109,10 +128,18 @@ func readFrame(b []byte) (Record, int, error) {
 		Slot:  binary.LittleEndian.Uint64(body[8:]),
 		Kind:  body[16],
 	}
-	if rec.Kind != RecordOp && rec.Kind != RecordCheckpoint {
+	head := bodyHeader
+	switch rec.Kind {
+	case RecordOp, RecordCheckpoint:
+	case RecordDelta:
+		if head += 8; bodyLen < head {
+			return Record{}, 0, errTorn
+		}
+		rec.Base = binary.LittleEndian.Uint64(body[bodyHeader:])
+	default:
 		return Record{}, 0, errTorn
 	}
-	rec.Payload = append([]byte(nil), body[bodyHeader:]...)
+	rec.Payload = append([]byte(nil), body[head:]...)
 	return rec, frameHeader + bodyLen, nil
 }
 

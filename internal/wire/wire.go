@@ -93,6 +93,21 @@ func (w *Writer) VarAppend(fn func(buf []byte) []byte) {
 	binary.LittleEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
 }
 
+// VarAppendIf is VarAppend for an fn that may decline: when fn reports
+// false, the Writer is left as it was and VarAppendIf reports false.
+func (w *Writer) VarAppendIf(fn func(buf []byte) ([]byte, bool)) bool {
+	off := len(w.buf)
+	w.U32(0)
+	buf, ok := fn(w.buf)
+	if !ok {
+		w.buf = w.buf[:off]
+		return false
+	}
+	w.buf = buf
+	binary.LittleEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
+	return true
+}
+
 // Raw appends bytes with no length prefix.
 func (w *Writer) Raw(v []byte) { w.buf = append(w.buf, v...) }
 

@@ -57,7 +57,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 }
 
 // TestVarAppendMatchesVarBytes: a value appended in place encodes as the
-// same value passed to VarBytes, behind whatever the buffer held.
+// same value passed to VarBytes, behind whatever the buffer held, and a
+// VarAppendIf that declines leaves the buffer as it was.
 func TestVarAppendMatchesVarBytes(t *testing.T) {
 	for _, v := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte("ab"), 300)} {
 		want := NewWriter(0)
@@ -67,6 +68,13 @@ func TestVarAppendMatchesVarBytes(t *testing.T) {
 		got.VarAppend(func(buf []byte) []byte { return append(buf, v...) })
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("len %d: VarAppend %x, VarBytes %x", len(v), got.Bytes(), want.Bytes())
+		}
+		got = AppendTo([]byte{9})
+		if !got.VarAppendIf(func(buf []byte) ([]byte, bool) { return append(buf, v...), true }) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("len %d: VarAppendIf %x, VarBytes %x", len(v), got.Bytes(), want.Bytes())
+		}
+		if got.VarAppendIf(func(buf []byte) ([]byte, bool) { return append(buf, v...), false }) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("len %d: a declined VarAppendIf left %x", len(v), got.Bytes())
 		}
 	}
 }
