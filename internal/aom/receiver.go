@@ -254,6 +254,15 @@ func (r *Receiver) ConfirmPackets() uint64 {
 	return r.cfPackets
 }
 
+// PKVerifier returns the current epoch's sequencer-signature verifier
+// (nil unless the variant is aom-pk), so the owner's CertVerifier can
+// share its precomputed table instead of building another.
+func (r *Receiver) PKVerifier() *secp256k1.TableVerifier {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.pk
+}
+
 // PreVerified carries the expensive, state-independent checks of one
 // packet, computed off the receiver's processing thread (by a runtime
 // verification worker). Verdicts that depend on epoch credentials record
@@ -302,6 +311,11 @@ func (r *Receiver) PreVerify(pkt []byte) (*PreVerified, bool) {
 	return pv, pv != nil
 }
 
+// maxSigBatch sizes PreVerifyBatch's stack buffers to the replica
+// runtime's largest verify drain (runtime.maxVerifyBatch); a larger
+// batch falls back to heap buffers.
+const maxSigBatch = 32
+
 // PreVerifyBatch is PreVerify over a batch of packets, pulling every
 // decodable aom-pk sequencer signature into one secp256k1 batch
 // verification (shared modular inversions). out[i] is nil when pkts[i]
@@ -311,10 +325,20 @@ func (r *Receiver) PreVerifyBatch(pkts [][]byte) []*PreVerified {
 	epoch, hmKey, pk := r.epoch, r.hmKey, r.pk
 	r.mu.Unlock()
 
+	var (
+		idxBuf [maxSigBatch]int
+		digBuf [maxSigBatch][32]byte
+		sigBuf [maxSigBatch]secp256k1.Signature
+		okBuf  [maxSigBatch]bool
+	)
+	idx, digests, sigs, oks := idxBuf[:0], digBuf[:0], sigBuf[:0], okBuf[:]
+	if len(pkts) > maxSigBatch {
+		idx = make([]int, 0, len(pkts))
+		digests = make([][32]byte, 0, len(pkts))
+		sigs = make([]secp256k1.Signature, 0, len(pkts))
+		oks = make([]bool, len(pkts))
+	}
 	out := make([]*PreVerified, len(pkts))
-	var idx []int
-	var digests [][32]byte
-	var sigs []secp256k1.Signature
 	for i, pkt := range pkts {
 		pv, sig, needSig := r.preVerifyOne(pkt, epoch, hmKey)
 		out[i] = pv
@@ -330,7 +354,7 @@ func (r *Receiver) PreVerifyBatch(pkts [][]byte) []*PreVerified {
 		}
 	}
 	if len(idx) > 0 {
-		oks := pk.VerifyBatch(digests, sigs)
+		pk.VerifyBatchInto(oks[:len(idx)], digests, sigs)
 		for j, i := range idx {
 			ok := oks[j]
 			out[i].SigOK = &ok

@@ -6,9 +6,10 @@ import (
 )
 
 // The fixed-key verify path sits on the aom-pk hot path: every sequenced
-// packet goes through TableVerifier.Verify (or VerifyBatch). After the
-// one-time table build it must not allocate, or GC pressure shows up as
-// commit-latency jitter at high load.
+// packet goes through TableVerifier.Verify (or VerifyBatchInto), and the
+// sequencer signs every stamped packet. After the one-time table build
+// neither may allocate, or GC pressure shows up as commit-latency jitter
+// at high load.
 
 func TestVerifyZeroAlloc(t *testing.T) {
 	priv, err := GenerateKey([]byte("alloc-guard-key"))
@@ -54,9 +55,8 @@ func TestGenericVerifyZeroAlloc(t *testing.T) {
 	}
 }
 
-// VerifyBatchInto with caller-owned buffers may allocate only its internal
-// scratch (bounded, independent of repeated use); guard against per-call
-// growth by checking the steady-state count stays small and flat.
+// VerifyBatchInto with caller-owned buffers keeps its scratch on the
+// stack; guard against per-call heap growth with a small flat bound.
 func TestVerifyBatchAllocBound(t *testing.T) {
 	priv, err := GenerateKey([]byte("alloc-guard-key-3"))
 	if err != nil {
@@ -76,9 +76,23 @@ func TestVerifyBatchAllocBound(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		tv.VerifyBatchInto(ok, digests, sigs)
 	})
-	// Scratch slices (winv, jacobian sums, affine results, prefix products)
-	// are the only permitted allocations: a handful per batch, not per sig.
 	if allocs > 8 {
 		t.Fatalf("VerifyBatchInto allocates %.1f times per batch of %d, want <= 8", allocs, n)
+	}
+}
+
+func TestSignZeroAlloc(t *testing.T) {
+	priv, err := GenerateKey([]byte("alloc-guard-key-4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := sha256.Sum256([]byte("sign alloc guard message"))
+	priv.Sign(digest[:]) // warm the generator table
+
+	allocs := testing.AllocsPerRun(100, func() {
+		priv.Sign(digest[:])
+	})
+	if allocs != 0 {
+		t.Fatalf("Sign allocates %.1f times per op, want 0", allocs)
 	}
 }

@@ -11,10 +11,14 @@
 //
 // The arithmetic is a Solinas-style specialization: the field prime
 // p = 2²⁵⁶ − 2³² − 977 makes 2²⁵⁶ ≡ 2³² + 977 (mod p), so a 512-bit
-// product folds to 256 bits with two small multiplies. None of it is
-// constant-time — this models hardware in a research reproduction, it
-// does not protect long-lived secrets on shared machines (DESIGN.md §15).
-// math/big survives only in the test reference implementation.
+// product folds to 256 bits with two small multiplies. Receivers verify
+// the sequencer's signatures with a TableVerifier: u1·G + u2·Q is a sum
+// of byte-window table points, added as a tree in affine coordinates with
+// one field inversion per tree level shared across the batch. Signing
+// and verifying allocate nothing. None of it is constant-time — this
+// models hardware in a research reproduction, it does not protect
+// long-lived secrets on shared machines (DESIGN.md §15). math/big
+// survives only in the test reference implementation.
 package secp256k1
 
 import "sync"
@@ -372,6 +376,18 @@ func (t *pointTable) mulAcc(acc *jacPoint, k Scalar) {
 		w := 31 - i // byte significance → window index
 		acc.addMixed(acc, &t[w][int(b)-1])
 	}
+}
+
+// gather appends the table points that sum to k·(table base): one per
+// nonzero byte of k.
+func (t *pointTable) gather(dst []Point, k Scalar) []Point {
+	kb := k.Bytes() // big-endian
+	for i, b := range kb {
+		if b != 0 {
+			dst = append(dst, t[31-i][int(b)-1])
+		}
+	}
+	return dst
 }
 
 var (

@@ -1,7 +1,6 @@
 package secp256k1
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 )
@@ -66,38 +65,56 @@ func NewPrivateKey(d Scalar) (*PrivateKey, error) {
 // following the HMAC-DRBG construction of RFC 6979. extra distinguishes
 // retry attempts.
 func nonceRFC6979(d Scalar, digest []byte, extra byte) Scalar {
-	x := d.Bytes()
-	h1 := hashBytes32(digest)
-
-	var v, k [32]byte
+	var k, v [32]byte
 	for i := range v {
 		v[i] = 0x01
 	}
+	// msg is V ‖ sep ‖ int2octets(d) ‖ bits2octets(h) ‖ extra.
+	var msg [98]byte
+	x := d.Bytes()
+	h1 := hashBytes32(digest)
+	copy(msg[33:], x[:])
+	copy(msg[65:], h1[:])
+	msg[97] = extra
 
-	mac := func(key []byte, parts ...[]byte) [32]byte {
-		m := hmac.New(sha256.New, key)
-		for _, p := range parts {
-			m.Write(p)
-		}
-		var out [32]byte
-		m.Sum(out[:0])
-		return out
+	// update sets K = HMAC_K(V ‖ sep ‖ msg[33:n]), then V = HMAC_K(V).
+	update := func(sep byte, n int) {
+		copy(msg[:32], v[:])
+		msg[32] = sep
+		k = hmacSHA256(&k, msg[:n])
+		v = hmacSHA256(&k, v[:])
 	}
-
-	k = mac(k[:], v[:], []byte{0x00}, x[:], h1[:], []byte{extra})
-	v = mac(k[:], v[:])
-	k = mac(k[:], v[:], []byte{0x01}, x[:], h1[:], []byte{extra})
-	v = mac(k[:], v[:])
+	update(0x00, len(msg))
+	update(0x01, len(msg))
 
 	for i := 0; i < 1000; i++ {
-		v = mac(k[:], v[:])
+		v = hmacSHA256(&k, v[:])
 		if t, ok := NewScalar(v); ok && !t.IsZero() {
 			return t
 		}
-		k = mac(k[:], v[:], []byte{0x00})
-		v = mac(k[:], v[:])
+		update(0x00, 33)
 	}
 	panic("secp256k1: nonce generation failed to converge")
+}
+
+// hmacSHA256 returns HMAC-SHA256(key, msg) (RFC 2104) in stack buffers:
+// the 32-byte key is shorter than SHA-256's 64-byte block, so it is
+// zero-padded, not hashed. msg is at most 98 bytes.
+func hmacSHA256(key *[32]byte, msg []byte) [32]byte {
+	var in [64 + 98]byte
+	var out [64 + 32]byte
+	for i := 0; i < 64; i++ {
+		var b byte
+		if i < 32 {
+			b = key[i]
+		}
+		in[i] = b ^ 0x36
+		out[i] = b ^ 0x5c
+	}
+	n := copy(in[64:], msg)
+	inner := sha256.Sum256(in[:64+n])
+	copy(out[64:], inner[:])
+	return sha256.Sum256(out[:])
 }
 
 // fieldToScalar reduces a canonical field element mod N (x < p < 2N, so

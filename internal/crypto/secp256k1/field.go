@@ -120,7 +120,41 @@ func (z *fieldElem) mul(x, y *fieldElem) {
 	t, r6 = mulAdd2(x3, y3, r6, c)
 	r7 = t
 
-	z.foldWide(r0, r1, r2, r3, r4, r5, r6, r7)
+	// Solinas fold with c = fieldC, 2²⁵⁶ ≡ c (mod p): t = high256·c
+	// (c < 2³⁴, so t < 2²⁹⁰: five limbs), s = low256 + t with overflow
+	// limb o < 2³⁵.
+	h0, l0 := bits.Mul64(r4, fieldC)
+	h1, l1 := bits.Mul64(r5, fieldC)
+	h2, l2 := bits.Mul64(r6, fieldC)
+	h3, l3 := bits.Mul64(r7, fieldC)
+	t1, c := bits.Add64(l1, h0, 0)
+	t2, c := bits.Add64(l2, h1, c)
+	t3, c := bits.Add64(l3, h2, c)
+	t4 := h3 + c
+	s0, c := bits.Add64(r0, l0, 0)
+	s1, c := bits.Add64(r1, t1, c)
+	s2, c := bits.Add64(r2, t2, c)
+	s3, c := bits.Add64(r3, t3, c)
+	o := t4 + c
+	// Fold o: o·c < 2⁶⁹, two limbs. A carry out of that wraps once more;
+	// the wrapped value is tiny, so adding c cannot carry again.
+	oh, ol := bits.Mul64(o, fieldC)
+	s0, c = bits.Add64(s0, ol, 0)
+	s1, c = bits.Add64(s1, oh, c)
+	s2, c = bits.Add64(s2, 0, c)
+	s3, c = bits.Add64(s3, 0, c)
+	if c != 0 {
+		s0, c = bits.Add64(s0, fieldC, 0)
+		s1, c = bits.Add64(s1, 0, c)
+		s2, c = bits.Add64(s2, 0, c)
+		s3, _ = bits.Add64(s3, 0, c)
+	}
+	// Canonicalize: s ≥ p only when limbs 1–3 are all ones and limb 0 is
+	// at least p's, and then s − p = s + c − 2²⁵⁶ fits in limb 0.
+	if s1&s2&s3 == ^uint64(0) && s0 >= fieldP[0] {
+		s0, s1, s2, s3 = s0+fieldC, 0, 0, 0
+	}
+	z[0], z[1], z[2], z[3] = s0, s1, s2, s3
 }
 
 // sqr sets z = x² mod p with a dedicated squaring: the six cross products
@@ -167,48 +201,41 @@ func (z *fieldElem) sqr(x *fieldElem) {
 	r6, c = bits.Add64(r6, l, c)
 	r7 += h + c
 
-	z.foldWide(r0, r1, r2, r3, r4, r5, r6, r7)
-}
-
-// foldWide reduces a 512-bit product into a canonical field element using
-// 2²⁵⁶ ≡ c (mod p): twice high·c + low, then one conditional subtract.
-func (z *fieldElem) foldWide(r0, r1, r2, r3, r4, r5, r6, r7 uint64) {
-	// t = high256 · c (c < 2³⁴, so t < 2²⁹⁰: five limbs).
+	// Solinas fold with c = fieldC, 2²⁵⁶ ≡ c (mod p): t = high256·c
+	// (c < 2³⁴, so t < 2²⁹⁰: five limbs), s = low256 + t with overflow
+	// limb o < 2³⁵.
 	h0, l0 := bits.Mul64(r4, fieldC)
 	h1, l1 := bits.Mul64(r5, fieldC)
 	h2, l2 := bits.Mul64(r6, fieldC)
 	h3, l3 := bits.Mul64(r7, fieldC)
-	var c uint64
 	t1, c := bits.Add64(l1, h0, 0)
 	t2, c := bits.Add64(l2, h1, c)
 	t3, c := bits.Add64(l3, h2, c)
 	t4 := h3 + c
-
-	// s = low256 + t; overflow limb o = t4 + carry < 2³⁵.
 	s0, c := bits.Add64(r0, l0, 0)
 	s1, c := bits.Add64(r1, t1, c)
 	s2, c := bits.Add64(r2, t2, c)
 	s3, c := bits.Add64(r3, t3, c)
 	o := t4 + c
-
-	// Fold o: o·c < 2⁶⁹, two limbs.
+	// Fold o: o·c < 2⁶⁹, two limbs. A carry out of that wraps once more;
+	// the wrapped value is tiny, so adding c cannot carry again.
 	oh, ol := bits.Mul64(o, fieldC)
 	s0, c = bits.Add64(s0, ol, 0)
 	s1, c = bits.Add64(s1, oh, c)
 	s2, c = bits.Add64(s2, 0, c)
 	s3, c = bits.Add64(s3, 0, c)
 	if c != 0 {
-		// One last wrap: the carried value is tiny, adding c cannot carry again.
 		s0, c = bits.Add64(s0, fieldC, 0)
 		s1, c = bits.Add64(s1, 0, c)
 		s2, c = bits.Add64(s2, 0, c)
 		s3, _ = bits.Add64(s3, 0, c)
 	}
-	s := [4]uint64{s0, s1, s2, s3}
-	if ge256(&s, &fieldP) {
-		s, _ = sub256(&s, &fieldP)
+	// Canonicalize: s ≥ p only when limbs 1–3 are all ones and limb 0 is
+	// at least p's, and then s − p = s + c − 2²⁵⁶ fits in limb 0.
+	if s1&s2&s3 == ^uint64(0) && s0 >= fieldP[0] {
+		s0, s1, s2, s3 = s0+fieldC, 0, 0, 0
 	}
-	*z = fieldElem(s)
+	z[0], z[1], z[2], z[3] = s0, s1, s2, s3
 }
 
 // inv sets z = x⁻¹ mod p (z = 0 if x = 0).

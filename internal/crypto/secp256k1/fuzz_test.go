@@ -26,6 +26,10 @@ func FuzzFieldOps(f *testing.F) {
 	pb := refP.FillBytes(make([]byte, 32))
 	f.Add(append(pb, pb...)) // both inputs exactly p: non-canonical edge
 	f.Add(append(bytes.Repeat([]byte{0}, 63), 1))
+	// 3 · (p+2)/3 = p + 2: a product whose fold lands in [p, 2²⁵⁶), so
+	// only the final canonicalizing subtract brings it below p.
+	third, _ := new(big.Int).SetString("55555555555555555555555555555555555555555555555555555554fffffebb", 16)
+	f.Add(append(big.NewInt(3).FillBytes(make([]byte, 32)), third.FillBytes(make([]byte, 32))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ba, bb := fuzzPair(data)
 		ba.Mod(ba, refP)
@@ -147,7 +151,9 @@ func FuzzScalarOps(f *testing.F) {
 // FuzzVerifyVsRef cross-checks the full ECDSA pipeline: limb Sign must
 // satisfy the math/big verifier, and arbitrary (possibly invalid)
 // signatures must get the same accept/reject verdict from the limb
-// verifiers (generic, table, batch) and the reference.
+// verifiers (generic, table, batch) and the reference. In the batch the
+// candidate sits at a fuzz-chosen position among 9 valid signatures, so
+// its points go through the affine tree levels.
 func FuzzVerifyVsRef(f *testing.F) {
 	f.Add([]byte("seed"), []byte("digest material"), make([]byte, 64))
 	f.Add([]byte("s2"), []byte{0}, bytes.Repeat([]byte{0xFF}, 64))
@@ -155,6 +161,13 @@ func FuzzVerifyVsRef(f *testing.F) {
 	tv := NewTableVerifier(priv.Pub)
 	refPub := pointToRef(priv.Pub.Point)
 	refD := refGenerateKeyScalar([]byte("fuzz-fixed-key"))
+	const others = 9
+	var otherDigests [others][32]byte
+	var otherSigs [others]Signature
+	for i := range otherSigs {
+		otherDigests[i] = sha256.Sum256([]byte{byte(i), 0xf0})
+		otherSigs[i] = priv.Sign(otherDigests[i][:])
+	}
 	f.Fuzz(func(t *testing.T, seed, msg, sigBytes []byte) {
 		digest := sha256.Sum256(msg)
 
@@ -195,9 +208,21 @@ func FuzzVerifyVsRef(f *testing.F) {
 		if priv.Pub.Verify(digest[:], cand) != refOK {
 			t.Fatalf("generic verifier disagrees with reference (r=%x s=%x)", br, bs)
 		}
-		batch := tv.VerifyBatch([][32]byte{digest, digest}, []Signature{cand, sig})
-		if batch[0] != refOK || !batch[1] {
-			t.Fatalf("batch verifier disagrees: got %v, want [%v true]", batch, refOK)
+
+		pos := 0
+		if len(seed) > 0 {
+			pos = int(seed[0]) % (others + 1)
+		}
+		digests := make([][32]byte, 0, others+1)
+		sigs := make([]Signature, 0, others+1)
+		digests = append(append(append(digests, otherDigests[:pos]...), digest), otherDigests[pos:]...)
+		sigs = append(append(append(sigs, otherSigs[:pos]...), cand), otherSigs[pos:]...)
+		ok := make([]bool, len(sigs))
+		tv.VerifyBatchInto(ok, digests, sigs)
+		for i := range ok {
+			if want := i != pos || refOK; ok[i] != want {
+				t.Fatalf("batch entry %d (candidate at %d): got %v, want %v", i, pos, ok[i], want)
+			}
 		}
 	})
 }

@@ -31,3 +31,30 @@ func BenchmarkAddMixed(b *testing.B) {
 		j.addMixed(&j, &g)
 	}
 }
+
+// BenchmarkFieldInv and BenchmarkAddAffine, with BenchmarkAddMixed, are
+// the inputs of affineMinPairs: an affine tree level pays one field
+// inversion and saves AddMixed − AddAffine per pair.
+func BenchmarkFieldInv(b *testing.B) {
+	x := fieldElem{0x59F2815B16F81798, 0x029BFCDB2DCE28D9, 0x55A06295CE870B07, 0x79BE667EF9DCBBAC}
+	for i := 0; i < b.N; i++ {
+		x.inv(&x)
+	}
+}
+
+// BenchmarkAddAffine is the per-pair cost of a large affine tree level:
+// the addition plus its 3M share of Montgomery's trick, without the one
+// inversion.
+func BenchmarkAddAffine(b *testing.B) {
+	g := generator()
+	p := Double(g)
+	var dx, acc, t fieldElem
+	acc = fieldElem{1}
+	for i := 0; i < b.N; i++ {
+		dx.sub(&g.x, &p.x)
+		acc.mul(&acc, &dx) // forward prefix product
+		t.mul(&acc, &dx)   // backward: this pair's inverse
+		acc.mul(&acc, &t)  // backward: peel the running inverse
+		addAffine(&p, &p, &g, &t)
+	}
+}

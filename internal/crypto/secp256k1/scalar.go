@@ -137,20 +137,22 @@ func hashToScalar(digest []byte) Scalar {
 	return NewScalarReduced(b)
 }
 
-// montBatchInvN inverts every nonzero scalar in vals in place with
-// Montgomery's simultaneous-inversion trick: one real inversion plus
-// 3(n−1) multiplications. Zero entries stay zero.
+// montBatchInvN inverts every nonzero scalar in vals (at most chunkSigs
+// of them) in place with Montgomery's simultaneous-inversion trick: one
+// real inversion plus 3(n−1) multiplications. Zero entries stay zero.
 func montBatchInvN(vals []Scalar) {
-	prods := make([]Scalar, 0, len(vals))
+	var prods [chunkSigs]Scalar
+	m := 0
 	acc := Scalar{[4]uint64{1}}
 	for _, v := range vals {
 		if v.IsZero() {
 			continue
 		}
 		acc = scMul(acc, v)
-		prods = append(prods, acc)
+		prods[m] = acc
+		m++
 	}
-	if len(prods) == 0 {
+	if m == 0 {
 		return
 	}
 	inv := scInv(acc)
@@ -158,12 +160,12 @@ func montBatchInvN(vals []Scalar) {
 		if vals[i].IsZero() {
 			continue
 		}
-		prods = prods[:len(prods)-1]
-		if len(prods) == 0 {
+		m--
+		if m == 0 {
 			vals[i] = inv
 			return
 		}
-		vi := scMul(inv, prods[len(prods)-1])
+		vi := scMul(inv, prods[m-1])
 		inv = scMul(inv, vals[i])
 		vals[i] = vi
 	}

@@ -382,47 +382,6 @@ func TestTableVerifierMatchesGeneric(t *testing.T) {
 	}
 }
 
-func TestVerifyBatch(t *testing.T) {
-	priv, _ := GenerateKey([]byte("batch"))
-	tv := NewTableVerifier(priv.Pub)
-	const n = 9
-	digests := make([][32]byte, n)
-	sigs := make([]Signature, n)
-	for i := range digests {
-		digests[i] = sha256.Sum256([]byte{byte(i), 0x42})
-		sigs[i] = priv.Sign(digests[i][:])
-	}
-	// Corrupt a spread of entries in different ways.
-	sigs[2].R = scAdd(sigs[2].R, scalarU64(1)) // wrong r
-	sigs[4].S = Scalar{}                       // zero s (range failure)
-	digests[6][3] ^= 0x80                      // wrong digest
-	sigs[8] = sigs[7]                          // sig for another digest
-
-	got := tv.VerifyBatch(digests, sigs)
-	for i := range got {
-		want := tv.Verify(digests[i][:], sigs[i])
-		if got[i] != want {
-			t.Fatalf("entry %d: VerifyBatch = %v, Verify = %v", i, got[i], want)
-		}
-	}
-	want := []bool{true, true, false, true, false, true, false, true, false}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Empty batch and infinity-key verifier are safe.
-	if out := tv.VerifyBatch(nil, nil); len(out) != 0 {
-		t.Fatal("empty batch returned entries")
-	}
-	bad := NewTableVerifier(PublicKey{}).VerifyBatch(digests, sigs)
-	for i := range bad {
-		if bad[i] {
-			t.Fatal("infinity-key verifier accepted a batched signature")
-		}
-	}
-}
-
 func BenchmarkTableVerify(b *testing.B) {
 	priv, _ := GenerateKey([]byte("bench"))
 	tv := NewTableVerifier(priv.Pub)

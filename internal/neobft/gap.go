@@ -4,15 +4,9 @@ import (
 	"time"
 
 	"neobft/internal/aom"
-	"neobft/internal/crypto/secp256k1"
 	"neobft/internal/transport"
 	"neobft/internal/wire"
 )
-
-// secpVerifier builds the signature verifier for an epoch's sequencer key.
-func secpVerifier(ep aom.EpochConfig) *secp256k1.TableVerifier {
-	return secp256k1.NewTableVerifier(ep.SwitchPub)
-}
 
 // gapSlot tracks the gap-agreement state for one log slot (§5.4).
 type gapSlot struct {

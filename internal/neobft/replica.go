@@ -263,8 +263,8 @@ func (r *Replica) installVerifier(epoch uint32, ep aom.EpochConfig) {
 		Auth:      r.cfg.Auth,
 	}
 	if r.cfg.Variant == wire.AuthPK {
-		// Reuse the receiver-independent table verifier.
-		v.PK = secpVerifier(ep)
+		// Share the receiver's table: both check the same switch key.
+		v.PK = r.recv.PKVerifier()
 	}
 	r.verifiers[epoch] = v
 }
