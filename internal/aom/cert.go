@@ -25,7 +25,7 @@ import (
 
 // ChainLink is one header in an aom-pk hash-chain suffix: the minimal
 // fields needed to recompute packet hashes while walking the chain from
-// an unsigned packet to the next signed one.
+// a chain-authenticated packet to a verified signature.
 type ChainLink struct {
 	Seq    uint64
 	Digest [32]byte
@@ -60,8 +60,10 @@ type OrderingCert struct {
 	Chain  [32]byte
 	Signed bool
 	Sig    []byte
-	// Suffix holds headers Seq+1 .. s where s is the next signed packet,
-	// authenticating an unsigned packet through the hash chain (§4.4).
+	// Suffix holds headers Seq+1 .. s where s is a packet whose signature
+	// the delivering receiver verified, authenticating the packet through
+	// the hash chain (§4.4). It is empty for a packet authenticated by its
+	// own signature; links before s may be signed.
 	Suffix []ChainLink
 
 	// Confirms holds 2f+1 receiver confirmations (Byzantine-network mode).
@@ -236,26 +238,23 @@ func (v *CertVerifier) verifyHMAC(c *OrderingCert) error {
 	return nil
 }
 
+// verifyPK accepts an aom-pk certificate by its own signature or, when
+// that is absent or fails, by walking a non-empty Suffix whose last link
+// is signed: links in between may be signed or not, and only the last
+// link's signature is checked.
 func (v *CertVerifier) verifyPK(c *OrderingCert) error {
 	if v.PK == nil {
 		return errors.New("aom: no sequencer public key installed")
 	}
+	h := c.PacketHash()
 	if c.Signed {
-		sig, err := secp256k1.DecodeSignature(c.Sig)
-		if err != nil {
-			return fmt.Errorf("aom: certificate signature: %w", err)
+		err := v.verifySig(h, c.Sig)
+		if err == nil || len(c.Suffix) == 0 {
+			return err
 		}
-		h := c.PacketHash()
-		if !v.PK.Verify(h[:], sig) {
-			return errors.New("aom: sequencer signature invalid")
-		}
-		return nil
-	}
-	// Unsigned packet: walk the chain suffix to a signed link.
-	if len(c.Suffix) == 0 {
+	} else if len(c.Suffix) == 0 {
 		return errors.New("aom: unsigned certificate without chain suffix")
 	}
-	h := c.PacketHash()
 	seq := c.Seq
 	for i, l := range c.Suffix {
 		if l.Seq != seq+1 {
@@ -270,21 +269,27 @@ func (v *CertVerifier) verifyPK(c *OrderingCert) error {
 		}
 		h = hdr.PacketHash()
 		seq = l.Seq
-		if l.Signed {
-			if i != len(c.Suffix)-1 {
-				return errors.New("aom: signed link before end of suffix")
-			}
-			sig, err := secp256k1.DecodeSignature(l.Sig)
-			if err != nil {
-				return fmt.Errorf("aom: suffix signature: %w", err)
-			}
-			if !v.PK.Verify(h[:], sig) {
-				return errors.New("aom: suffix signature invalid")
-			}
-			return nil
-		}
 	}
-	return errors.New("aom: chain suffix ends without a signature")
+	last := c.Suffix[len(c.Suffix)-1]
+	if !last.Signed {
+		return errors.New("aom: chain suffix ends without a signature")
+	}
+	if err := v.verifySig(h, last.Sig); err != nil {
+		return fmt.Errorf("aom: suffix: %w", err)
+	}
+	return nil
+}
+
+// verifySig checks an encoded sequencer signature over a packet hash.
+func (v *CertVerifier) verifySig(h [32]byte, enc []byte) error {
+	sig, err := secp256k1.DecodeSignature(enc)
+	if err != nil {
+		return fmt.Errorf("aom: signature: %w", err)
+	}
+	if !v.PK.Verify(h[:], sig) {
+		return errors.New("aom: sequencer signature invalid")
+	}
+	return nil
 }
 
 func (v *CertVerifier) verifyConfirms(c *OrderingCert) error {

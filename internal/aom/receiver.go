@@ -1,7 +1,10 @@
 package aom
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sync"
 	"time"
 
@@ -92,7 +95,7 @@ type authPkt struct {
 	hdr     *wire.AOMHeader
 	payload []byte
 	vector  []byte      // assembled full HMAC vector (aom-hm)
-	links   []ChainLink // chain suffix to the next signed packet (aom-pk, unsigned)
+	links   []ChainLink // chain suffix to a verified signature (aom-pk, chain-authenticated)
 }
 
 // hmAsm assembles the subgroup packets of one sequence number.
@@ -113,9 +116,9 @@ type Receiver struct {
 	pk      *secp256k1.TableVerifier
 	nextSeq uint64
 
-	ready map[uint64]*authPkt // authenticated, awaiting ordered delivery
-	asm   map[uint64]*hmAsm   // aom-hm partial vectors
-	pend  map[uint64]*authPkt // aom-pk stamped but unauthenticated
+	ready map[uint64]*authPkt   // authenticated, awaiting ordered delivery
+	asm   map[uint64]*hmAsm     // aom-hm partial vectors
+	pend  map[uint64][]*authPkt // aom-pk unsigned and unauthenticated: distinct copies per seq
 
 	// Byzantine mode state.
 	confirms   map[uint64]map[[32]byte]map[int][]byte // seq → hash → sender → tag
@@ -203,7 +206,7 @@ func (r *Receiver) resetEpochLocked(ep EpochConfig) {
 	r.nextSeq = 1
 	r.ready = make(map[uint64]*authPkt)
 	r.asm = make(map[uint64]*hmAsm)
-	r.pend = make(map[uint64]*authPkt)
+	r.pend = make(map[uint64][]*authPkt)
 	r.confirms = make(map[uint64]map[[32]byte]map[int][]byte)
 	r.ownConfirm = make(map[uint64][32]byte)
 	r.bnOK = make(map[uint64]bool)
@@ -281,17 +284,19 @@ type PreVerified struct {
 	// subgroup covers this receiver (nil otherwise).
 	LaneOK *bool
 	// SigOK is the sequencer-signature verdict for a signed aom-pk
-	// packet (nil otherwise).
+	// packet (nil otherwise). It is true for a signed packet that Suffix
+	// authenticates, whatever its own signature bytes.
 	SigOK *bool
+	// Suffix, when non-empty, authenticates an aom-pk packet, signed or
+	// not, through the hash chain (§4.4): the headers Seq+1 .. s of its
+	// batch, where s is a packet whose signature PreVerifyBatch verified.
+	// The packets of one chain-linked run share one backing array.
+	Suffix []ChainLink
 	// Confirm marks a confirm packet; ConfirmOK holds per-entry
 	// authenticator verdicts (epoch-independent: the verified input is
 	// taken entirely from the packet).
 	Confirm   bool
 	ConfirmOK []bool
-
-	// pkDigest caches the packet hash between decode and (possibly
-	// batched) signature verification.
-	pkDigest [32]byte
 }
 
 // PreVerify runs every check of pkt that does not need the receiver's
@@ -305,7 +310,8 @@ func (r *Receiver) PreVerify(pkt []byte) (*PreVerified, bool) {
 	r.mu.Unlock()
 	pv, sig, needSig := r.preVerifyOne(pkt, epoch, hmKey)
 	if needSig {
-		ok := pk != nil && pk.Verify(pv.pkDigest[:], sig)
+		h := pv.Hdr.PacketHash()
+		ok := pk != nil && pk.Verify(h[:], sig)
 		pv.SigOK = &ok
 	}
 	return pv, pv != nil
@@ -316,58 +322,201 @@ func (r *Receiver) PreVerify(pkt []byte) (*PreVerified, bool) {
 // batch falls back to heap buffers.
 const maxSigBatch = 32
 
-// PreVerifyBatch is PreVerify over a batch of packets, pulling every
-// decodable aom-pk sequencer signature into one secp256k1 batch
-// verification (shared modular inversions). out[i] is nil when pkts[i]
+// PreVerifyBatch is PreVerify over a batch of packets that verifies one
+// sequencer signature per chain-linked run of aom-pk packets instead of
+// one per packet (§4.4: receivers "verify the rest through the hash
+// chain"). It orders the batch's decodable aom-pk packets by sequence
+// number and splits them into maximal runs in which each packet's Chain
+// is its predecessor's PacketHash. One secp256k1 batch verification
+// checks the highest signed packet of every run; a verified signature
+// authenticates every earlier packet of its run, which then carries its
+// Suffix up to that packet. A run whose head fails steps down to its
+// next signed packet in another batched round, so one corrupt signature
+// never rejects the intact packets below it. out[i] is nil when pkts[i]
 // does not belong to libAOM. Safe to call from concurrent workers.
 func (r *Receiver) PreVerifyBatch(pkts [][]byte) []*PreVerified {
 	r.mu.Lock()
 	epoch, hmKey, pk := r.epoch, r.hmKey, r.pk
 	r.mu.Unlock()
 
-	var (
-		idxBuf [maxSigBatch]int
-		digBuf [maxSigBatch][32]byte
-		sigBuf [maxSigBatch]secp256k1.Signature
-		okBuf  [maxSigBatch]bool
-	)
-	idx, digests, sigs, oks := idxBuf[:0], digBuf[:0], sigBuf[:0], okBuf[:]
-	if len(pkts) > maxSigBatch {
-		idx = make([]int, 0, len(pkts))
-		digests = make([][32]byte, 0, len(pkts))
-		sigs = make([]secp256k1.Signature, 0, len(pkts))
-		oks = make([]bool, len(pkts))
-	}
+	var candBuf [maxSigBatch]pkCand
+	cands := candBuf[:0]
 	out := make([]*PreVerified, len(pkts))
 	for i, pkt := range pkts {
 		pv, sig, needSig := r.preVerifyOne(pkt, epoch, hmKey)
 		out[i] = pv
-		if needSig {
-			if pk == nil {
+		switch {
+		case pv == nil || !pv.DigestOK || r.cfg.Variant != wire.AuthPK:
+		case pk == nil:
+			if needSig {
 				ok := false
 				pv.SigOK = &ok
-				continue
 			}
-			idx = append(idx, i)
-			digests = append(digests, pv.pkDigest)
-			sigs = append(sigs, sig)
+		default:
+			cands = append(cands, pkCand{pv: pv, hash: pv.Hdr.PacketHash(), sig: sig, signed: needSig, dupOf: -1})
 		}
 	}
-	if len(idx) > 0 {
-		pk.VerifyBatchInto(oks[:len(idx)], digests, sigs)
-		for j, i := range idx {
-			ok := oks[j]
-			out[i].SigOK = &ok
-		}
-	}
+	verifyRuns(pk, cands)
 	return out
+}
+
+// pkCand is one aom-pk packet of a PreVerifyBatch call.
+type pkCand struct {
+	pv     *PreVerified
+	hash   [32]byte            // PacketHash: what the next packet's Chain must be
+	sig    secp256k1.Signature // meaningful when signed
+	signed bool                // carries a decodable signature
+	dupOf  int                 // index of an identical earlier copy, or -1
+	inRun  bool
+}
+
+// verifyRuns gives every candidate its verdict: identical
+// copies collapse into one, the rest form chain-linked runs, and rounds
+// of one batch verification each walk every run down from its highest
+// signed packet until a signature verifies or the run has none left.
+func verifyRuns(pk *secp256k1.TableVerifier, c []pkCand) {
+	slices.SortStableFunc(c, func(a, b pkCand) int { return cmp.Compare(a.pv.Hdr.Seq, b.pv.Hdr.Seq) })
+	for i := range c {
+		for j := i - 1; j >= 0 && c[j].pv.Hdr.Seq == c[i].pv.Hdr.Seq; j-- {
+			if c[j].dupOf < 0 && sameCopy(&c[j], &c[i]) {
+				c[i].dupOf = j
+				break
+			}
+		}
+	}
+
+	// order lists candidate indices run after run, each run in
+	// descending seq; run k is order[starts[k]:starts[k+1]], and next[k]
+	// is the position in order of its signature to verify next (-1: done).
+	var orderBuf, nextBuf [maxSigBatch]int
+	var startBuf [maxSigBatch + 1]int
+	order, starts, next := orderBuf[:0], startBuf[:0], nextBuf[:0]
+	for top := len(c) - 1; top >= 0; top-- {
+		if c[top].dupOf >= 0 || c[top].inRun {
+			continue
+		}
+		start := len(order)
+		for i := top; i >= 0; i = below(c, i) {
+			c[i].inRun = true
+			order = append(order, i)
+		}
+		starts = append(starts, start)
+		next = append(next, nextSigned(c, order, start, len(order)))
+	}
+	starts = append(starts, len(order))
+
+	var digestBuf [maxSigBatch][32]byte
+	var sigBuf [maxSigBatch]secp256k1.Signature
+	var runBuf [maxSigBatch]int
+	var okBuf [maxSigBatch]bool
+	for {
+		digests, sigs, runs := digestBuf[:0], sigBuf[:0], runBuf[:0]
+		for k, p := range next {
+			if p >= 0 {
+				digests = append(digests, c[order[p]].hash)
+				sigs = append(sigs, c[order[p]].sig)
+				runs = append(runs, k)
+			}
+		}
+		if len(runs) == 0 {
+			break
+		}
+		oks := okBuf[:]
+		if len(runs) > len(oks) {
+			oks = make([]bool, len(runs))
+		}
+		oks = oks[:len(runs)]
+		pk.VerifyBatchInto(oks, digests, sigs)
+		for j, k := range runs {
+			p, end := next[k], starts[k+1]
+			ok := oks[j]
+			c[order[p]].pv.SigOK = &ok
+			if ok {
+				chainAuthenticate(c, order[p:end])
+				next[k] = -1
+			} else {
+				next[k] = nextSigned(c, order, p+1, end)
+			}
+		}
+	}
+	for i := range c {
+		if d := c[i].dupOf; d >= 0 {
+			c[i].pv.SigOK, c[i].pv.Suffix = c[d].pv.SigOK, c[d].pv.Suffix
+		}
+	}
+}
+
+// sameCopy reports whether two candidates at one seq are the same packet.
+func sameCopy(a, b *pkCand) bool {
+	return a.hash == b.hash && a.pv.Hdr.Signed == b.pv.Hdr.Signed && bytes.Equal(a.pv.Hdr.Auth, b.pv.Hdr.Auth)
+}
+
+// below returns the candidate that extends candidate i's run downward:
+// one not yet in a run, at seq-1, in the same group and epoch, whose
+// PacketHash is i's Chain. It returns -1 if there is none.
+func below(c []pkCand, i int) int {
+	h := c[i].pv.Hdr
+	for j := i - 1; j >= 0 && c[j].pv.Hdr.Seq+1 >= h.Seq; j-- {
+		if d := &c[j]; d.pv.Hdr.Seq+1 == h.Seq && d.dupOf < 0 && !d.inRun && d.hash == h.Chain &&
+			d.pv.Hdr.Group == h.Group && d.pv.Hdr.Epoch == h.Epoch {
+			return j
+		}
+	}
+	return -1
+}
+
+// nextSigned returns the first position in order[from:to] whose packet
+// carries a decodable signature, or -1.
+func nextSigned(c []pkCand, order []int, from, to int) int {
+	for p := from; p < to; p++ {
+		if c[order[p]].signed {
+			return p
+		}
+	}
+	return -1
+}
+
+// chainAuthenticate authenticates every packet of run (candidate indices
+// in descending seq) below run[0], whose signature verified, through the
+// hash chain.
+func chainAuthenticate(c []pkCand, run []int) {
+	links := newRunLinks(len(run)-1, nil)
+	above := c[run[0]].pv.Hdr
+	for j, i := range run[1:] {
+		pv := c[i].pv
+		pv.Suffix = links.below(len(run)-2-j, above)
+		if pv.Hdr.Signed {
+			ok := true
+			pv.SigOK = &ok
+		}
+		above = pv.Hdr
+	}
+}
+
+// runLinks holds the certificate suffixes of one chain-linked run in one
+// slice, filled from the authenticated head downward: a run of k packets
+// costs one allocation and k links, where a suffix per packet would copy
+// k²/2.
+type runLinks []ChainLink
+
+// newRunLinks makes room for the n links below a run's authenticated
+// head, followed by tail, the head's own suffix.
+func newRunLinks(n int, tail []ChainLink) runLinks {
+	return append(make(runLinks, n, n+len(tail)), tail...)
+}
+
+// below records above as link i and returns the suffix of the packet
+// just below it: above's link and every later one. Callers go down the
+// run, i from n-1 to 0.
+func (l runLinks) below(i int, above *wire.AOMHeader) []ChainLink {
+	l[i] = ChainLink{Seq: above.Seq, Digest: above.Digest, Chain: above.Chain, Signed: above.Signed, Sig: above.Auth}
+	return l[i:]
 }
 
 // preVerifyOne runs the state-independent checks of one packet under the
 // given epoch credentials. For a signed aom-pk packet with a decodable
-// signature it does NOT verify the signature; instead it stores the
-// packet hash in pv.pkDigest and returns (sig, true) so the caller can
-// verify individually or batched.
+// signature it does NOT verify the signature; it returns (sig, true) so
+// the caller can verify individually or batched.
 func (r *Receiver) preVerifyOne(pkt []byte, epoch uint32, hmKey siphash.HalfKey) (pv *PreVerified, sig secp256k1.Signature, needSig bool) {
 	if len(pkt) >= 2 && binary.LittleEndian.Uint16(pkt) == confirmMagic {
 		pv = &PreVerified{Confirm: true}
@@ -398,7 +547,6 @@ func (r *Receiver) preVerifyOne(pkt []byte, epoch uint32, hmKey siphash.HalfKey)
 				pv.SigOK = &ok
 				return pv, sig, false
 			}
-			pv.pkDigest = hdr.PacketHash()
 			return pv, s, true
 		}
 	}
@@ -517,7 +665,11 @@ func (r *Receiver) handleAOM(hdr *wire.AOMHeader, payload []byte, pre *PreVerifi
 	case wire.AuthHMAC:
 		r.handleHM(hdr, payload, laneOK)
 	case wire.AuthPK:
-		r.handlePK(hdr, payload, sigOK)
+		var suffix []ChainLink
+		if pre != nil {
+			suffix = pre.Suffix
+		}
+		r.handlePK(hdr, payload, sigOK, suffix)
 	}
 	deliveries := r.collectDeliveriesLocked()
 	cf := r.takeConfirmBatchLocked(false)
@@ -576,17 +728,24 @@ func (r *Receiver) handleHM(hdr *wire.AOMHeader, payload []byte, laneOK *bool) {
 	}
 }
 
+// maxParkedCopies bounds the distinct copies of one unsigned aom-pk
+// packet held at a sequence number, so that a forged copy arriving first
+// cannot shut out the genuine one.
+const maxParkedCopies = 4
+
 // handlePK processes one aom-pk packet. sigOK, when non-nil, is the
-// pre-verified sequencer-signature verdict. Caller holds r.mu.
-func (r *Receiver) handlePK(hdr *wire.AOMHeader, payload []byte, sigOK *bool) {
-	if _, have := r.pend[hdr.Seq]; have {
-		return
-	}
+// pre-verified sequencer-signature verdict; a non-empty suffix means a
+// verification worker authenticated the packet through the hash chain
+// (PreVerifyBatch). Caller holds r.mu.
+func (r *Receiver) handlePK(hdr *wire.AOMHeader, payload []byte, sigOK *bool, suffix []ChainLink) {
 	if r.ready[hdr.Seq] != nil {
 		return
 	}
-	p := &authPkt{hdr: hdr, payload: append([]byte(nil), payload...)}
-	if hdr.Signed {
+	if len(suffix) == 0 && !hdr.Signed {
+		r.park(hdr, payload)
+		return
+	}
+	if len(suffix) == 0 {
 		ok := false
 		if sigOK != nil {
 			ok = *sigOK
@@ -599,57 +758,61 @@ func (r *Receiver) handlePK(hdr *wire.AOMHeader, payload []byte, sigOK *bool) {
 			r.trace.Record(tkAOMSigFail, hdr.Seq, 0)
 			return
 		}
-		r.authenticated(p)
-		r.walkChainBack(p)
+	}
+	p := &authPkt{hdr: hdr, payload: append([]byte(nil), payload...), links: suffix}
+	delete(r.pend, hdr.Seq)
+	r.authenticated(p)
+	r.walkChainBack(p)
+}
+
+// park holds an unsigned aom-pk packet until a signed successor
+// authenticates the chain, keeping each distinct copy so that the walk
+// back can adopt the genuine one. Caller holds r.mu.
+func (r *Receiver) park(hdr *wire.AOMHeader, payload []byte) {
+	copies := r.pend[hdr.Seq]
+	if len(copies) >= maxParkedCopies {
 		return
 	}
-	// Unsigned: park until a signed successor authenticates the chain.
-	r.pend[hdr.Seq] = p
-	// If the immediate successor is already authenticated, this packet
-	// arrived late: authenticate it directly through the chain.
-	if next := r.findAuth(hdr.Seq + 1); next != nil {
-		if next.hdr.Chain == hdr.PacketHash() {
-			delete(r.pend, hdr.Seq)
-			p.links = r.buildLinks(next)
-			r.authenticated(p)
-			r.walkChainBack(p)
-		} else {
-			delete(r.pend, hdr.Seq)
+	for _, c := range copies {
+		if c.hdr.Digest == hdr.Digest && c.hdr.Chain == hdr.Chain {
+			return // a duplicate
 		}
 	}
-}
-
-// findAuth returns the authenticated (ready or BN-tracked) packet at seq,
-// if any. Caller holds r.mu.
-func (r *Receiver) findAuth(seq uint64) *authPkt {
-	return r.ready[seq]
-}
-
-// buildLinks constructs the chain suffix for a packet whose successor
-// `next` is already authenticated: next's links, prefixed by next itself.
-func (r *Receiver) buildLinks(next *authPkt) []ChainLink {
-	link := ChainLink{
-		Seq: next.hdr.Seq, Digest: next.hdr.Digest, Chain: next.hdr.Chain,
-		Signed: next.hdr.Signed, Sig: next.hdr.Auth,
+	r.pend[hdr.Seq] = append(copies, &authPkt{hdr: hdr, payload: append([]byte(nil), payload...)})
+	// A late arrival whose successor is already authenticated joins its
+	// chain now.
+	if next := r.ready[hdr.Seq+1]; next != nil {
+		r.walkChainBack(next)
 	}
-	return append([]ChainLink{link}, next.links...)
 }
 
-// walkChainBack authenticates parked predecessors of an authenticated
-// packet by validating the hash chain in reverse (§4.4). Caller holds r.mu.
+// walkChainBack authenticates the parked predecessors of an
+// authenticated packet by validating the hash chain in reverse (§4.4).
+// At each sequence number it adopts the parked copy whose PacketHash is
+// the Chain of the packet above and discards the others as forged or
+// stale. Caller holds r.mu.
 func (r *Receiver) walkChainBack(from *authPkt) {
-	cur := from
-	for cur.hdr.Seq > r.nextSeq {
-		prev, ok := r.pend[cur.hdr.Seq-1]
-		if !ok {
-			return
+	// First find how far the chain reaches, moving each matching copy to
+	// the front of its slot, so the suffixes take one allocation.
+	n := 0
+	for cur := from; cur.hdr.Seq > r.nextSeq; n++ {
+		copies := r.pend[cur.hdr.Seq-1]
+		i := slices.IndexFunc(copies, func(c *authPkt) bool { return c.hdr.PacketHash() == cur.hdr.Chain })
+		if i < 0 {
+			delete(r.pend, cur.hdr.Seq-1)
+			break
 		}
-		if cur.hdr.Chain != prev.hdr.PacketHash() {
-			delete(r.pend, prev.hdr.Seq) // forged or stale
-			return
-		}
-		delete(r.pend, prev.hdr.Seq)
-		prev.links = r.buildLinks(cur)
+		copies[0], copies[i] = copies[i], copies[0]
+		cur = copies[0]
+	}
+	if n == 0 {
+		return
+	}
+	links := newRunLinks(n, from.links)
+	for cur, i := from, n-1; i >= 0; i-- {
+		prev := r.pend[cur.hdr.Seq-1][0]
+		delete(r.pend, cur.hdr.Seq-1)
+		prev.links = links.below(i, cur.hdr)
 		r.authenticated(prev)
 		cur = prev
 	}
@@ -920,10 +1083,9 @@ func (r *Receiver) certFor(p *authPkt) *OrderingCert {
 	case wire.AuthPK:
 		c.Chain = p.hdr.Chain
 		c.Signed = p.hdr.Signed
+		c.Suffix = p.links
 		if p.hdr.Signed {
 			c.Sig = p.hdr.Auth
-		} else {
-			c.Suffix = p.links
 		}
 	}
 	if r.cfg.Byzantine {
