@@ -270,3 +270,42 @@ func BenchmarkVerifyBatchSizes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkVerifyN1 compares the two ways to verify a lone signature,
+// the common case once chain-linked runs need one signature each: tree
+// is the affine-tree path every VerifyBatchInto call takes (Verify is a
+// batch of one), jacobian checks the range, inverts s once and sums
+// u1·G + u2·Q with Jacobian mixed additions only. Both rotate through 64
+// signatures so no input stays hot.
+func BenchmarkVerifyN1(b *testing.B) {
+	priv, _ := GenerateKey([]byte("bench"))
+	tv := NewTableVerifier(priv.Pub)
+	const n = 64
+	digests := make([][32]byte, n)
+	sigs := make([]Signature, n)
+	for i := range digests {
+		digests[i] = sha256.Sum256([]byte{byte(i), 1})
+		sigs[i] = priv.Sign(digests[i][:])
+	}
+	b.Run("tree", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if !tv.Verify(digests[i%n][:], sigs[i%n]) {
+				b.Fatal("tree verify failed")
+			}
+		}
+	})
+	b.Run("jacobian", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d, sig := digests[i%n], sigs[i%n]
+			if !sigRangeOK(sig) {
+				b.Fatal("signature out of range")
+			}
+			w := scInv(sig.S)
+			u1 := scMul(NewScalarReduced(hashBytes32(d[:])), w)
+			u2 := scMul(sig.R, w)
+			if !tv.verifyJacobian(u1, u2, sig.R) {
+				b.Fatal("jacobian verify failed")
+			}
+		}
+	})
+}

@@ -199,27 +199,28 @@ func TestProposalBeforeItsParent(t *testing.T) {
 	b3 := mk(3, b1, &qc{view: 1, block: b1.hash}) // view 2 timed out at its leader
 	b4 := mk(4, b3, &qc{view: 3, block: b3.hash}) // the chain goes on from the sibling
 
-	for _, b := range []*block{b4, b2, b3, b2} { // b2 again: a retransmission
-		r.onPropose(b)
-	}
-	r.mu.Lock()
-	early, held := len(r.blocks), len(r.orphans[b1.hash])
-	r.mu.Unlock()
+	var early, held int
+	r.Runtime().Call(func() {
+		for _, b := range []*block{b4, b2, b3, b2} { // b2 again: a retransmission
+			r.onPropose(b)
+		}
+		early, held = len(r.blocks), len(r.orphans[b1.hash])
+	})
 	if early != 1 || held != 2 {
 		t.Fatalf("before the parent: %d blocks known (want genesis only), %d held for b1 (want 2)", early, held)
 	}
-	r.onPropose(b1)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, b := range []*block{b1, b2, b3, b4} {
-		if r.blocks[b.hash] == nil {
-			t.Errorf("b%d not adopted after the parent arrived", i+1)
+	r.Runtime().Call(func() {
+		r.onPropose(b1)
+		for i, b := range []*block{b1, b2, b3, b4} {
+			if r.blocks[b.hash] == nil {
+				t.Errorf("b%d not adopted after the parent arrived", i+1)
+			}
 		}
-	}
-	if len(r.orphans) != 0 {
-		t.Errorf("%d orphan entries left", len(r.orphans))
-	}
-	if !r.voted[1] || !r.voted[2] || r.highQC.view != 3 {
-		t.Fatalf("voted %v/%v, highQC view %d: the replica did not follow the chain", r.voted[1], r.voted[2], r.highQC.view)
-	}
+		if len(r.orphans) != 0 {
+			t.Errorf("%d orphan entries left", len(r.orphans))
+		}
+		if !r.voted[1] || !r.voted[2] || r.highQC.view != 3 {
+			t.Errorf("voted %v/%v, highQC view %d: the replica did not follow the chain", r.voted[1], r.voted[2], r.highQC.view)
+		}
+	})
 }

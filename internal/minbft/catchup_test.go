@@ -18,9 +18,7 @@ func TestLaggingReplicaSnapshotCatchUp(t *testing.T) {
 	c := newCluster(t, 2)
 	const interval = 8
 	for _, r := range c.replicas {
-		r.mu.Lock()
-		r.cfg.CheckpointInterval = interval
-		r.mu.Unlock()
+		r.Runtime().Call(func() { r.cfg.CheckpointInterval = interval })
 	}
 	cl := c.client(0)
 	const victim = 4

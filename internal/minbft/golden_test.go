@@ -124,7 +124,7 @@ func TestCheckpointWireGolden(t *testing.T) {
 	defer r.Close()
 	deliver := func(from int, pkt []byte) {
 		if ev := r.VerifyPacket(members[from], pkt); ev != nil {
-			r.ApplyEvent(members[from], ev)
+			r.Runtime().Call(func() { r.ApplyEvent(members[from], ev) })
 		}
 	}
 

@@ -550,9 +550,7 @@ func TestStateSyncAdvancesSyncPoint(t *testing.T) {
 	// Default CheckpointInterval is 256; use a client to push past it quickly
 	// with a small interval instead.
 	for _, r := range c.replicas {
-		r.mu.Lock()
-		r.cfg.CheckpointInterval = 8
-		r.mu.Unlock()
+		r.Runtime().Call(func() { r.cfg.CheckpointInterval = 8 })
 	}
 	cl := c.client(0)
 	for i := 0; i < 20; i++ {

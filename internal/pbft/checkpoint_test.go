@@ -9,9 +9,7 @@ import (
 // tests cross several boundaries with a handful of operations.
 func setCheckpointInterval(c *cluster, interval int) {
 	for _, r := range c.replicas {
-		r.mu.Lock()
-		r.cfg.CheckpointInterval = interval
-		r.mu.Unlock()
+		r.Runtime().Call(func() { r.cfg.CheckpointInterval = interval })
 	}
 }
 

@@ -278,7 +278,5 @@ func TestRejectsForgedRequests(t *testing.T) {
 
 // lastExecSnapshot exposes lastExec for tests.
 func (r *Replica) lastExecSnapshot() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int(r.lastExec)
+	return replica.Read(r.Core, func() int { return int(r.lastExec) })
 }

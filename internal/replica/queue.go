@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"sync"
 	"time"
 
 	"neobft/internal/batch"
@@ -28,17 +27,13 @@ type Queue struct {
 }
 
 // NewQueue builds the leader queue. When cfg lingers, a runtime timer
-// calls issue under mu often enough that a deferred batch is cut on time
-// even if no further request arrives to trigger it. The batcher reports
-// into the replica's registry.
-func (c *Core) NewQueue(cfg batch.Config, mu sync.Locker, issue func()) *Queue {
+// calls issue often enough that a deferred batch is cut on time even if
+// no further request arrives to trigger it. The batcher reports into the
+// replica's registry.
+func (c *Core) NewQueue(cfg batch.Config, issue func()) *Queue {
 	q := &Queue{Batcher: batch.NewMetered(cfg, c.reg), core: c, queued: map[ReqKey]struct{}{}}
 	if cfg.MaxLinger > 0 {
-		c.rt.ArmEvery(pollInterval(cfg.MaxLinger), func() {
-			mu.Lock()
-			issue()
-			mu.Unlock()
-		})
+		c.rt.ArmEvery(pollInterval(cfg.MaxLinger), issue)
 	}
 	return q
 }

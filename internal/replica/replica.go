@@ -49,8 +49,9 @@ type Config struct {
 }
 
 // Core is the protocol-independent half of a replica. Its loop-side
-// methods (Admit, Execute, ExecuteReply) run under the protocol's own
-// mutex, like the rest of its state.
+// methods (Admit, Execute, ExecuteReply) run on the runtime loop, like
+// the rest of the replica's state; other goroutines reach that state
+// through Runtime().Call.
 type Core struct {
 	cfg Config
 	rt  *runtime.Runtime
@@ -226,4 +227,11 @@ func (c *Core) ExecuteReply(req *replication.Request, rep replication.Reply) (*r
 		c.cfg.Conn.Send(req.Client, out.Marshal())
 	}
 	return out, undo
+}
+
+// Read runs f on c's runtime loop and returns its result: how an
+// accessor called from another goroutine reads loop-owned state.
+func Read[T any](c *Core, f func() T) (v T) {
+	c.rt.Call(func() { v = f() })
+	return v
 }

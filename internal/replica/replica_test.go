@@ -2,7 +2,6 @@ package replica
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 
@@ -142,8 +141,7 @@ func TestCore(t *testing.T) {
 }
 
 func newQueue(k *kit) *Queue {
-	var mu sync.Mutex
-	return k.core.NewQueue(batch.Config{MaxCount: 64}, &mu, func() {})
+	return k.core.NewQueue(batch.Config{MaxCount: 64}, func() {})
 }
 
 func TestQueueIgnoresQueued(t *testing.T) {

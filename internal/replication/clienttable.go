@@ -57,10 +57,23 @@ func (t *ClientTable) Store(client transport.NodeID, reqID uint64, reply *Reply)
 	}
 }
 
-// Forget removes a client's entry (used when rolling back speculative
-// state past the request that created it).
-func (t *ClientTable) Forget(client transport.NodeID) {
-	delete(t.entries, client)
+// Last returns the client's entry: the ID of its latest executed request
+// and the reply to it. ok is false when the client has no entry.
+func (t *ClientTable) Last(client transport.NodeID) (reqID uint64, reply *Reply, ok bool) {
+	if e, ok := t.entries[client]; ok {
+		return e.lastReqID, e.lastReply, true
+	}
+	return 0, nil, false
+}
+
+// Revert puts back a client's entry as Last returned it, rolling back
+// the speculative executions since: with ok false the client is deleted.
+func (t *ClientTable) Revert(client transport.NodeID, reqID uint64, reply *Reply, ok bool) {
+	if !ok {
+		delete(t.entries, client)
+		return
+	}
+	t.entries[client] = &clientEntry{lastReqID: reqID, lastReply: reply}
 }
 
 // Len returns the number of tracked clients.

@@ -85,9 +85,18 @@ func TestClientTable(t *testing.T) {
 	if !fresh {
 		t.Fatal("next request not fresh")
 	}
-	ct.Forget(1)
-	if ct.Len() != 0 {
-		t.Fatal("forget did not remove entry")
+	id, last, ok := ct.Last(1)
+	if !ok || id != 1 || last != rep {
+		t.Fatalf("Last = %d, %p, %v; want 1, %p, true", id, last, ok, rep)
+	}
+	ct.Store(1, 2, nil)
+	ct.Revert(1, id, last, ok)
+	if fresh, cached = ct.Check(1, 1); fresh || cached != rep {
+		t.Fatal("revert did not put back the earlier entry")
+	}
+	ct.Revert(1, 0, nil, false)
+	if _, _, ok := ct.Last(1); ok || ct.Len() != 0 {
+		t.Fatal("revert to no entry did not remove the client")
 	}
 }
 

@@ -4,8 +4,9 @@
 //
 //  1. A single-threaded event loop that executes protocol state
 //     transitions, preserving the transport contract's no-locking
-//     invariant: ApplyEvent (and every timer callback and Inject'd
-//     function) runs on exactly one goroutine.
+//     invariant: ApplyEvent (and every timer callback and Call'd
+//     function) runs on exactly one goroutine. The loop owns all protocol
+//     state; any other goroutine reads or changes it through Call.
 //
 //  2. A verification stage ahead of the loop: client MACs, replica HMAC
 //     vectors, aom authenticators, USIG certificates and public-key
@@ -124,10 +125,9 @@ type task struct {
 	// retirement lag (queueing + verification) from it.
 	enq int64
 	// ready is set once ev is populated — by a worker as its last touch
-	// of the task, or at creation for inline-verified packets and
-	// injected calls.
+	// of the task, or at creation for inline-verified packets and calls.
 	ready atomic.Bool
-	// call, when set, is a loop-injected function instead of a packet.
+	// call, when set, is a Call'd function instead of a packet.
 	call func()
 	// tctx is the trace context peeled from the packet's wire envelope
 	// (zero when unsampled); vid is the verify span's ID (the apply
@@ -167,6 +167,9 @@ type Runtime struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	started  atomic.Bool
+	// exited is closed when the loop goroutine returns; from then on
+	// Call runs its function on the caller.
+	exited chan struct{}
 
 	verifyNS atomic.Int64
 	applyNS  atomic.Int64
@@ -203,6 +206,7 @@ func New(cfg Config) *Runtime {
 		verifyq: make(chan *task, cfg.Queue),
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
+		exited:  make(chan struct{}),
 	}
 	rt.corker = transport.CorkerOf(cfg.Conn)
 	reg := cfg.Metrics
@@ -307,28 +311,45 @@ func (rt *Runtime) onPacket(from transport.NodeID, pkt []byte) {
 	}
 }
 
-// Inject schedules fn to run on the loop goroutine, ordered after every
-// packet already accepted. It is safe from any goroutine.
-func (rt *Runtime) Inject(fn func()) {
+// Call runs fn on the loop goroutine, ordered after every packet already
+// accepted, and returns once fn has run. It is how any other goroutine
+// reads or changes the state the loop owns (replica accessors, the
+// persister's capture). Before Start and after the loop has exited
+// (Close) there is no loop to race, so fn runs on the caller instead;
+// either way it runs exactly once. Call must not be invoked from the
+// loop itself (ApplyEvent, a timer callback or a Call'd function): the
+// loop would wait on itself.
+func (rt *Runtime) Call(fn func()) {
+	if !rt.started.Load() {
+		fn()
+		return
+	}
+	ran := make(chan struct{})
 	t := taskPool.Get().(*task)
-	*t = task{call: fn}
+	*t = task{call: func() { fn(); close(ran) }}
 	t.ready.Store(true)
 	select {
 	case rt.ordered <- t:
-	case <-rt.stop:
+		select {
+		case <-ran:
+			return
+		case <-rt.exited:
+		}
+		// The loop has returned: it either ran fn before that or never
+		// will, since nothing drains ordered any more.
+		select {
+		case <-ran:
+			return
+		default:
+		}
+	case <-rt.exited:
 	}
+	fn()
 }
 
 // Flush blocks until every packet accepted before the call has been
 // verified and applied. Intended for tests and benchmarks.
-func (rt *Runtime) Flush() {
-	ch := make(chan struct{})
-	rt.Inject(func() { close(ch) })
-	select {
-	case <-ch:
-	case <-rt.stop:
-	}
-}
+func (rt *Runtime) Flush() { rt.Call(func() {}) }
 
 func (rt *Runtime) worker() {
 	bh, _ := rt.handler.(BatchVerifier)
@@ -412,6 +433,7 @@ func (rt *Runtime) wakeLoop() {
 }
 
 func (rt *Runtime) loop() {
+	defer close(rt.exited)
 	tm := time.NewTimer(time.Hour)
 	defer tm.Stop()
 	for {

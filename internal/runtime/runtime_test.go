@@ -170,7 +170,7 @@ func TestInlineMode(t *testing.T) {
 	}
 }
 
-// loopChecker verifies that ApplyEvent, Inject'd functions, and timer
+// loopChecker verifies that ApplyEvent, Call'd functions, and timer
 // callbacks all run on the same goroutine by mutating an unsynchronized
 // counter — any overlap is a -race failure.
 type loopChecker struct {
@@ -206,8 +206,8 @@ func TestTimersShareLoopWithApply(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				// The transport contract forbids concurrent handler
-				// calls, so extra goroutines go through Inject instead.
-				rt.Inject(func() { h.counter++ })
+				// calls, so extra goroutines go through Call instead.
+				rt.Call(func() { h.counter++ })
 			}
 		}(g)
 	}

@@ -14,9 +14,7 @@ func TestLaggingReplicaSnapshotCatchUp(t *testing.T) {
 	c := newCluster(t, 4, -1)
 	const interval = 8
 	for _, r := range c.replicas {
-		r.mu.Lock()
-		r.cfg.CheckpointInterval = interval
-		r.mu.Unlock()
+		r.Runtime().Call(func() { r.cfg.CheckpointInterval = interval })
 	}
 	cl := c.client(0, 20*time.Millisecond)
 	const victim = 3

@@ -13,9 +13,7 @@ func TestCheckpointBoundsLogWindow(t *testing.T) {
 	c := newCluster(t, 4, -1)
 	const interval = 8
 	for _, r := range c.replicas {
-		r.mu.Lock()
-		r.cfg.CheckpointInterval = interval
-		r.mu.Unlock()
+		r.Runtime().Call(func() { r.cfg.CheckpointInterval = interval })
 	}
 	cl := c.client(0, 50*time.Millisecond)
 	const ops = 30
