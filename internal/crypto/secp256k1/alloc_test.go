@@ -96,3 +96,15 @@ func TestSignZeroAlloc(t *testing.T) {
 		t.Fatalf("Sign allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// Both inversions run on every signature and every affine tree level.
+func TestInvZeroAlloc(t *testing.T) {
+	x := fieldElem{0x59F2815B16F81798, 0x029BFCDB2DCE28D9, 0x55A06295CE870B07, 0x79BE667EF9DCBBAC}
+	if allocs := testing.AllocsPerRun(100, func() { x.inv(&x) }); allocs != 0 {
+		t.Fatalf("fieldElem.inv allocates %.1f times per op, want 0", allocs)
+	}
+	s := scalarU64(0xdeadbeefcafebabe)
+	if allocs := testing.AllocsPerRun(100, func() { s = scInv(s) }); allocs != 0 {
+		t.Fatalf("scInv allocates %.1f times per op, want 0", allocs)
+	}
+}

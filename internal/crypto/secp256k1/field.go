@@ -240,7 +240,7 @@ func (z *fieldElem) sqr(x *fieldElem) {
 
 // inv sets z = x⁻¹ mod p (z = 0 if x = 0).
 func (z *fieldElem) inv(x *fieldElem) {
-	*z = fieldElem(invModVar((*[4]uint64)(x), &fieldP))
+	*z = fieldElem(invMod((*[4]uint64)(x), &fieldPInfo))
 }
 
 // sqrtExp is (p+1)/4; since p ≡ 3 (mod 4), a^((p+1)/4) is a square root

@@ -92,104 +92,6 @@ func mulAdd2(a, b, add1, add2 uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// invModVar returns a⁻¹ mod m for odd m and a ∈ [1, m), using the
-// binary extended Euclidean algorithm. Variable time in a — fine here:
-// every inversion in this package is over public values (signature s,
-// Jacobian z coordinates, nonces already committed to by r). The loop
-// body is written out limb by limb: this runs a few hundred iterations
-// per inversion, so call overhead would dominate otherwise.
-func invModVar(a, m *[4]uint64) [4]uint64 {
-	if isZero256(a) {
-		return [4]uint64{}
-	}
-	u, v := *a, *m
-	x1 := [4]uint64{1}
-	var x2 [4]uint64
-	m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
-	for {
-		if u[0] == 1 && u[1]|u[2]|u[3] == 0 {
-			return x1
-		}
-		if v[0] == 1 && v[1]|v[2]|v[3] == 0 {
-			return x2
-		}
-		for u[0]&1 == 0 {
-			u[0] = u[0]>>1 | u[1]<<63
-			u[1] = u[1]>>1 | u[2]<<63
-			u[2] = u[2]>>1 | u[3]<<63
-			u[3] >>= 1
-			var hi uint64
-			if x1[0]&1 != 0 {
-				var c uint64
-				x1[0], c = bits.Add64(x1[0], m0, 0)
-				x1[1], c = bits.Add64(x1[1], m1, c)
-				x1[2], c = bits.Add64(x1[2], m2, c)
-				x1[3], hi = bits.Add64(x1[3], m3, c)
-			}
-			x1[0] = x1[0]>>1 | x1[1]<<63
-			x1[1] = x1[1]>>1 | x1[2]<<63
-			x1[2] = x1[2]>>1 | x1[3]<<63
-			x1[3] = x1[3]>>1 | hi<<63
-		}
-		for v[0]&1 == 0 {
-			v[0] = v[0]>>1 | v[1]<<63
-			v[1] = v[1]>>1 | v[2]<<63
-			v[2] = v[2]>>1 | v[3]<<63
-			v[3] >>= 1
-			var hi uint64
-			if x2[0]&1 != 0 {
-				var c uint64
-				x2[0], c = bits.Add64(x2[0], m0, 0)
-				x2[1], c = bits.Add64(x2[1], m1, c)
-				x2[2], c = bits.Add64(x2[2], m2, c)
-				x2[3], hi = bits.Add64(x2[3], m3, c)
-			}
-			x2[0] = x2[0]>>1 | x2[1]<<63
-			x2[1] = x2[1]>>1 | x2[2]<<63
-			x2[2] = x2[2]>>1 | x2[3]<<63
-			x2[3] = x2[3]>>1 | hi<<63
-		}
-		// Subtract the smaller odd value from the larger, updating the
-		// matching cofactor mod m.
-		t0, b := bits.Sub64(u[0], v[0], 0)
-		t1, b := bits.Sub64(u[1], v[1], b)
-		t2, b := bits.Sub64(u[2], v[2], b)
-		t3, b := bits.Sub64(u[3], v[3], b)
-		if b == 0 {
-			u = [4]uint64{t0, t1, t2, t3}
-			var bb uint64
-			x1[0], bb = bits.Sub64(x1[0], x2[0], 0)
-			x1[1], bb = bits.Sub64(x1[1], x2[1], bb)
-			x1[2], bb = bits.Sub64(x1[2], x2[2], bb)
-			x1[3], bb = bits.Sub64(x1[3], x2[3], bb)
-			if bb != 0 {
-				var c uint64
-				x1[0], c = bits.Add64(x1[0], m0, 0)
-				x1[1], c = bits.Add64(x1[1], m1, c)
-				x1[2], c = bits.Add64(x1[2], m2, c)
-				x1[3], _ = bits.Add64(x1[3], m3, c)
-			}
-		} else {
-			v[0], b = bits.Sub64(v[0], u[0], 0)
-			v[1], b = bits.Sub64(v[1], u[1], b)
-			v[2], b = bits.Sub64(v[2], u[2], b)
-			v[3], _ = bits.Sub64(v[3], u[3], b)
-			var bb uint64
-			x2[0], bb = bits.Sub64(x2[0], x1[0], 0)
-			x2[1], bb = bits.Sub64(x2[1], x1[1], bb)
-			x2[2], bb = bits.Sub64(x2[2], x1[2], bb)
-			x2[3], bb = bits.Sub64(x2[3], x1[3], bb)
-			if bb != 0 {
-				var c uint64
-				x2[0], c = bits.Add64(x2[0], m0, 0)
-				x2[1], c = bits.Add64(x2[1], m1, c)
-				x2[2], c = bits.Add64(x2[2], m2, c)
-				x2[3], _ = bits.Add64(x2[3], m3, c)
-			}
-		}
-	}
-}
-
 // be32ToLimbs decodes a 32-byte big-endian integer.
 func be32ToLimbs(b *[32]byte) [4]uint64 {
 	var x [4]uint64

@@ -97,10 +97,10 @@ func scReduce512(r *[8]uint64) [4]uint64 {
 	return lo
 }
 
-// scInv returns s⁻¹ mod N (0 for 0). Variable time; verification-side
-// inputs are public.
+// scInv returns s⁻¹ mod N (0 for 0). Variable time, also on Sign's
+// secret nonce: see the package comment.
 func scInv(s Scalar) Scalar {
-	return Scalar{invModVar(&s.n, &scalarN)}
+	return Scalar{invMod(&s.n, &scalarNInfo)}
 }
 
 // scIsHigh reports s > N/2.

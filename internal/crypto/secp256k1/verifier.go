@@ -72,9 +72,13 @@ const sigPoints = 64
 // inversion I and then saves J − A on each pair, where J is a Jacobian
 // mixed addition and A an affine addition including its 3M share of
 // Montgomery's trick. It pays off from I ÷ (J − A) pairs: on a 2-vCPU
-// Xeon, BenchmarkFieldInv ≈ 3.6 µs, BenchmarkAddMixed ≈ 460 ns and
-// BenchmarkAddAffine ≈ 230 ns, so ≈ 16.
-const affineMinPairs = 16
+// Xeon, with the safegcd inversion, BenchmarkFieldInv ≈ 2.3 µs,
+// BenchmarkAddMixed ≈ 410 ns and BenchmarkAddAffine ≈ 235 ns (medians
+// of 9 runs at -cpu 1; the ratio per run ranged 10–25, median 12.5),
+// so ≈ 12. A lone signature almost always has 63 or 64 points, so
+// levels of 31–32, 16 and 8 pairs: any value from 9 to 16 gives it the
+// same two affine levels.
+const affineMinPairs = 12
 
 // verifyScratch is the per-call working memory of VerifyBatchInto. It
 // holds no pointers into itself, so it stays on the caller's stack.

@@ -246,25 +246,29 @@ func TestVerifyConcurrent(t *testing.T) {
 }
 
 // BenchmarkVerifyBatchSizes reports the per-signature cost of
-// VerifyBatchInto at the batch sizes the replica runtime produces.
+// VerifyBatchInto at the batch sizes the replica runtime produces. Each
+// size rotates through 64 distinct batches, as BenchmarkVerifyN1 does,
+// so the variable-time inversions never see a repeated input.
 func BenchmarkVerifyBatchSizes(b *testing.B) {
 	priv, _ := GenerateKey([]byte("bench"))
 	tv := NewTableVerifier(priv.Pub)
+	const batches = 64
 	for _, n := range []int{1, 2, 4, 8, 16, 32} {
-		digests := make([][32]byte, n)
-		sigs := make([]Signature, n)
+		digests := make([][32]byte, batches*n)
+		sigs := make([]Signature, batches*n)
 		for i := range digests {
-			digests[i] = sha256.Sum256([]byte{byte(i)})
+			digests[i] = sha256.Sum256([]byte{byte(i), byte(i >> 8), 2})
 			sigs[i] = priv.Sign(digests[i][:])
 		}
 		ok := make([]bool, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tv.VerifyBatchInto(ok, digests, sigs)
-			}
-			if !ok[n-1] {
-				b.Fatal("batch verify failed")
+				j := i % batches * n
+				tv.VerifyBatchInto(ok, digests[j:j+n], sigs[j:j+n])
+				if !ok[n-1] {
+					b.Fatal("batch verify failed")
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/sig")
 		})

@@ -108,6 +108,10 @@ func TestNormalOperation(t *testing.T) {
 func TestConcurrentClientsAndBatching(t *testing.T) {
 	c := newCluster(t, 1)
 	const clients, each = 6, 8
+	// Hold the backups until the primary's queue holds more requests than
+	// its window, so at least one prepare carries several requests however
+	// the clients happen to be scheduled.
+	release := holdLoops(t, c.replicas[1:])
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
@@ -123,12 +127,21 @@ func TestConcurrentClientsAndBatching(t *testing.T) {
 			}
 		}()
 	}
+	p := c.replicas[0]
+	deadline := time.Now().Add(5 * time.Second)
+	for replica.Read(p.Core, p.queue.Len) <= window {
+		if time.Now().After(deadline) {
+			t.Fatal("the primary's queue never outgrew its window")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
 	wg.Wait()
 	close(errs)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		done := 0
 		for _, app := range c.apps {
@@ -151,6 +164,26 @@ func TestConcurrentClientsAndBatching(t *testing.T) {
 	if got := c.replicas[0].cfg.USIG.Counter(); got >= clients*each {
 		t.Fatalf("no batching: %d prepares for %d ops", got, clients*each)
 	}
+}
+
+// holdLoops parks each replica's runtime loop in a Call until the
+// returned release is called (at the latest when t ends). Packets to a
+// held replica wait in its queue; none is lost, unlike with simnet's
+// BlockNode, whose dropped prepares only a view change would replace.
+func holdLoops(t *testing.T, rs []*Replica) (release func()) {
+	ch := make(chan struct{})
+	release = sync.OnceFunc(func() { close(ch) })
+	t.Cleanup(release)
+	var held sync.WaitGroup
+	for _, r := range rs {
+		held.Add(1)
+		go r.Runtime().Call(func() {
+			held.Done()
+			<-ch
+		})
+	}
+	held.Wait()
+	return release
 }
 
 func TestLargerF(t *testing.T) {

@@ -74,6 +74,8 @@ type logEntry struct {
 	gapCert *GapCert             // proof for no-ops
 }
 
+// undoRec records one speculative execution for a rollback. undo is the
+// App's undo function, nil when it returned none (a read).
 type undoRec struct {
 	slot   uint64
 	client transport.NodeID
@@ -588,10 +590,11 @@ func (r *Replica) executeSlot(slot uint64, e *logEntry) {
 	if rep == nil {
 		return
 	}
-	if undo != nil {
-		r.undoStack = append(r.undoStack, undoRec{slot: slot, client: req.Client, undo: undo,
-			prevID: prevID, prevReply: prevReply, hadPrev: hadPrev})
-	}
+	// Every execution is recorded, reads too: a rollback must also put
+	// back the client-table entry a read created, or the read's retry is
+	// answered from a reply computed at the dropped position.
+	r.undoStack = append(r.undoStack, undoRec{slot: slot, client: req.Client, undo: undo,
+		prevID: prevID, prevReply: prevReply, hadPrev: hadPrev})
 	if len(r.pendingClientReqs) > 0 {
 		delete(r.pendingClientReqs, replica.KeyOf(req))
 	}
@@ -609,7 +612,9 @@ func (r *Replica) rollbackTo(slot uint64) {
 		if top.slot < slot {
 			break
 		}
-		top.undo()
+		if top.undo != nil {
+			top.undo()
+		}
 		r.Table.Revert(top.client, top.prevID, top.prevReply, top.hadPrev)
 		r.undoStack = r.undoStack[:len(r.undoStack)-1]
 	}

@@ -107,12 +107,9 @@ func TestSpeculativeRollback(t *testing.T) {
 	}
 }
 
-// TestRollbackKeepsEarlierRequestDuplicate rolls back a client's request
-// 2 while its request 1, executed in the slot before, stays. A duplicated
-// stamp of request 1 ordered after the rollback point must not run a
-// second time: the rollback puts back the client-table entry request 2
-// replaced, instead of forgetting the client.
-func TestRollbackKeepsEarlierRequestDuplicate(t *testing.T) {
+// loneReplica builds replica 1 of a four-replica Neo-HM group on a
+// recording conn, for tests that drive its log directly on its loop.
+func loneReplica(t *testing.T, app replication.App) *Replica {
 	const n, self = 4, 1
 	members := []transport.NodeID{1, 2, 3, 4}
 	svc := configsvc.New(wire.AuthHMAC, []byte("aom-master"))
@@ -120,7 +117,6 @@ func TestRollbackKeepsEarlierRequestDuplicate(t *testing.T) {
 	if _, err := svc.CreateGroup(group, members); err != nil {
 		t.Fatal(err)
 	}
-	app := &counterApp{}
 	r := New(Config{
 		Config: replica.Config{
 			Self: self, N: n, F: 1, Members: members,
@@ -133,15 +129,28 @@ func TestRollbackKeepsEarlierRequestDuplicate(t *testing.T) {
 		Variant: wire.AuthHMAC,
 		Svc:     svc,
 	})
-	defer r.Close()
+	t.Cleanup(r.Close)
+	return r
+}
 
-	req := func(id uint64) *logEntry {
-		rq := &replication.Request{Client: 7, ReqID: id, Op: []byte{1}}
-		return &logEntry{req: rq, authOK: true, epoch: 1, digest: replication.RequestDigest(rq)}
-	}
+// clientEntry is an authenticated log entry for client 7's request id
+// carrying the one-byte op.
+func clientEntry(id uint64, op byte) *logEntry {
+	rq := &replication.Request{Client: 7, ReqID: id, Op: []byte{op}}
+	return &logEntry{req: rq, authOK: true, epoch: 1, digest: replication.RequestDigest(rq)}
+}
+
+// TestRollbackKeepsEarlierRequestDuplicate rolls back a client's request
+// 2 while its request 1, executed in the slot before, stays. A duplicated
+// stamp of request 1 ordered after the rollback point must not run a
+// second time: the rollback puts back the client-table entry request 2
+// replaced, instead of forgetting the client.
+func TestRollbackKeepsEarlierRequestDuplicate(t *testing.T) {
+	app := &counterApp{}
+	r := loneReplica(t, app)
 	r.Runtime().Call(func() {
-		r.appendEntry(req(1))
-		r.appendEntry(req(2))
+		r.appendEntry(clientEntry(1, 1))
+		r.appendEntry(clientEntry(2, 1))
 		r.executeReady()
 		// The group skips slot 2: roll back and rewrite it as a no-op.
 		r.rollbackTo(2)
@@ -149,7 +158,7 @@ func TestRollbackKeepsEarlierRequestDuplicate(t *testing.T) {
 		r.recomputeHashes(2)
 		r.executeReady()
 		// A duplicated stamp of request 1 lands in slot 3.
-		r.appendEntry(req(1))
+		r.appendEntry(clientEntry(1, 1))
 		r.executeReady()
 	})
 	if got := app.value(); got != 1 {
@@ -157,6 +166,51 @@ func TestRollbackKeepsEarlierRequestDuplicate(t *testing.T) {
 	}
 	if got := r.Committed(); got != 2 {
 		t.Fatalf("executed %d operations, want 2 (request 1 and the rolled-back request 2)", got)
+	}
+}
+
+// readCountApp counts reads: op 0 is a read, which returns no undo
+// function; any other op adds itself to a sum and can be undone.
+type readCountApp struct {
+	counterApp
+	reads int
+}
+
+func (a *readCountApp) Execute(op []byte) ([]byte, func()) {
+	if len(op) > 0 && op[0] == 0 {
+		a.reads++
+		return []byte(fmt.Sprintf("%d", a.value())), nil
+	}
+	return a.counterApp.Execute(op)
+}
+
+// TestRollbackForgetsReadReply rolls back a slot holding a read, for
+// which the App returns no undo function. The client's retry of the read,
+// ordered after the rollback point, must execute again instead of being
+// answered from the reply cached at the dropped position.
+func TestRollbackForgetsReadReply(t *testing.T) {
+	app := &readCountApp{}
+	r := loneReplica(t, app)
+	var reads int
+	r.Runtime().Call(func() {
+		r.appendEntry(clientEntry(1, 1)) // a write in slot 1
+		r.appendEntry(clientEntry(2, 0)) // the read in slot 2
+		r.executeReady()
+		// The group skips slot 2: roll back and rewrite it as a no-op.
+		r.rollbackTo(2)
+		r.log.Set(2, &logEntry{noOp: true, epoch: 1})
+		r.recomputeHashes(2)
+		r.executeReady()
+		// The client's retry of the read lands in slot 3.
+		r.appendEntry(clientEntry(2, 0))
+		r.executeReady()
+		reads = app.reads
+	})
+	if reads != 2 {
+		t.Fatalf("the read executed %d times, want 2: its retry after the rollback was answered from the dropped slot's reply", reads)
+	}
+	if got := app.value(); got != 1 {
+		t.Fatalf("state = %d, want 1", got)
 	}
 }
 

@@ -172,6 +172,10 @@ func TestNormalOperation(t *testing.T) {
 func TestBatching(t *testing.T) {
 	c := newCluster(t, 4, false)
 	const clients, each = 8, 5
+	// Hold the backups until the primary's queue holds more requests than
+	// its window, so at least one batch carries several requests however
+	// the clients happen to be scheduled.
+	release := holdLoops(t, c.replicas[1:])
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
@@ -187,6 +191,15 @@ func TestBatching(t *testing.T) {
 			}
 		}()
 	}
+	p := c.replicas[0]
+	deadline := time.Now().Add(5 * time.Second)
+	for replica.Read(p.Core, p.queue.Len) <= window {
+		if time.Now().After(deadline) {
+			t.Fatal("the primary's queue never outgrew its window")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
 	wg.Wait()
 	close(errs)
 	if err := <-errs; err != nil {
@@ -274,6 +287,26 @@ func TestRejectsForgedRequests(t *testing.T) {
 			t.Fatalf("replica %d executed a forged request", i)
 		}
 	}
+}
+
+// holdLoops parks each replica's runtime loop in a Call until the
+// returned release is called (at the latest when t ends). Packets to a
+// held replica wait in its queue; none is lost, unlike with simnet's
+// BlockNode, whose dropped pre-prepares only a view change would replace.
+func holdLoops(t *testing.T, rs []*Replica) (release func()) {
+	ch := make(chan struct{})
+	release = sync.OnceFunc(func() { close(ch) })
+	t.Cleanup(release)
+	var held sync.WaitGroup
+	for _, r := range rs {
+		held.Add(1)
+		go r.Runtime().Call(func() {
+			held.Done()
+			<-ch
+		})
+	}
+	held.Wait()
+	return release
 }
 
 // lastExecSnapshot exposes lastExec for tests.
