@@ -34,6 +34,9 @@ type Delivery struct {
 	Dropped bool
 	Payload []byte
 	Cert    *OrderingCert // nil when Dropped
+	// Decoded is the owner's PreVerified.Decoded for the packet delivered,
+	// or nil when it had none.
+	Decoded any
 }
 
 // DeliverFunc consumes deliveries in sequence-number order. It is invoked
@@ -90,20 +93,23 @@ type ReceiverConfig struct {
 // confirmMagic tags confirm packets on the wire.
 const confirmMagic uint16 = 0xA0B2
 
-// authPkt is an authenticated, not-yet-delivered packet.
+// authPkt is an authenticated, not-yet-delivered packet. Its header and
+// payload are views into the packet it arrived in.
 type authPkt struct {
 	hdr     *wire.AOMHeader
 	payload []byte
-	vector  []byte      // assembled full HMAC vector (aom-hm)
+	vector  []byte      // full HMAC vector (aom-hm)
 	links   []ChainLink // chain suffix to a verified signature (aom-pk, chain-authenticated)
+	decoded any         // PreVerified.Decoded, handed back in the Delivery
 }
 
-// hmAsm assembles the subgroup packets of one sequence number.
+// hmAsm assembles the subgroup packets of one sequence number when the
+// group spans more than one subgroup.
 type hmAsm struct {
-	hdr     *wire.AOMHeader
-	payload []byte
-	parts   map[uint8][]byte // subgroup → lane bytes
-	ownOK   bool
+	authPkt
+	parts [][]byte // lane bytes by subgroup; nil until that part arrives
+	got   int      // parts that arrived
+	ownOK bool
 }
 
 // Receiver is the receive side of libAOM for one group member.
@@ -129,6 +135,11 @@ type Receiver struct {
 	flushStop  chan struct{}
 	flushOnce  sync.Once
 
+	// deliveries is collectDeliveriesLocked's buffer, reused by every
+	// packet. Deliveries run on the one processing goroutine, so no
+	// second collection starts while the first is being delivered.
+	deliveries []Delivery
+
 	// counters
 	delivered uint64
 	dropped   uint64
@@ -143,7 +154,6 @@ type Receiver struct {
 	mCfPackets *metrics.Counter
 	mLaneFail  *metrics.Counter
 	mSigFail   *metrics.Counter
-	trace      *metrics.Recorder
 }
 
 type cfEntry struct {
@@ -167,7 +177,6 @@ func NewReceiver(cfg ReceiverConfig, ep EpochConfig) *Receiver {
 		r.mCfPackets = reg.Counter("aom_confirm_packets_total")
 		r.mLaneFail = reg.Counter("aom_lane_fail_total")
 		r.mSigFail = reg.Counter("aom_sig_fail_total")
-		r.trace = reg.Recorder()
 		reg.Func("aom_reorder_pending", func() float64 {
 			r.mu.Lock()
 			defer r.mu.Unlock()
@@ -283,6 +292,11 @@ type PreVerified struct {
 	// LaneOK is the own-lane SipHash verdict for an aom-hm packet whose
 	// subgroup covers this receiver (nil otherwise).
 	LaneOK *bool
+	// Decoded is the owner's own decoding of Payload, made beside these
+	// checks (NeoBFT: the client request and its MAC verdict). libAOM never
+	// reads it; it travels with the packet and comes back in the packet's
+	// Delivery, unless the epoch changed before the packet was handled.
+	Decoded any
 	// SigOK is the sequencer-signature verdict for a signed aom-pk
 	// packet (nil otherwise). It is true for a signed packet that Suffix
 	// authenticates, whatever its own signature bytes.
@@ -311,8 +325,7 @@ func (r *Receiver) PreVerify(pkt []byte) (*PreVerified, bool) {
 	pv, sig, needSig := r.preVerifyOne(pkt, epoch, hmKey)
 	if needSig {
 		h := pv.Hdr.PacketHash()
-		ok := pk != nil && pk.Verify(h[:], sig)
-		pv.SigOK = &ok
+		pv.SigOK = verdict(pk != nil && pk.Verify(h[:], sig))
 	}
 	return pv, pv != nil
 }
@@ -349,8 +362,7 @@ func (r *Receiver) PreVerifyBatch(pkts [][]byte) []*PreVerified {
 		case pv == nil || !pv.DigestOK || r.cfg.Variant != wire.AuthPK:
 		case pk == nil:
 			if needSig {
-				ok := false
-				pv.SigOK = &ok
+				pv.SigOK = verdict(false)
 			}
 		default:
 			cands = append(cands, pkCand{pv: pv, hash: pv.Hdr.PacketHash(), sig: sig, signed: needSig, dupOf: -1})
@@ -430,7 +442,7 @@ func verifyRuns(pk *secp256k1.TableVerifier, c []pkCand) {
 		for j, k := range runs {
 			p, end := next[k], starts[k+1]
 			ok := oks[j]
-			c[order[p]].pv.SigOK = &ok
+			c[order[p]].pv.SigOK = verdict(ok)
 			if ok {
 				chainAuthenticate(c, order[p:end])
 				next[k] = -1
@@ -486,8 +498,7 @@ func chainAuthenticate(c []pkCand, run []int) {
 		pv := c[i].pv
 		pv.Suffix = links.below(len(run)-2-j, above)
 		if pv.Hdr.Signed {
-			ok := true
-			pv.SigOK = &ok
+			pv.SigOK = verdict(true)
 		}
 		above = pv.Hdr
 	}
@@ -536,21 +547,30 @@ func (r *Receiver) preVerifyOne(pkt []byte, epoch uint32, hmKey siphash.HalfKey)
 	switch r.cfg.Variant {
 	case wire.AuthHMAC:
 		if int(hdr.Subgroup) == r.cfg.SelfIndex/4 {
-			ok := laneMatches(hdr, hmKey, r.cfg.SelfIndex)
-			pv.LaneOK = &ok
+			pv.LaneOK = verdict(laneMatches(hdr, hmKey, r.cfg.SelfIndex))
 		}
 	case wire.AuthPK:
 		if hdr.Signed {
 			s, err := secp256k1.DecodeSignature(hdr.Auth)
 			if err != nil {
-				ok := false
-				pv.SigOK = &ok
+				pv.SigOK = verdict(false)
 				return pv, sig, false
 			}
 			return pv, s, true
 		}
 	}
 	return pv, sig, false
+}
+
+// verdicts are the two values a verdict pointer takes: recording a
+// verdict allocates nothing. Nobody writes through them.
+var verdicts = [2]bool{false, true}
+
+func verdict(ok bool) *bool {
+	if ok {
+		return &verdicts[1]
+	}
+	return &verdicts[0]
 }
 
 // laneMatches recomputes this receiver's HMAC lane over the packet's
@@ -657,75 +677,83 @@ func (r *Receiver) handleAOM(hdr *wire.AOMHeader, payload []byte, pre *PreVerifi
 		r.mu.Unlock()
 		return // corrupted or mismatched payload
 	}
+	p := &authPkt{hdr: hdr, payload: payload}
 	var laneOK, sigOK *bool
 	if pre != nil {
 		laneOK, sigOK = pre.LaneOK, pre.SigOK
+		p.links, p.decoded = pre.Suffix, pre.Decoded
 	}
 	switch r.cfg.Variant {
 	case wire.AuthHMAC:
-		r.handleHM(hdr, payload, laneOK)
+		r.handleHM(p, laneOK)
 	case wire.AuthPK:
-		var suffix []ChainLink
-		if pre != nil {
-			suffix = pre.Suffix
-		}
-		r.handlePK(hdr, payload, sigOK, suffix)
+		r.handlePK(p, sigOK)
 	}
 	deliveries := r.collectDeliveriesLocked()
 	cf := r.takeConfirmBatchLocked(false)
 	r.mu.Unlock()
 
 	r.sendConfirms(cf)
-	for _, d := range deliveries {
-		r.cfg.Deliver(d)
-	}
+	r.deliver(deliveries)
 }
 
 // handleHM processes one aom-hm subgroup packet. laneOK, when non-nil,
-// is the pre-verified own-lane verdict. Caller holds r.mu.
-func (r *Receiver) handleHM(hdr *wire.AOMHeader, payload []byte, laneOK *bool) {
+// is the pre-verified own-lane verdict. A group of one subgroup needs no
+// assembly: the packet's own Auth is the whole vector. Caller holds r.mu.
+func (r *Receiver) handleHM(p *authPkt, laneOK *bool) {
+	hdr := p.hdr
 	nsub := int(hdr.NumSubgroups)
 	if nsub == 0 || int(hdr.Subgroup) >= nsub {
 		return
 	}
-	a := r.asm[hdr.Seq]
-	if a == nil {
-		a = &hmAsm{hdr: hdr, payload: append([]byte(nil), payload...), parts: make(map[uint8][]byte, nsub)}
-		r.asm[hdr.Seq] = a
-	}
-	if a.hdr.Digest != hdr.Digest {
-		return // conflicting packet for the same seq; keep the first copy
-	}
-	if _, dup := a.parts[hdr.Subgroup]; dup {
+	own := int(hdr.Subgroup) == r.cfg.SelfIndex/4
+	if nsub == 1 {
+		if own && r.laneOK(hdr, laneOK) {
+			p.vector = hdr.Auth
+			r.authenticated(p)
+		}
 		return
 	}
-	a.parts[hdr.Subgroup] = append([]byte(nil), hdr.Auth...)
-
+	a := r.asm[hdr.Seq]
+	if a == nil {
+		a = &hmAsm{authPkt: *p, parts: make([][]byte, nsub)}
+		r.asm[hdr.Seq] = a
+	}
+	if a.hdr.Digest != hdr.Digest || len(a.parts) != nsub {
+		return // conflicting packet for the same seq; keep the first copy
+	}
+	if a.parts[hdr.Subgroup] != nil {
+		return
+	}
+	a.parts[hdr.Subgroup] = hdr.Auth
+	a.got++
 	// Verify our own lane when the covering subgroup part arrives.
-	ownSub := uint8(r.cfg.SelfIndex / 4)
-	if hdr.Subgroup == ownSub {
-		ok := false
-		if laneOK != nil {
-			ok = *laneOK
-		} else {
-			ok = laneMatches(hdr, r.hmKey, r.cfg.SelfIndex)
-		}
-		if !ok {
+	if own {
+		if !r.laneOK(hdr, laneOK) {
 			delete(r.asm, hdr.Seq) // forged or truncated packet
-			r.mLaneFail.Inc()
-			r.trace.Record(tkAOMLaneFail, hdr.Seq, 0)
 			return
 		}
 		a.ownOK = true
 	}
-	if a.ownOK && len(a.parts) == nsub {
-		vector := make([]byte, 0, 4*len(r.cfg.Members))
-		for s := 0; s < nsub; s++ {
-			vector = append(vector, a.parts[uint8(s)]...)
+	if a.ownOK && a.got == nsub {
+		a.vector = make([]byte, 0, 4*len(r.cfg.Members))
+		for _, part := range a.parts {
+			a.vector = append(a.vector, part...)
 		}
 		delete(r.asm, hdr.Seq)
-		r.authenticated(&authPkt{hdr: a.hdr, payload: a.payload, vector: vector})
+		r.authenticated(&a.authPkt)
 	}
+}
+
+// laneOK checks this receiver's lane of hdr, taking the pre-verified
+// verdict when there is one, and counts a failure. Caller holds r.mu.
+func (r *Receiver) laneOK(hdr *wire.AOMHeader, pre *bool) bool {
+	if pre != nil && *pre || pre == nil && laneMatches(hdr, r.hmKey, r.cfg.SelfIndex) {
+		return true
+	}
+	r.mLaneFail.Inc()
+	r.cfg.Metrics.Recorder().Record(tkAOMLaneFail, hdr.Seq, 0)
+	return false
 }
 
 // maxParkedCopies bounds the distinct copies of one unsigned aom-pk
@@ -734,18 +762,19 @@ func (r *Receiver) handleHM(hdr *wire.AOMHeader, payload []byte, laneOK *bool) {
 const maxParkedCopies = 4
 
 // handlePK processes one aom-pk packet. sigOK, when non-nil, is the
-// pre-verified sequencer-signature verdict; a non-empty suffix means a
+// pre-verified sequencer-signature verdict; a non-empty p.links means a
 // verification worker authenticated the packet through the hash chain
 // (PreVerifyBatch). Caller holds r.mu.
-func (r *Receiver) handlePK(hdr *wire.AOMHeader, payload []byte, sigOK *bool, suffix []ChainLink) {
+func (r *Receiver) handlePK(p *authPkt, sigOK *bool) {
+	hdr := p.hdr
 	if r.ready[hdr.Seq] != nil {
 		return
 	}
-	if len(suffix) == 0 && !hdr.Signed {
-		r.park(hdr, payload)
+	if len(p.links) == 0 && !hdr.Signed {
+		r.park(p)
 		return
 	}
-	if len(suffix) == 0 {
+	if len(p.links) == 0 {
 		ok := false
 		if sigOK != nil {
 			ok = *sigOK
@@ -755,11 +784,10 @@ func (r *Receiver) handlePK(hdr *wire.AOMHeader, payload []byte, sigOK *bool, su
 		}
 		if !ok {
 			r.mSigFail.Inc()
-			r.trace.Record(tkAOMSigFail, hdr.Seq, 0)
+			r.cfg.Metrics.Recorder().Record(tkAOMSigFail, hdr.Seq, 0)
 			return
 		}
 	}
-	p := &authPkt{hdr: hdr, payload: append([]byte(nil), payload...), links: suffix}
 	delete(r.pend, hdr.Seq)
 	r.authenticated(p)
 	r.walkChainBack(p)
@@ -768,7 +796,8 @@ func (r *Receiver) handlePK(hdr *wire.AOMHeader, payload []byte, sigOK *bool, su
 // park holds an unsigned aom-pk packet until a signed successor
 // authenticates the chain, keeping each distinct copy so that the walk
 // back can adopt the genuine one. Caller holds r.mu.
-func (r *Receiver) park(hdr *wire.AOMHeader, payload []byte) {
+func (r *Receiver) park(p *authPkt) {
+	hdr := p.hdr
 	copies := r.pend[hdr.Seq]
 	if len(copies) >= maxParkedCopies {
 		return
@@ -778,7 +807,7 @@ func (r *Receiver) park(hdr *wire.AOMHeader, payload []byte) {
 			return // a duplicate
 		}
 	}
-	r.pend[hdr.Seq] = append(copies, &authPkt{hdr: hdr, payload: append([]byte(nil), payload...)})
+	r.pend[hdr.Seq] = append(copies, p)
 	// A late arrival whose successor is already authenticated joins its
 	// chain now.
 	if next := r.ready[hdr.Seq+1]; next != nil {
@@ -923,9 +952,7 @@ func (r *Receiver) handleConfirm(pkt []byte, oks []bool) {
 	}
 	deliveries := r.collectDeliveriesLocked()
 	r.mu.Unlock()
-	for _, d := range deliveries {
-		r.cfg.Deliver(d)
-	}
+	r.deliver(deliveries)
 }
 
 // takeConfirmBatchLocked returns pending confirm entries if a flush is
@@ -990,18 +1017,18 @@ func (r *Receiver) flushLoop(every time.Duration) {
 // --- ordered delivery ---------------------------------------------------
 
 // collectDeliveriesLocked advances nextSeq as far as possible, producing
-// in-order deliveries and drop-notifications. A gap is declared only when
-// a later packet is deliverable (the gap is then permanent for this
-// receiver). Caller holds r.mu.
+// in-order deliveries and drop-notifications in the receiver's reused
+// buffer. A gap is declared only when a later packet is deliverable (the
+// gap is then permanent for this receiver). Caller holds r.mu.
 func (r *Receiver) collectDeliveriesLocked() []Delivery {
-	var out []Delivery
+	out := r.deliveries[:0]
 	for {
 		// Deliver the head if it is ready.
 		if p := r.ready[r.nextSeq]; p != nil && r.deliverableLocked(r.nextSeq) {
 			cert := r.certFor(p)
 			delete(r.ready, r.nextSeq)
 			r.cleanupSeqLocked(r.nextSeq)
-			out = append(out, Delivery{Epoch: r.epoch, Seq: r.nextSeq, Payload: p.payload, Cert: cert})
+			out = append(out, Delivery{Epoch: r.epoch, Seq: r.nextSeq, Payload: p.payload, Cert: cert, Decoded: p.decoded})
 			if trace, parent := r.cfg.Tracer.Active(); trace != 0 {
 				r.cfg.Tracer.Span(r.cfg.Tracer.SpanID(), trace, parent,
 					tracing.PhaseDeliver, time.Now(), 0, r.nextSeq, 0)
@@ -1017,7 +1044,7 @@ func (r *Receiver) collectDeliveriesLocked() []Delivery {
 			out = append(out, Delivery{Epoch: r.epoch, Seq: r.nextSeq, Dropped: true})
 			r.dropped++
 			r.mDropped.Inc()
-			r.trace.Record(tkAOMForcedDrop, r.nextSeq, uint64(r.epoch))
+			r.cfg.Metrics.Recorder().Record(tkAOMForcedDrop, r.nextSeq, uint64(r.epoch))
 			r.nextSeq++
 			continue
 		}
@@ -1030,10 +1057,20 @@ func (r *Receiver) collectDeliveriesLocked() []Delivery {
 		r.dropped++
 		r.mDropped.Inc()
 		r.mGaps.Inc()
-		r.trace.Record(tkAOMGap, r.nextSeq, uint64(r.epoch))
+		r.cfg.Metrics.Recorder().Record(tkAOMGap, r.nextSeq, uint64(r.epoch))
 		r.nextSeq++
 	}
+	r.deliveries = out
 	return out
+}
+
+// deliver hands collected deliveries to the owner, then clears them so
+// the reused buffer holds no packet.
+func (r *Receiver) deliver(ds []Delivery) {
+	for _, d := range ds {
+		r.cfg.Deliver(d)
+	}
+	clear(ds)
 }
 
 func (r *Receiver) deliverableLocked(seq uint64) bool {

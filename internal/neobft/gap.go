@@ -200,7 +200,7 @@ func (r *Replica) fillSlot(slot uint64, cert *aom.OrderingCert, gapCert *GapCert
 		return
 	}
 	if cert != nil {
-		r.appendRequest(cert)
+		r.appendRequest(cert, nil)
 	} else {
 		r.appendEntry(&logEntry{noOp: true, epoch: r.view.Epoch, gapCert: gapCert})
 		r.executeReady()

@@ -2,7 +2,6 @@ package neobft
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"neobft/internal/aom"
@@ -138,12 +137,6 @@ type Replica struct {
 	aomApplied uint64
 
 	stopOnce sync.Once
-
-	// preAuth caches client-MAC verdicts computed by verification
-	// workers, keyed by the aom payload digest; the loop consumes them
-	// in appendRequest. preAuthN bounds the map size.
-	preAuth  sync.Map // [32]byte → bool
-	preAuthN atomic.Int64
 
 	// counters
 	gapAgreed   uint64
@@ -353,9 +346,6 @@ type (
 	evProto struct{ pkt []byte }
 )
 
-// preAuthCap bounds the worker-side client-MAC verdict cache.
-const preAuthCap = 4096
-
 // VerifyPacket implements runtime.Handler. It runs on verification
 // workers and performs all cryptographic checks that need no replica
 // state: the aom authenticator lane/signature and payload digest (via
@@ -393,11 +383,12 @@ func (r *Replica) VerifyPacketBatch(froms []transport.NodeID, pkts [][]byte) []r
 }
 
 // aomEvent finishes worker-side processing of a packet the receiver
-// consumed: verify the carried client MAC while still off the loop, then
-// wrap the verdicts as an event.
+// consumed: decode the carried request and check its client MAC while
+// still off the loop, then wrap the verdicts as an event. The checked
+// request travels with the packet to appendRequest.
 func (r *Replica) aomEvent(pkt []byte, pre *aom.PreVerified) runtime.Event {
 	if pre != nil && pre.Hdr != nil && pre.DigestOK {
-		r.preVerifyPayload(pre)
+		pre.Decoded = r.checkRequest(pre.Payload)
 	}
 	r.mMsgAOM.Inc()
 	return evAOM{pkt: pkt, pre: pre}
@@ -424,21 +415,16 @@ func (r *Replica) verifyOther(pkt []byte) runtime.Event {
 	return nil
 }
 
-// preVerifyPayload verifies the client MAC of the request carried in a
-// pre-verified aom packet and caches the verdict by payload digest for
-// appendRequest. Runs on verification workers.
-func (r *Replica) preVerifyPayload(pre *aom.PreVerified) {
-	req, err := replication.UnmarshalRequest(requestBody(pre.Payload))
-	if err != nil {
-		return
+// checkRequest decodes the client request an aom payload carries and
+// checks its MAC. It reads no loop state, so verification workers call
+// it. The entry it returns has only req and authOK set; req is nil when
+// the payload is no request.
+func (r *Replica) checkRequest(payload []byte) *logEntry {
+	e := &logEntry{}
+	if req, err := replication.UnmarshalRequest(requestBody(payload)); err == nil {
+		e.req, e.authOK = req, r.VerifyClient(req)
 	}
-	if r.preAuthN.Load() >= preAuthCap {
-		return // cache full; the loop falls back to inline verification
-	}
-	ok := r.VerifyClient(req)
-	if _, loaded := r.preAuth.LoadOrStore(pre.Hdr.Digest, ok); !loaded {
-		r.preAuthN.Add(1)
-	}
+	return e
 }
 
 // ApplyEvent implements runtime.Handler: ordered, single-threaded
@@ -506,7 +492,7 @@ func (r *Replica) processDelivery(d aom.Delivery) {
 	// behind; the committed decision wins over the raw delivery.
 	if g := r.gaps[slot]; g != nil && g.committed {
 		if g.committedRecv {
-			r.appendRequest(g.decision.cert)
+			r.appendRequest(g.decision.cert, nil)
 		} else {
 			r.appendEntry(&logEntry{noOp: true, epoch: r.view.Epoch, gapCert: g.gapCert})
 			r.executeReady()
@@ -517,26 +503,23 @@ func (r *Replica) processDelivery(d aom.Delivery) {
 		r.startGapResolution(slot)
 		return
 	}
-	r.appendRequest(d.Cert)
+	checked, _ := d.Decoded.(*logEntry)
+	r.appendRequest(d.Cert, checked)
 }
 
 // appendRequest appends an oc to the next log slot, speculatively
-// executes it and replies to the client (§5.3).
-func (r *Replica) appendRequest(cert *aom.OrderingCert) {
-	e := &logEntry{
-		cert:   cert,
-		epoch:  r.view.Epoch,
-		digest: cert.Digest, // verified against the payload by libAOM
+// executes it and replies to the client (§5.3). checked is the entry
+// checkRequest made for the oc's payload on a verification worker; when
+// there is none (inline receipt, an epoch switch while the packet was
+// queued, a gap decision) the request is decoded and checked here.
+func (r *Replica) appendRequest(cert *aom.OrderingCert, checked *logEntry) {
+	e := checked
+	if e == nil {
+		e = r.checkRequest(cert.Payload)
 	}
-	if req, err := replication.UnmarshalRequest(requestBody(cert.Payload)); err == nil {
-		e.req = req
-		if v, ok := r.preAuth.LoadAndDelete(cert.Digest); ok {
-			r.preAuthN.Add(-1)
-			e.authOK = v.(bool)
-		} else {
-			e.authOK = r.VerifyClient(req)
-		}
-	}
+	e.cert = cert
+	e.epoch = r.view.Epoch
+	e.digest = cert.Digest // verified against the payload by libAOM
 	r.appendEntry(e)
 	r.executeReady()
 }

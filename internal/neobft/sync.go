@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"neobft/internal/replica"
-	"neobft/internal/replication"
 	"neobft/internal/seqlog"
 	"neobft/internal/transport"
 	"neobft/internal/wire"
@@ -355,11 +354,8 @@ func (r *Replica) onStateReply(body []byte) {
 		if s, ok := r.certSlot(e.Cert); !ok || s != e.Slot {
 			break
 		}
-		le := &logEntry{cert: e.Cert, epoch: e.Epoch, digest: wire.Digest(e.Cert.Payload)}
-		if req, err := replication.UnmarshalRequest(requestBody(e.Cert.Payload)); err == nil {
-			le.req = req
-			le.authOK = r.cfg.ClientAuth.VerifyClient(int64(req.Client), req.SignedBody(), req.Auth)
-		}
+		le := r.checkRequest(e.Cert.Payload)
+		le.cert, le.epoch, le.digest = e.Cert, e.Epoch, wire.Digest(e.Cert.Payload)
 		r.appendEntry(le)
 	}
 	r.executeReady()

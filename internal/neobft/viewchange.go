@@ -6,7 +6,6 @@ import (
 
 	"neobft/internal/aom"
 	"neobft/internal/replica"
-	"neobft/internal/replication"
 	"neobft/internal/tracing"
 	"neobft/internal/transport"
 	"neobft/internal/wire"
@@ -462,14 +461,12 @@ func (r *Replica) adoptMerged(base uint64, merged []WireEntry, msgs []*viewChang
 		if e.Slot <= keep {
 			continue
 		}
-		le := &logEntry{noOp: e.NoOp, cert: e.Cert, epoch: e.Epoch, gapCert: e.Gap}
+		le := &logEntry{}
 		if !e.NoOp && e.Cert != nil {
+			le = r.checkRequest(e.Cert.Payload)
 			le.digest = wire.Digest(e.Cert.Payload)
-			if req, err := replication.UnmarshalRequest(requestBody(e.Cert.Payload)); err == nil {
-				le.req = req
-				le.authOK = r.cfg.ClientAuth.VerifyClient(int64(req.Client), req.SignedBody(), req.Auth)
-			}
 		}
+		le.noOp, le.cert, le.epoch, le.gapCert = e.NoOp, e.Cert, e.Epoch, e.Gap
 		r.appendEntry(le)
 	}
 	r.recomputeHashes(keep + 1)

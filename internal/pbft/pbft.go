@@ -75,6 +75,10 @@ type slot struct {
 	committed    bool
 	executed     bool
 	sentCommit   bool
+	// pp and ppSent are the primary's pre-prepare for the slot and when
+	// it last went out, so a lost one can be sent again.
+	pp     []byte
+	ppSent time.Time
 }
 
 type part struct {
@@ -497,16 +501,22 @@ func (r *Replica) tryIssue() {
 		s.view = r.view
 		s.batch = cut.Reqs
 		s.digest = batchDigest(cut.Reqs)
-
-		body := ppBody(r.view, seq, s.digest)
-		w := wire.NewWriter(256)
-		w.U8(kindPrePrepare)
-		w.VarBytes(body)
-		w.VarBytes(r.cfg.Auth.TagVector(body))
-		batch.MarshalInto(w, cut.Reqs)
-		r.Broadcast(w.Bytes())
+		r.sendPrePrepare(seq, s)
 		outstanding = r.seq - r.lastExec
 	}
+}
+
+// sendPrePrepare has the primary assign slot s, at seq, its batch: it
+// broadcasts the pre-prepare and keeps it for onTick to send again.
+func (r *Replica) sendPrePrepare(seq uint64, s *slot) {
+	body := ppBody(s.view, seq, s.digest)
+	w := wire.NewWriter(256)
+	w.U8(kindPrePrepare)
+	w.VarBytes(body)
+	w.VarBytes(r.cfg.Auth.TagVector(body))
+	batch.MarshalInto(w, s.batch)
+	s.pp, s.ppSent = w.Bytes(), time.Now()
+	r.Broadcast(s.pp)
 }
 
 // --- three-phase agreement -------------------------------------------------
@@ -639,9 +649,20 @@ func (r *Replica) executeReady() {
 
 // --- timers ---------------------------------------------------------------
 
-// onTick runs on the runtime loop via ArmEvery.
+// onTick runs on the runtime loop via ArmEvery. The primary sends again
+// every pre-prepare that has not committed within half a RequestTimeout:
+// a backup that missed one learns of its requests only from client
+// retries, and suspects the primary a whole RequestTimeout after that.
 func (r *Replica) onTick() {
 	now := time.Now()
+	if r.isPrimary() && !r.inVC {
+		for seq := r.lastExec + 1; seq <= r.seq; seq++ {
+			if s, ok := r.log.Get(seq); ok && !s.committed && s.pp != nil && now.Sub(s.ppSent) > r.cfg.RequestTimeout/2 {
+				s.ppSent = now
+				r.Broadcast(s.pp)
+			}
+		}
+	}
 	if !r.inVC {
 		for key, since := range r.pendingClientReqs {
 			if now.Sub(since) > r.cfg.RequestTimeout {

@@ -219,6 +219,56 @@ func TestBatching(t *testing.T) {
 	}
 }
 
+// TestLostPrePrepareResent cuts the backups off until the primary's
+// queue outgrows its window, so the pre-prepares of the window are lost.
+// The primary sends them again before a backup suspects it: the run ends
+// in view 0, in about half a RequestTimeout, not after a view change.
+func TestLostPrePrepareResent(t *testing.T) {
+	c := newCluster(t, 4, false)
+	for _, id := range c.members[1:] {
+		c.net.BlockNode(id, true)
+	}
+	start := time.Now()
+	const clients = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		cl := c.client(t, i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cl.Invoke([]byte{1}, 10*time.Second); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	p := c.replicas[0]
+	deadline := time.Now().Add(5 * time.Second)
+	for replica.Read(p.Core, p.queue.Len) <= window {
+		if time.Now().After(deadline) {
+			t.Fatal("the primary's queue never outgrew its window")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, id := range c.members[1:] {
+		c.net.BlockNode(id, false)
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	for i, r := range c.replicas {
+		if v := r.View(); v != 0 {
+			t.Fatalf("replica %d is in view %d: the lost pre-prepares cost a view change", i, v)
+		}
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Fatalf("the run took %v", elapsed)
+	}
+}
+
 func TestPrimaryFailureViewChange(t *testing.T) {
 	c := newCluster(t, 4, true)
 	cl := c.client(t, 0)

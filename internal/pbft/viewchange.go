@@ -408,14 +408,9 @@ func (r *Replica) enterNewView(view uint64, msgs []*vcMsg) {
 		s.sentCommit = false
 		s.prepares = map[uint32][]byte{}
 		s.commits = map[uint32][]byte{}
+		s.pp = nil
 		if r.isPrimary() {
-			body := ppBody(view, seq, digest)
-			w := wire.NewWriter(256)
-			w.U8(kindPrePrepare)
-			w.VarBytes(body)
-			w.VarBytes(r.cfg.Auth.TagVector(body))
-			batch.MarshalInto(w, reqs)
-			r.Broadcast(w.Bytes())
+			r.sendPrePrepare(seq, s)
 		} else {
 			// Backups prepare the re-issued slot immediately.
 			pb := prepBody(view, seq, digest, uint32(r.cfg.Self))

@@ -153,7 +153,8 @@ func (c *Core) SetWindow(low, high uint64) {
 
 // VerifyClient checks req's client MAC, counting a failure.
 func (c *Core) VerifyClient(req *replication.Request) bool {
-	if c.cfg.ClientAuth.VerifyClient(int64(req.Client), req.SignedBody(), req.Auth) {
+	var body [256]byte // a larger body grows onto the heap
+	if c.cfg.ClientAuth.VerifyClient(int64(req.Client), req.AppendSignedBody(body[:0]), req.Auth) {
 		return true
 	}
 	c.AuthFail.Inc()
@@ -197,7 +198,8 @@ func (c *Core) Execute(req *replication.Request, rep replication.Reply) (*replic
 	rep.Replica = uint32(c.cfg.Self)
 	rep.ReqID = req.ReqID
 	rep.Result = result
-	rep.Auth = c.cfg.ClientAuth.TagFor(int64(req.Client), rep.SignedBody())
+	var body [256]byte // a larger body grows onto the heap
+	rep.Auth = c.cfg.ClientAuth.TagFor(int64(req.Client), rep.AppendSignedBody(body[:0]))
 	out := &rep
 	c.Table.Store(req.Client, req.ReqID, out)
 	return out, undo

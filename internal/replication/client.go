@@ -1,7 +1,9 @@
 package replication
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,17 +99,22 @@ type Client struct {
 	gInflight *metrics.Gauge
 }
 
-type replyKey struct {
+// vote is one distinct reply to a call and the replicas that sent it.
+type vote struct {
 	view    uint64
 	slot    uint64
 	logHash [32]byte
-	result  string
+	result  []byte
+	voters  []uint64 // bit i: replica i sent this reply
+	count   int
 }
 
 type call struct {
-	c     *Client
-	req   *Request
-	votes map[replyKey]map[uint32]bool
+	c   *Client
+	req *Request
+	// votes holds one entry per distinct reply: replicas that agree share
+	// one, so a call rarely has more than one.
+	votes []vote
 	// quorum receives the result when enough matching replies arrive.
 	quorum chan []byte
 	// ready is closed when this call and every earlier one finished.
@@ -155,11 +162,11 @@ func (c *Client) Start(op []byte, deadline time.Duration) Call {
 	c.mu.Lock()
 	c.reqID++
 	req := &Request{Client: c.cfg.Conn.ID(), ReqID: c.reqID, Op: op}
-	req.Auth = c.cfg.Auth.TagVector(req.SignedBody())
+	var body [256]byte // a larger body grows onto the heap
+	req.Auth = c.cfg.Auth.TagVector(req.AppendSignedBody(body[:0]))
 	k := &call{
 		c:      c,
 		req:    req,
-		votes:  make(map[replyKey]map[uint32]bool),
 		quorum: make(chan []byte, 1),
 		ready:  make(chan struct{}),
 	}
@@ -185,32 +192,30 @@ func (k *call) Wait() ([]byte, error) {
 	return k.result, k.err
 }
 
-// run owns the call's timers: retransmission with exponential backoff
-// and the overall deadline.
+// run owns the call's one timer, which fires at the next
+// retransmission or at the deadline, whichever comes first. Each
+// unanswered retransmission doubles the interval up to MaxTimeout.
 func (k *call) run(deadline time.Duration) {
 	c := k.c
 	interval := c.cfg.Timeout
-	retrans := time.NewTimer(interval)
-	defer retrans.Stop()
-	overall := time.NewTimer(deadline)
-	defer overall.Stop()
+	end := time.Now().Add(deadline)
+	t := time.NewTimer(min(interval, deadline))
+	defer t.Stop()
 	for {
 		select {
 		case result := <-k.quorum:
 			k.finish(result, nil)
 			return
-		case <-retrans.C:
+		case <-t.C:
+			if time.Until(end) <= 0 {
+				c.mTimeouts.Inc()
+				k.finish(nil, fmt.Errorf("client %d: request %d timed out", c.cfg.Conn.ID(), k.req.ReqID))
+				return
+			}
 			c.cfg.Submit(k.req, true)
 			c.mRetrans.Inc()
-			interval *= 2
-			if interval > c.cfg.MaxTimeout {
-				interval = c.cfg.MaxTimeout
-			}
-			retrans.Reset(interval)
-		case <-overall.C:
-			c.mTimeouts.Inc()
-			k.finish(nil, fmt.Errorf("client %d: request %d timed out", c.cfg.Conn.ID(), k.req.ReqID))
-			return
+			interval = min(2*interval, c.cfg.MaxTimeout)
+			t.Reset(min(interval, time.Until(end)))
 		}
 	}
 }
@@ -253,7 +258,8 @@ func (c *Client) OnReply(rep *Reply) {
 	if int(rep.Replica) >= c.cfg.N {
 		return
 	}
-	if !c.cfg.Auth.VerifyFrom(int(rep.Replica), rep.SignedBody(), rep.Auth) {
+	var body [256]byte // a larger body grows onto the heap
+	if !c.cfg.Auth.VerifyFrom(int(rep.Replica), rep.AppendSignedBody(body[:0]), rep.Auth) {
 		return
 	}
 	if c.cfg.OnReplyHook != nil {
@@ -265,19 +271,26 @@ func (c *Client) OnReply(rep *Reply) {
 	if k == nil {
 		return
 	}
-	key := replyKey{result: string(rep.Result)}
+	var view, slot uint64
+	var logHash [32]byte
 	if c.cfg.MatchPosition {
-		key.view = rep.View
-		key.slot = rep.Slot
-		key.logHash = rep.LogHash
+		view, slot, logHash = rep.View, rep.Slot, rep.LogHash
 	}
-	voters := k.votes[key]
-	if voters == nil {
-		voters = make(map[uint32]bool)
-		k.votes[key] = voters
+	i := slices.IndexFunc(k.votes, func(v vote) bool {
+		return v.view == view && v.slot == slot && v.logHash == logHash && bytes.Equal(v.result, rep.Result)
+	})
+	if i < 0 {
+		i = len(k.votes)
+		k.votes = append(k.votes, vote{view: view, slot: slot, logHash: logHash, result: rep.Result,
+			voters: make([]uint64, (c.cfg.N+63)/64)})
 	}
-	voters[rep.Replica] = true
-	if len(voters) >= c.cfg.Quorum {
+	v := &k.votes[i]
+	word, bit := rep.Replica/64, uint64(1)<<(rep.Replica%64)
+	if v.voters[word]&bit == 0 {
+		v.voters[word] |= bit
+		v.count++
+	}
+	if v.count >= c.cfg.Quorum {
 		select {
 		case k.quorum <- rep.Result:
 		default:

@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzUnmarshal exercises the wire.Reader-based decoders with arbitrary
-// bytes: decoders must never panic, and any value that decodes must
+// bytes: decoders must never panic, any value that decodes must
 // round-trip exactly through Marshal (after stripping the envelope
-// kind).
+// kind), and an append to a decoded field, a view into the input, must
+// leave the input and the bytes after it unchanged.
 func FuzzUnmarshal(f *testing.F) {
 	req := &Request{Client: 10007, ReqID: 42, Op: []byte("get k"), Auth: []byte("mac-vector")}
 	rep := &Reply{View: 3, Replica: 2, Slot: 99, ReqID: 42, Result: []byte("v"),
@@ -22,21 +23,37 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if r, err := UnmarshalRequest(data); err == nil {
+		buf := append(bytes.Clone(data), "tail"...)
+		msg, before := buf[:len(data)], bytes.Clone(buf)
+		if r, err := UnmarshalRequest(msg); err == nil {
 			if got := r.Marshal()[1:]; !bytes.Equal(got, data) {
 				t.Fatalf("request did not round-trip:\n in  %x\n out %x", data, got)
 			}
 			// SignedBody and digest must be computable on any decoded value.
 			_ = r.SignedBody()
 			_ = RequestDigest(r)
+			grow(r.Op, r.Auth)
 		}
-		if r, err := UnmarshalReply(data); err == nil {
+		if r, err := UnmarshalReply(msg); err == nil {
 			if got := r.Marshal()[1:]; !bytes.Equal(got, data) {
 				t.Fatalf("reply did not round-trip:\n in  %x\n out %x", data, got)
 			}
 			_ = r.SignedBody()
+			grow(r.Result, r.Auth)
+		}
+		if !bytes.Equal(buf, before) {
+			t.Fatalf("an append to a decoded field changed the input:\n was %x\n now %x", before, buf)
 		}
 	})
+}
+
+// grow appends a byte to each field, as a consumer that forgot the
+// fields are views would.
+func grow(fields ...[]byte) (n int) {
+	for _, f := range fields {
+		n += len(append(f, 0xFF))
+	}
+	return n
 }
 
 // FuzzRoundTrip drives the encoders from structured corpus values and

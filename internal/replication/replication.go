@@ -9,6 +9,7 @@ package replication
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 
 	"neobft/internal/crypto/auth"
 	"neobft/internal/transport"
@@ -280,35 +281,34 @@ type Request struct {
 	Auth []byte
 }
 
-// Marshal encodes the request with its envelope kind.
+// Marshal encodes the request with its envelope kind: the kind, the
+// signed body, then the MAC vector.
 func (r *Request) Marshal() []byte {
-	w := wire.NewWriter(64 + len(r.Op) + len(r.Auth))
-	w.U8(KindRequest)
-	w.U32(uint32(r.Client))
-	w.U64(r.ReqID)
-	w.VarBytes(r.Op)
-	w.VarBytes(r.Auth)
-	return w.Bytes()
+	buf := append(make([]byte, 0, 1+16+len(r.Op)+4+len(r.Auth)), KindRequest)
+	return wire.AppendVarBytes(r.AppendSignedBody(buf), r.Auth)
 }
 
 // SignedBody returns the byte string the client authenticates.
-func (r *Request) SignedBody() []byte {
-	w := wire.NewWriter(32 + len(r.Op))
-	w.U32(uint32(r.Client))
-	w.U64(r.ReqID)
-	w.VarBytes(r.Op)
-	return w.Bytes()
+func (r *Request) SignedBody() []byte { return r.AppendSignedBody(make([]byte, 0, 16+len(r.Op))) }
+
+// AppendSignedBody appends SignedBody's bytes to buf, so a check can
+// build them in a buffer on its stack.
+func (r *Request) AppendSignedBody(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Client))
+	buf = binary.LittleEndian.AppendUint64(buf, r.ReqID)
+	return wire.AppendVarBytes(buf, r.Op)
 }
 
 // UnmarshalRequest decodes a request (after the kind byte has been
-// consumed or at offset 1 of a raw packet).
+// consumed or at offset 1 of a raw packet). Op and Auth are read-only
+// views into body; the Request is the only allocation.
 func UnmarshalRequest(body []byte) (*Request, error) {
 	rd := wire.NewReader(body)
 	r := &Request{}
 	r.Client = transport.NodeID(rd.U32())
 	r.ReqID = rd.U64()
-	r.Op = append([]byte(nil), rd.VarBytes()...)
-	r.Auth = append([]byte(nil), rd.VarBytes()...)
+	r.Op = rd.VarBytes()
+	r.Auth = rd.VarBytes()
 	if err := rd.Done(); err != nil {
 		return nil, err
 	}
@@ -331,35 +331,33 @@ type Reply struct {
 	Auth []byte
 }
 
-// Marshal encodes the reply with its envelope kind.
+// Marshal encodes the reply with its envelope kind: the kind, the
+// signed body, then the MAC.
 func (r *Reply) Marshal() []byte {
-	w := wire.NewWriter(96 + len(r.Result) + len(r.Auth))
-	w.U8(KindReply)
-	w.U64(r.View)
-	w.U32(r.Replica)
-	w.U64(r.Slot)
-	w.Bytes32(r.LogHash)
-	w.U64(r.ReqID)
-	w.Bool(r.Speculative)
-	w.VarBytes(r.Result)
-	w.VarBytes(r.Auth)
-	return w.Bytes()
+	buf := append(make([]byte, 0, 1+65+len(r.Result)+4+len(r.Auth)), KindReply)
+	return wire.AppendVarBytes(r.AppendSignedBody(buf), r.Auth)
 }
 
 // SignedBody returns the byte string the replica authenticates.
-func (r *Reply) SignedBody() []byte {
-	w := wire.NewWriter(96 + len(r.Result))
-	w.U64(r.View)
-	w.U32(r.Replica)
-	w.U64(r.Slot)
-	w.Bytes32(r.LogHash)
-	w.U64(r.ReqID)
-	w.Bool(r.Speculative)
-	w.VarBytes(r.Result)
-	return w.Bytes()
+func (r *Reply) SignedBody() []byte { return r.AppendSignedBody(make([]byte, 0, 65+len(r.Result))) }
+
+// AppendSignedBody appends SignedBody's bytes to buf, so a check can
+// build them in a buffer on its stack.
+func (r *Reply) AppendSignedBody(buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, r.View)
+	buf = binary.LittleEndian.AppendUint32(buf, r.Replica)
+	buf = binary.LittleEndian.AppendUint64(buf, r.Slot)
+	buf = append(buf, r.LogHash[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, r.ReqID)
+	spec := byte(0)
+	if r.Speculative {
+		spec = 1
+	}
+	return wire.AppendVarBytes(append(buf, spec), r.Result)
 }
 
-// UnmarshalReply decodes a reply body.
+// UnmarshalReply decodes a reply body. Result and Auth are read-only
+// views into body; the Reply is the only allocation.
 func UnmarshalReply(body []byte) (*Reply, error) {
 	rd := wire.NewReader(body)
 	r := &Reply{}
@@ -369,8 +367,8 @@ func UnmarshalReply(body []byte) (*Reply, error) {
 	r.LogHash = rd.Bytes32()
 	r.ReqID = rd.U64()
 	r.Speculative = rd.Bool()
-	r.Result = append([]byte(nil), rd.VarBytes()...)
-	r.Auth = append([]byte(nil), rd.VarBytes()...)
+	r.Result = rd.VarBytes()
+	r.Auth = rd.VarBytes()
 	if err := rd.Done(); err != nil {
 		return nil, err
 	}
@@ -379,7 +377,8 @@ func UnmarshalReply(body []byte) (*Reply, error) {
 
 // RequestDigest hashes a request for log hashing and certificates.
 func RequestDigest(r *Request) [32]byte {
-	return sha256.Sum256(r.SignedBody())
+	var body [256]byte // a larger body grows onto the heap
+	return sha256.Sum256(r.AppendSignedBody(body[:0]))
 }
 
 // ChainHash extends a hash chain: H(prev ‖ entry). Used for the O(1)

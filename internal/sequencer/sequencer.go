@@ -131,7 +131,6 @@ type Switch struct {
 	mStamped *metrics.Counter
 	mSigned  *metrics.Counter
 	mDrops   *metrics.Counter
-	trace    *metrics.Recorder
 }
 
 // New creates a switch on the given connection. The connection's handler
@@ -156,7 +155,6 @@ func New(conn transport.Conn, opts Options) *Switch {
 		s.mStamped = reg.Counter("seq_stamped_total")
 		s.mSigned = reg.Counter("seq_signed_total")
 		s.mDrops = reg.Counter("seq_injected_drops_total")
-		s.trace = reg.Recorder()
 		// Fraction of stamped aom-pk packets carrying a real signature
 		// (the rest ride the hash chain); 0 when nothing stamped yet.
 		reg.Func("seq_signing_ratio", func() float64 {
@@ -297,7 +295,7 @@ func (s *Switch) handle(from transport.NodeID, pktBytes []byte) {
 	if s.fault == FaultDropAll || s.dropSeqs[seq] {
 		delete(s.dropSeqs, seq)
 		s.mDrops.Inc()
-		s.trace.Record(tkSeqDrop, seq, uint64(hdr.Group))
+		s.opts.Metrics.Recorder().Record(tkSeqDrop, seq, uint64(hdr.Group))
 		// The counter advanced: receivers will observe a gap.
 		if s.opts.Variant == wire.AuthPK {
 			stamp.Chain = g.chain
@@ -323,7 +321,7 @@ func (s *Switch) handle(from transport.NodeID, pktBytes []byte) {
 		equivFrom := len(members)
 		if s.fault == FaultEquivocate {
 			equivFrom = len(members) - s.equivVictims
-			s.trace.Record(tkSeqEquiv, seq, uint64(s.equivVictims))
+			s.opts.Metrics.Recorder().Record(tkSeqEquiv, seq, uint64(s.equivVictims))
 		}
 		s.mu.Unlock()
 		s.emitPK(members, &stamp, payload, equivFrom)

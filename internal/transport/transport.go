@@ -17,8 +17,12 @@ const NilNode NodeID = -1
 // Handler processes one inbound packet. Implementations of Conn invoke
 // the handler sequentially from a single goroutine per node, so protocol
 // state machines need no internal locking for message processing. The
-// packet's ownership passes to the handler: the transport never reuses
-// or mutates the slice after delivery.
+// packet's bytes are shared and read-only: a fabric may hand one slice
+// to several handlers (simnet gives every member of a multicast the
+// sender's slice, and a duplicated packet reaches one node twice), and
+// the transport never reuses or mutates it after delivery. Decoders may
+// therefore keep views into it for as long as they like; a handler that
+// needs to write copies first.
 type Handler func(from NodeID, packet []byte)
 
 // Conn is one node's attachment to the network. Send is best-effort and

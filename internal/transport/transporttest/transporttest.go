@@ -325,8 +325,9 @@ func testLargeInBurst(t *testing.T, fab transport.Fabric) {
 // two destinations, the pattern a fabric that shares datagrams between
 // packets has to take apart again. Each receiver must see exactly the
 // packets addressed to it, byte for byte and in the order sent, never two
-// at once; and because ownership passes to the handler, it appends to
-// every slice it is given, which must not reach the next packet. The
+// at once; and because handlers keep views into what they receive, it
+// appends to every slice it is given, which must not reach the next
+// packet. The
 // sender waits for each run to arrive before the next, so a best-effort
 // fabric has no buffer overflow to excuse a loss with.
 func testCoalescedRun(t *testing.T, fab transport.Fabric) {

@@ -213,7 +213,6 @@ type Conn struct {
 	txCalls, rxCalls   *metrics.Counter
 	drops              [nDropKinds]*metrics.Counter
 	traced             [nDropKinds]atomic.Bool
-	rec                *metrics.Recorder
 }
 
 var (
@@ -267,7 +266,6 @@ func listenAddr(id transport.NodeID, book *AddressBook, bind *net.UDPAddr, cfg C
 	for k := range c.drops {
 		c.drops[k] = reg.Counter(dropCounterNames[k])
 	}
-	c.rec = reg.Recorder()
 	go c.readLoop()
 	return c, nil
 }
@@ -410,7 +408,7 @@ func (c *Conn) drop(kind dropKind, n uint64, peer transport.NodeID, detail uint6
 		if kind >= dropRxOverflow {
 			tk = traceRxDrop
 		}
-		c.rec.Record(tk, uint64(uint32(peer)), uint64(kind)<<32|detail&0xffffffff)
+		c.cfg.Metrics.Recorder().Record(tk, uint64(uint32(peer)), uint64(kind)<<32|detail&0xffffffff)
 	}
 }
 
@@ -446,11 +444,11 @@ func (c *Conn) readLoop() {
 }
 
 // deliver hands one datagram's messages to the handler. The frame body is
-// copied out of the staging slot once, because ownership passes to the
-// handler; each message is a sub-slice capped at its own end, so an
-// append cannot reach its neighbour. A length that overruns the datagram
-// ends the walk: the messages before it are delivered, the rest counts
-// as one short drop.
+// copied out of the staging slot once, because handlers keep views into
+// what they receive; each message is a sub-slice capped at its own end,
+// so an append cannot reach its neighbour. A length that overruns the
+// datagram ends the walk: the messages before it are delivered, the rest
+// counts as one short drop.
 func (c *Conn) deliver(dgram []byte) {
 	if len(dgram) < headerLen {
 		c.drop(dropRxShort, 1, c.id, uint64(len(dgram)))

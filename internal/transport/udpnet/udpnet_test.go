@@ -439,8 +439,8 @@ func waitCount(t *testing.T, c *atomic.Int64, want int64) {
 
 // TestUDPAllocs guards the packet path's allocation budget: Send frames
 // into pooled buffers (none), and a received datagram costs exactly the
-// one copy whose ownership passes to the handler, however many messages
-// share it.
+// one copy that handlers keep views into, however many messages share
+// it.
 func TestUDPAllocs(t *testing.T) {
 	f := NewLoopback(FabricConfig{Config: Config{RcvBuf: 1 << 20}})
 	defer f.Close()

@@ -80,7 +80,8 @@ func EncodeAOM(w *Writer, h *AOMHeader, payload []byte) {
 }
 
 // DecodeAOM parses an aom packet, returning the header and the payload.
-// The payload aliases buf.
+// The header's Auth and the payload are read-only views into buf, each
+// capped at its own end; the header is the only allocation.
 func DecodeAOM(buf []byte) (*AOMHeader, []byte, error) {
 	r := NewReader(buf)
 	if r.U16() != aomMagic {
@@ -96,7 +97,7 @@ func DecodeAOM(buf []byte) (*AOMHeader, []byte, error) {
 	h.Seq = r.U64()
 	h.Digest = r.Bytes32()
 	h.Chain = r.Bytes32()
-	h.Auth = append([]byte(nil), r.VarBytes()...)
+	h.Auth = r.VarBytes()
 	payload := r.VarBytes()
 	if err := r.Done(); err != nil {
 		return nil, nil, err

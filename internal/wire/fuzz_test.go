@@ -22,9 +22,27 @@ func seedPacket(kind AuthKind, signed bool, auth, payload []byte) []byte {
 	return w.Bytes()
 }
 
+// withTail returns data in a buffer followed by more bytes, as a message
+// shares its datagram with the next, and the whole buffer.
+func withTail(data []byte) (msg, buf []byte) {
+	buf = append(bytes.Clone(data), "tail"...)
+	return buf[:len(data)], buf
+}
+
+// grow appends a byte to each field, as a consumer that forgot the
+// fields are views would.
+func grow(fields ...[]byte) (n int) {
+	for _, f := range fields {
+		n += len(append(f, 0xFF))
+	}
+	return n
+}
+
 // FuzzDecodeAOM checks that packet decoding never panics on arbitrary
-// bytes and that every successfully decoded packet re-encodes to the
-// exact input (decode is the inverse of encode on its image).
+// bytes, that every successfully decoded packet re-encodes to the exact
+// input (decode is the inverse of encode on its image), and that an
+// append to a decoded field, a view into the packet, leaves the packet
+// and the bytes after it unchanged.
 func FuzzDecodeAOM(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xB1, 0xA0})
@@ -33,9 +51,15 @@ func FuzzDecodeAOM(f *testing.F) {
 	f.Add(seedPacket(AuthPK, true, make([]byte, 64), []byte("op")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, payload, err := DecodeAOM(data)
+		msg, buf := withTail(data)
+		h, payload, err := DecodeAOM(msg)
 		if err != nil {
 			return
+		}
+		before := bytes.Clone(buf)
+		grow(h.Auth, payload)
+		if !bytes.Equal(buf, before) {
+			t.Fatalf("an append to a decoded field changed the buffer:\n was %x\n now %x", before, buf)
 		}
 		// These must not panic regardless of field values.
 		_ = h.AuthInput()

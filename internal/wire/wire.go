@@ -77,9 +77,13 @@ func (w *Writer) Bool(v bool) {
 func (w *Writer) Bytes32(v [32]byte) { w.buf = append(w.buf, v[:]...) }
 
 // VarBytes appends a length-prefixed (uint32) byte string.
-func (w *Writer) VarBytes(v []byte) {
-	w.U32(uint32(len(v)))
-	w.buf = append(w.buf, v...)
+func (w *Writer) VarBytes(v []byte) { w.buf = AppendVarBytes(w.buf, v) }
+
+// AppendVarBytes is VarBytes for an encoder that appends to a plain
+// slice: unlike a Writer's buffer, such a slice may live on the
+// caller's stack.
+func AppendVarBytes(buf, v []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(buf, uint32(len(v))), v...)
 }
 
 // VarAppend appends a length-prefixed byte string that fn appends to the
@@ -120,7 +124,8 @@ type Reader struct {
 	err error
 }
 
-// NewReader wraps buf for decoding. The Reader does not copy buf.
+// NewReader wraps buf for decoding. The Reader does not copy buf: the
+// byte strings it returns are views into it.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Err returns the sticky decode error, if any.
@@ -148,7 +153,7 @@ func (r *Reader) take(n int) []byte {
 		r.err = ErrTruncated
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }
@@ -223,7 +228,8 @@ func (r *Reader) Bytes32() (out [32]byte) {
 }
 
 // VarBytes consumes a length-prefixed byte string. The returned slice
-// aliases the Reader's buffer.
+// aliases the Reader's buffer and is capped at its own end, so an
+// append to it copies instead of writing over the bytes that follow.
 func (r *Reader) VarBytes() []byte {
 	n := r.U32()
 	if r.err != nil {
@@ -242,7 +248,7 @@ func (r *Reader) Raw() []byte {
 	if r.err != nil {
 		return nil
 	}
-	b := r.buf[r.off:]
+	b := r.buf[r.off:len(r.buf):len(r.buf)]
 	r.off = len(r.buf)
 	return b
 }

@@ -223,6 +223,28 @@ func TestAOMRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeAOMAllocs pins DecodeAOM to one allocation, the header: Auth
+// and the payload are views into the packet, capped so that an append
+// to either leaves the packet as it was.
+func TestDecodeAOMAllocs(t *testing.T) {
+	payload := []byte("payload")
+	w := NewWriter(256)
+	EncodeAOM(w, &AOMHeader{Kind: AuthHMAC, Seq: 1, Digest: Digest(payload), Auth: make([]byte, 16)}, payload)
+	// The packet shares its buffer with the next one, as the messages
+	// of one datagram do.
+	buf := append(w.Bytes(), "next packet"...)
+	pkt := buf[:w.Len()]
+	if allocs := testing.AllocsPerRun(100, func() { _, _, _ = DecodeAOM(pkt) }); allocs != 1 {
+		t.Errorf("DecodeAOM allocates %v times, want 1", allocs)
+	}
+	h, got, _ := DecodeAOM(pkt)
+	before := bytes.Clone(buf)
+	grow(h.Auth, got)
+	if !bytes.Equal(buf, before) {
+		t.Fatal("an append to a decoded field wrote into the buffer")
+	}
+}
+
 func BenchmarkEncodeAOM(b *testing.B) {
 	payload := make([]byte, 64)
 	h := &AOMHeader{Kind: AuthHMAC, Group: 1, Seq: 1, Digest: Digest(payload), Auth: make([]byte, 16)}
